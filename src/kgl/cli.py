@@ -34,11 +34,13 @@ from .formats import (
     load,
     load_kernel_file,
     load_lift_file,
+    matrix_to_doc,
     save_instance,
 )
 from .kernel import (
     bounded_shift_constant,
     conv_blocks,
+    invariance_bounds,
     is_invariant,
     is_partially_hermitian,
     is_partially_psd,
@@ -110,18 +112,18 @@ def _psd_records(conv, tol):
 
 def _invariance_record(inst, tol):
     ok, wit = is_invariant(inst.kernel, inst.action, tol)
-    resid = 0.0
-    witness = None
-    if not ok:
-        alpha, x, y = wit
-        ax = inst.action.apply(alpha, x)
-        ay = inst.action.apply(inst.sg.star[alpha], y)
-        resid = frob(inst.kernel.block(ax, y) - inst.kernel.block(x, ay))
-        witness = {"element": alpha, "x": x, "y": y}
     conv = conv_blocks(inst.kernel, inst.partition)
-    bound = tol.atol * max([1.0] + [frob(g) for g in conv.gram.values()])
+    if ok:
+        bound = tol.atol * max([1.0] + [frob(g) for g in conv.gram.values()])
+        return Record("kernel is invariant under the action", "kernel/invariant",
+                      0.0, bound, True)
+    alpha, x, y = wit
+    ax = inst.action.apply(alpha, x)
+    ay = inst.action.apply(inst.sg.star[alpha], y)
+    resid = frob(inst.kernel.block(ax, y) - inst.kernel.block(x, ay))
     return Record("kernel is invariant under the action", "kernel/invariant",
-                  resid, bound, ok, witness=witness)
+                  resid, invariance_bounds(conv, inst.sg, tol)[alpha], False,
+                  witness={"element": alpha, "x": x, "y": y})
 
 
 def cmd_validate(args, tol):
@@ -259,7 +261,8 @@ def cmd_represent(args, tol):
 
 def cmd_lift(args, tol):
     a, b, t, s = load_lift_file(args.problem)
-    digest_src = json.dumps([[a.shape, b.shape]], default=str)
+    digest_src = json.dumps({k: matrix_to_doc(m) for k, m in zip("abts", (a, b, t, s))},
+                            sort_keys=True, separators=(",", ":"))
     records = []
     scale = max(1.0, opnorm(b) * opnorm(t), opnorm(s) * opnorm(a))
     compat = frob(b @ t - s.conj().T @ a)

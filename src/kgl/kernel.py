@@ -17,6 +17,7 @@ from .bundle import HilbertBundle, PartIndex, Section, part_index, stack
 from .errors import (
     BundleMismatch,
     CrossPartSupport,
+    InvalidSemigroupoid,
     NotHermitian,
     NotPSD,
     OrbitBundleNotTrivial,
@@ -24,7 +25,7 @@ from .errors import (
     UnknownPoint,
 )
 from .numlin import DEFAULT_TOL, Tolerances, frob, herm_eig, opnorm, psd_root_factor
-from .sgpd import LeftAction, orbit_trivial_bundle
+from .sgpd import LeftAction, StarSemigroupoid, orbit_trivial_bundle
 
 __all__ = [
     "OpKernel",
@@ -46,6 +47,7 @@ __all__ = [
     "dominates",
     "shift_map",
     "shift_maps",
+    "invariance_bounds",
     "is_invariant",
     "bounded_shift_constant",
 ]
@@ -308,29 +310,105 @@ def shift_maps(act: LeftAction, bundle: HilbertBundle, p: Partition = None) -> d
     return {g: shift_map(act, bundle, g, p) for g in act.sg.elements}
 
 
+def invariance_bounds(conv: ConvBlocks, sg: StarSemigroupoid,
+                      tol: Tolerances = DEFAULT_TOL) -> dict:
+    """Per element, the bound its invariance residuals are compared against.
+
+    atol times the larger Frobenius scale, floored at 1, of the element's
+    domain and codomain parts.
+    """
+    scale = {s: max(1.0, frob(g)) for s, g in conv.gram.items()}
+    return {a: tol.atol * max(scale[sg.d[a]], scale[sg.c[a]]) for a in sg.elements}
+
+
+def _part_layouts(p: Partition, act: LeftAction):
+    """Stacked coordinates of every part, in the action's point numbering.
+
+    Returns each point's offset inside its part and, per part label, the
+    part's points, their block starts, and for every stacked coordinate the
+    number of its point and its offset inside that point's fiber.
+    """
+    index = act.code.index
+    offset = np.zeros(len(act.base), dtype=np.int64)
+    layouts = {}
+    for label, idx in p.parts.items():
+        pts = np.array([index[x] for x in idx.part], dtype=np.int64)
+        dims = np.array([p.bundle.dim[x] for x in idx.part], dtype=np.int64)
+        starts = np.array([idx.offsets[x] for x in idx.part], dtype=np.int64)
+        offset[pts] = starts
+        layouts[label] = (idx.part, starts, np.repeat(pts, dims),
+                          np.arange(idx.total_dim) - np.repeat(starts, dims))
+    return offset, layouts
+
+
+def _first_false(mask):
+    miss = np.flatnonzero(~mask)
+    return int(miss[0]) if miss.size else None
+
+
+def _raise_unusable(act: LeftAction, g, x, label):
+    """Raise for an action value that is undefined or lands outside the part."""
+    y = act.apply(g, x)
+    raise InvalidSemigroupoid(
+        f"action of {g!r} on {x!r} lands at {y!r}, outside the part {label!r}")
+
+
 def is_invariant(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
     """Exhaustive invariance check of the kernel under the action.
 
     Compares the block at (alpha.x, y) with the block at (x, alpha*.y)
     for every element alpha, every x anchored at its domain and every y
     anchored at its codomain. Returns (True, None) or (False, witness)
-    with witness = (alpha, x, y).
+    with witness = (alpha, x, y), the first failing triple in that loop
+    order. Per element, the rows alpha.x of the codomain part's Gram matrix
+    are compared with the columns alpha*.y of the domain part's, and the
+    difference is reduced to one Frobenius norm per (x, y) block. An action
+    value that is undefined, or lands outside the part it should, raises
+    InvalidSemigroupoid where the loop order reaches it.
     """
     _require_orbit_trivial(act, k.bundle)
     p = partition_from_action(k.bundle, act)
     conv = conv_blocks(k, p)
     sg = act.sg
-    scale = {s: max(1.0, frob(g)) for s, g in conv.gram.items()}
-    for alpha in sg.elements:
+    bounds = invariance_bounds(conv, sg, tol)
+    anchor, A = act.code.anchor, act.code.A
+    offset, layouts = _part_layouts(p, act)
+    for i, alpha in enumerate(sg.elements):
         sd, sc = sg.d[alpha], sg.c[alpha]
         astar = sg.star[alpha]
-        bound = tol.atol * max(scale[sd], scale[sc])
-        for x in p.index(sd).part:
-            ax = act.apply(alpha, x)
-            for y in p.index(sc).part:
-                ay = act.apply(astar, y)
-                if frob(k.block(ax, y) - k.block(x, ay)) > bound:
-                    return False, (alpha, x, y)
+        xs, x_starts, x_pt, x_loc = layouts[sd]
+        ys, y_starts, y_pt, y_loc = layouts[sc]
+        if not xs:
+            continue
+        # per stacked coordinate: the point alpha.x, and the point alpha*.y
+        ax = A[i, x_pt]
+        ay = A[sg.code.index[astar], y_pt]
+        ax_ok = (ax >= 0) & (anchor[ax] == sg.code.c[i])
+        ay_ok = (ay >= 0) & (anchor[ay] == sg.code.d[i])
+        bad = np.zeros((len(xs), len(ys)), dtype=bool)
+        if ys:
+            rows = np.where(ax_ok, offset[ax] + x_loc, 0)
+            cols = np.where(ay_ok, offset[ay] + y_loc, 0)
+            diff = conv.gram[sc][rows] - conv.gram[sd][:, cols]
+            sq = np.add.reduceat(diff.real ** 2 + diff.imag ** 2, x_starts, axis=0)
+            bad = np.sqrt(np.add.reduceat(sq, y_starts, axis=1)) > bounds[alpha]
+        # in (alpha, x, y) order, alpha.x is needed from row x on and each
+        # alpha*.y from the first row on: no block after an unusable value counts
+        u = _first_false(ax_ok[x_starts])
+        v = _first_false(ay_ok[y_starts]) if ys else None
+        if u is not None:
+            bad[u:] = False
+        if v is not None:
+            bad[1:] = False
+            bad[0, v:] = False
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            r, q = divmod(int(hits[0]), len(ys))
+            return False, (alpha, xs[r], ys[q])
+        if u == 0 or (u is not None and v is None):
+            _raise_unusable(act, alpha, xs[u], sc)
+        if v is not None:
+            _raise_unusable(act, astar, ys[v], sd)
     return True, None
 
 

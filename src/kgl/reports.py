@@ -3,8 +3,11 @@
 Every numerical certification in the package is reported as a record with
 a name, a tag from a fixed vocabulary, the measured residual, the
 tolerance it was compared against, a pass flag and an optional witness.
-A report bundles the records of one command run over one instance and
-serializes byte-deterministically.
+A report bundles the records of one command run over one instance. Its
+serialization is deterministic: equal reports give equal bytes. The numbers
+in a report are byte-identical across runs only on the same platform, numpy
+and BLAS build and BLAS thread count, since the thread count changes the
+last digits of residuals and tolerances.
 """
 
 import hashlib

@@ -7,6 +7,11 @@ is an involution reversing products and swapping domain with codomain.
 Everything is validated exhaustively; violations are reported with witness
 tuples rather than raised, so corrupted tables can be inspected.
 
+The tables are encoded as integer arrays once, at construction, and every
+check runs on that encoding (see `_SgCode` and `_ActionCode`). The dicts
+and tuples of a semigroupoid or an action must therefore not be mutated
+afterwards: build a new object from modified copies instead.
+
 Conventions. Composition is written like function composition: a*b means
 "apply b, then a". The out-fiber of a symbol s collects the elements with
 codomain s, the in-fiber those with domain s.
@@ -14,6 +19,8 @@ codomain s, the in-fiber those with domain s.
 
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import BadFamilyParams, InvalidSemigroupoid, MalformedTable, UnknownPoint
 
@@ -38,6 +45,40 @@ __all__ = [
 ]
 
 
+# associativity-type checks visit this many table cells per step, so their
+# temporaries stay small however many composable pairs there are
+_CHUNK_CELLS = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class _SgCode:
+    """Integer form of a semigroupoid's tables; -1 marks an undefined entry.
+
+    Elements and symbols are numbered by their position in the label tuples.
+    """
+
+    index: dict  # element -> position
+    sym_index: dict  # symbol -> position
+    d: np.ndarray  # (E,) symbol of the domain
+    c: np.ndarray  # (E,) symbol of the codomain
+    star: np.ndarray  # (E,)
+    pairs: np.ndarray  # (K, 2) the compose keys, in table order
+    T: np.ndarray  # (E, E) the product a*b
+
+
+@dataclass(frozen=True, eq=False)
+class _ActionCode:
+    """Integer form of an action table; points are numbered in base order."""
+
+    index: dict  # point -> position
+    anchor: np.ndarray  # (P,) symbol of each point
+    A: np.ndarray  # (E, P) the point g.x, -1 where undefined
+
+
+def _positions(n, index, labels):
+    return np.fromiter((index[g] for g in labels), dtype=np.int32, count=n)
+
+
 @dataclass(frozen=True, eq=False)
 class StarSemigroupoid:
     symbols: tuple
@@ -47,6 +88,7 @@ class StarSemigroupoid:
     compose: dict  # (a, b) -> ab, exactly on composable pairs
     star: dict
     units: dict = None  # optional symbol -> element
+    code: _SgCode = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
@@ -64,10 +106,13 @@ class StarSemigroupoid:
         for g in itertools.chain(self.d, self.c, self.star):
             if g not in elts:
                 raise MalformedTable(f"table mentions unknown element {g!r}")
+        index = {g: i for i, g in enumerate(self.elements)}
+        entries = []
         for (a, b), ab in self.compose.items():
             for g in (a, b, ab):
                 if g not in elts:
                     raise MalformedTable(f"compose entry mentions unknown element {g!r}")
+            entries.append((index[a], index[b], index[ab]))
         for g, gs in self.star.items():
             if gs not in elts:
                 raise MalformedTable(f"star({g!r}) = {gs!r} is not an element")
@@ -77,6 +122,19 @@ class StarSemigroupoid:
                     raise MalformedTable(f"unit declared for unknown symbol {s!r}")
                 if e not in elts:
                     raise MalformedTable(f"unit {e!r} is not an element")
+
+        n = len(self.elements)
+        sym_index = {s: i for i, s in enumerate(self.symbols)}
+        rows = np.array(entries, dtype=np.int32).reshape(-1, 3)
+        table = np.full((n, n), -1, dtype=np.int32)
+        table[rows[:, 0], rows[:, 1]] = rows[:, 2]
+        star = np.fromiter((index[self.star[g]] if g in self.star else -1
+                            for g in self.elements), dtype=np.int32, count=n)
+        object.__setattr__(self, "code", _SgCode(
+            index=index, sym_index=sym_index,
+            d=_positions(n, sym_index, (self.d[g] for g in self.elements)),
+            c=_positions(n, sym_index, (self.c[g] for g in self.elements)),
+            star=star, pairs=rows[:, :2], T=table))
 
     # fibers
     def out_fiber(self, s):
@@ -102,6 +160,7 @@ class LeftAction:
     base: tuple
     anchor: dict  # point -> symbol
     act: dict  # (element, point) -> point
+    code: _ActionCode = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(self.base))
@@ -115,11 +174,22 @@ class LeftAction:
                 raise MalformedTable(f"point {x!r} has no anchor symbol")
             if self.anchor[x] not in syms:
                 raise MalformedTable(f"anchor of {x!r} is not a symbol")
+        index = {x: i for i, x in enumerate(self.base)}
+        eidx = self.sg.code.index
+        entries = []
         for (g, x), y in self.act.items():
             if g not in elts:
                 raise MalformedTable(f"action entry mentions unknown element {g!r}")
             if x not in pts or y not in pts:
                 raise MalformedTable(f"action entry ({g!r},{x!r}) -> {y!r} leaves the base")
+            entries.append((eidx[g], index[x], index[y]))
+
+        n = len(self.base)
+        rows = np.array(entries, dtype=np.int32).reshape(-1, 3)
+        table = np.full((len(self.sg.elements), n), -1, dtype=np.int32)
+        table[rows[:, 0], rows[:, 1]] = rows[:, 2]
+        anchor = _positions(n, self.sg.code.sym_index, (self.anchor[x] for x in self.base))
+        object.__setattr__(self, "code", _ActionCode(index=index, anchor=anchor, A=table))
 
     def apply(self, g, x):
         if (g, x) not in self.act:
@@ -160,93 +230,116 @@ class Classification:
     star_matches_inverse: bool = None
 
 
+def _label(labels, i):
+    """The label at position i, or None for the undefined entry -1."""
+    return labels[i] if i >= 0 else None
+
+
+def _chunks(pairs, width):
+    """The compose keys in table order, a bounded number of table cells at a time."""
+    step = max(1, _CHUNK_CELLS // max(1, width))
+    for lo in range(0, len(pairs), step):
+        yield pairs[lo:lo + step, 0], pairs[lo:lo + step, 1]
+
+
 def validate(sg: StarSemigroupoid) -> ValidationReport:
     """Exhaustive axiom check; every violation is recorded with a witness."""
     rep = ValidationReport()
-    comp = sg.compose
+    el, code = sg.elements, sg.code
+    T, d, c, star = code.T, code.d, code.c, code.star
+    own = np.arange(len(el))
 
     # composition defined exactly on composable pairs, with the right (d, c)
-    for a, b in itertools.product(sg.elements, repeat=2):
-        defined = (a, b) in comp
-        if defined != sg.composable(a, b):
-            why = "defined on non-composable pair" if defined else "missing product"
-            rep.add("SG3", (a, b), why)
-        if defined and sg.composable(a, b):
-            ab = comp[(a, b)]
-            if sg.d[ab] != sg.d[b] or sg.c[ab] != sg.c[a]:
-                rep.add("SG3", (a, b), f"product {ab!r} has wrong domain or codomain")
+    defined = T >= 0
+    composable = d[:, None] == c[None, :]
+    wrong = defined & composable & ((d[T] != d[None, :]) | (c[T] != c[:, None]))
+    for i, j in zip(*np.nonzero((defined != composable) | wrong)):
+        if defined[i, j] != composable[i, j]:
+            why = "defined on non-composable pair" if defined[i, j] else "missing product"
+            rep.add("SG3", (el[i], el[j]), why)
+        else:
+            rep.add("SG3", (el[i], el[j]),
+                    f"product {el[T[i, j]]!r} has wrong domain or codomain")
 
-    def prod(a, b):
-        return comp.get((a, b))
-
-    # associativity over all triply-composable triples
-    for a, b in comp:
-        for g in sg.elements:
-            if sg.composable(b, g):
-                left = prod(prod(a, b), g) if prod(a, b) is not None else None
-                bg = prod(b, g)
-                right = prod(a, bg) if bg is not None else None
-                if left is None or right is None or left != right:
-                    rep.add("SG4", (a, b, g), f"({a}{b}){g} = {left!r} vs {a}({b}{g}) = {right!r}")
+    # associativity over all triply-composable triples, (a, b) in table order
+    for ka, kb in _chunks(code.pairs, len(el)):
+        left = T[T[ka, kb]]
+        bg = T[kb]
+        right = np.where(bg >= 0, T[ka[:, None], bg], -1)
+        bad = (d[kb][:, None] == c[None, :]) & ((left < 0) | (left != right))
+        for r, k in zip(*np.nonzero(bad)):
+            a, b, g = el[ka[r]], el[kb[r]], el[k]
+            rep.add("SG4", (a, b, g), f"({a}{b}){g} = {_label(el, left[r, k])!r} "
+                                      f"vs {a}({b}{g}) = {_label(el, right[r, k])!r}")
 
     # involution
-    for g in sg.elements:
-        if g not in sg.star:
+    has = star >= 0
+    swaps = (d[star] == c) & (c[star] == d)
+    twice = star[star]
+    for i in np.nonzero(~has | ~swaps | (twice != own))[0]:
+        g = el[i]
+        if not has[i]:
             rep.add("I1", (g,), "star undefined")
             continue
-        gs = sg.star[g]
-        if sg.d[gs] != sg.c[g] or sg.c[gs] != sg.d[g]:
-            rep.add("I1", (g,), f"star({g!r}) = {gs!r} does not swap domain and codomain")
-        if sg.star.get(gs) != g:
-            rep.add("I3", (g,), f"star(star({g!r})) = {sg.star.get(gs)!r}")
-    for (a, b), ab in comp.items():
-        sa, sb, sab = sg.star.get(a), sg.star.get(b), sg.star.get(ab)
-        if sa is None or sb is None:
-            continue
-        if prod(sb, sa) != sab:
-            rep.add("I2", (a, b), f"star({a}{b}) = {sab!r} but star(b)star(a) = {prod(sb, sa)!r}")
+        if not swaps[i]:
+            rep.add("I1", (g,), f"star({g!r}) = {el[star[i]]!r} does not swap domain and codomain")
+        if twice[i] != i:
+            rep.add("I3", (g,), f"star(star({g!r})) = {_label(el, twice[i])!r}")
+    ka, kb = code.pairs[:, 0], code.pairs[:, 1]
+    sa, sb, sab = star[ka], star[kb], star[T[ka, kb]]
+    both = (sa >= 0) & (sb >= 0)
+    reverse = np.where(both, T[sb, sa], -1)
+    for r in np.nonzero(both & (reverse != sab))[0]:
+        a, b = el[ka[r]], el[kb[r]]
+        rep.add("I2", (a, b), f"star({a}{b}) = {_label(el, sab[r])!r} "
+                              f"but star(b)star(a) = {_label(el, reverse[r])!r}")
 
     # units, when declared
     if sg.units is not None:
-        for s in sg.symbols:
+        for si, s in enumerate(sg.symbols):
             if s not in sg.units:
                 rep.add("U1", (s,), "no unit declared for this symbol")
                 continue
             e = sg.units[s]
-            if sg.d[e] != s or sg.c[e] != s:
+            ei = code.index[e]
+            if d[ei] != si or c[ei] != si:
                 rep.add("U1", (s,), f"unit {e!r} not in the (s, s) fiber")
                 continue
-            for a in sg.out_fiber(s):
-                if prod(e, a) != a:
-                    rep.add("U2", (s, a), f"unit does not fix {a!r} from the left")
-            for a in sg.in_fiber(s):
-                if prod(a, e) != a:
-                    rep.add("U3", (s, a), f"unit does not fix {a!r} from the right")
-            if sg.star.get(e) != e:
+            outs = np.nonzero(c == si)[0]
+            for a in outs[T[ei, outs] != outs]:
+                rep.add("U2", (s, el[a]), f"unit does not fix {el[a]!r} from the left")
+            ins = np.nonzero(d == si)[0]
+            for a in ins[T[ins, ei] != ins]:
+                rep.add("U3", (s, el[a]), f"unit does not fix {el[a]!r} from the right")
+            if star[ei] != ei:
                 rep.add("U-star", (s,), f"unit {e!r} is not star-fixed")
 
     # isolated symbols are rejected, loudly, instead of being dropped
-    for s in sg.symbols:
-        if not sg.out_fiber(s) and not sg.in_fiber(s):
-            rep.add("isolated-symbol", (s,), "symbol carries no elements; remove it explicitly")
+    touched = np.zeros(len(sg.symbols), dtype=bool)
+    touched[d] = touched[c] = True
+    for si in np.nonzero(~touched)[0]:
+        rep.add("isolated-symbol", (sg.symbols[si],),
+                "symbol carries no elements; remove it explicitly")
 
     return rep
 
 
 def _search_units(sg: StarSemigroupoid):
-    """Two-sided fiber identities found by exhaustive search, per symbol."""
-    found = {}
-    for s in sg.symbols:
-        outs, ins = sg.out_fiber(s), sg.in_fiber(s)
-        for e in sg.elements:
-            if sg.d[e] != s or sg.c[e] != s:
-                continue
-            if all(sg.compose.get((e, a)) == a for a in outs) and all(
-                sg.compose.get((a, e)) == a for a in ins
-            ):
-                found[s] = e
-                break
-    return found
+    """Two-sided fiber identities found by exhaustive search, per symbol.
+
+    For each symbol the element of its (s, s) fiber that fixes its whole
+    out-fiber from the left and its whole in-fiber from the right.
+    """
+    code = sg.code
+    T, d, c = code.T, code.d, code.c
+    own = np.arange(len(sg.elements))
+    composable = d[:, None] == c[None, :]
+    fixes_left = ~np.any(composable & (T != own[None, :]), axis=1)
+    fixes_right = ~np.any(composable & (T != own[:, None]), axis=0)
+    # at most one per symbol: two of them would both equal their product
+    found = {int(d[e]): sg.elements[e]
+             for e in np.nonzero((d == c) & fixes_left & fixes_right)[0]}
+    return {s: found[si] for si, s in enumerate(sg.symbols) if si in found}
 
 
 def classify(sg: StarSemigroupoid) -> Classification:
@@ -258,41 +351,32 @@ def classify(sg: StarSemigroupoid) -> Classification:
     units = _search_units(sg)
     has_unit = set(units) == set(sg.symbols)
 
-    pairs = {(sg.d[g], sg.c[g]) for g in sg.elements}
-    is_transitive = pairs == set(itertools.product(sg.symbols, repeat=2))
+    code = sg.code
+    T, d, c = code.T, code.d, code.c
+    hom = np.zeros((len(sg.symbols),) * 2, dtype=bool)
+    hom[d, c] = True
+    is_transitive = bool(hom.all())
 
-    # unique pseudo-inverse per element
-    inverse_map = {}
-    is_inverse = True
-    for a in sg.elements:
-        cands = []
-        for b in sg.elements:
-            if sg.d[b] != sg.c[a] or sg.c[b] != sg.d[a]:
-                continue
-            ab = sg.compose.get((a, b))
-            ba = sg.compose.get((b, a))
-            if ab is None or ba is None:
-                continue
-            if sg.compose.get((ab, a)) == a and sg.compose.get((ba, b)) == b:
-                cands.append(b)
-        if len(cands) == 1:
-            inverse_map[a] = cands[0]
-        else:
-            is_inverse = False
-    if not is_inverse:
-        inverse_map = None
+    # unique pseudo-inverse per element: cand[a, b] when b is one for a
+    own = np.arange(len(sg.elements))
+    ab, ba = T, T.T
+    cand = (d[None, :] == c[:, None]) & (c[None, :] == d[:, None]) & (ab >= 0) & (ba >= 0)
+    cand &= (T[ab, own[:, None]] == own[:, None]) & (T[ba, own[None, :]] == own[None, :])
+    is_inverse = bool(np.all(cand.sum(axis=1) == 1))
+    inverse_map = None
+    if is_inverse:
+        inverse = np.nonzero(cand)[1]  # one column per row, rows in order
+        inverse_map = {a: sg.elements[b] for a, b in zip(sg.elements, inverse)}
 
     is_groupoid = False
     if has_unit and is_inverse:
-        is_groupoid = all(
-            sg.compose.get((a, inverse_map[a])) == units[sg.c[a]]
-            and sg.compose.get((inverse_map[a], a)) == units[sg.d[a]]
-            for a in sg.elements
-        )
+        unit = np.array([code.index[units[s]] for s in sg.symbols], dtype=np.int32)
+        is_groupoid = bool(np.all(T[own, inverse] == unit[c])
+                           and np.all(T[inverse, own] == unit[d]))
 
     star_matches = None
     if is_inverse:
-        star_matches = all(sg.star[a] == inverse_map[a] for a in sg.elements)
+        star_matches = bool(np.all(code.star == inverse))
 
     return Classification(
         has_unit=has_unit,
@@ -309,33 +393,34 @@ def validate_action(act: LeftAction, unital: bool = False) -> ValidationReport:
     """Exhaustive check of the left-action axioms, with witnesses."""
     sg = act.sg
     rep = ValidationReport()
+    el, base = sg.elements, act.base
+    T, d, c = sg.code.T, sg.code.d, sg.code.c
+    anchor, A = act.code.anchor, act.code.A
 
-    hit = {act.anchor[x] for x in act.base}
-    for s in sg.symbols:
-        if s not in hit:
-            rep.add("A1", (s,), "anchor misses this symbol (not surjective)")
+    hit = np.zeros(len(sg.symbols), dtype=bool)
+    hit[anchor] = True
+    for si in np.nonzero(~hit)[0]:
+        rep.add("A1", (sg.symbols[si],), "anchor misses this symbol (not surjective)")
 
-    for g in sg.elements:
-        for x in act.base:
-            defined = (g, x) in act.act
-            should = sg.d[g] == act.anchor[x]
-            if defined != should:
-                why = "defined off the anchor fiber" if defined else "missing action value"
-                rep.add("A2", (g, x), why)
-            if defined and should:
-                y = act.act[(g, x)]
-                if act.anchor[y] != sg.c[g]:
-                    rep.add("A2", (g, x), f"anchor({y!r}) is not the codomain of {g!r}")
+    defined = A >= 0
+    should = d[:, None] == anchor[None, :]
+    wrong = defined & should & (anchor[A] != c[:, None])
+    for i, j in zip(*np.nonzero((defined != should) | wrong)):
+        if defined[i, j] != should[i, j]:
+            why = "defined off the anchor fiber" if defined[i, j] else "missing action value"
+            rep.add("A2", (el[i], base[j]), why)
+        else:
+            rep.add("A2", (el[i], base[j]),
+                    f"anchor({base[A[i, j]]!r}) is not the codomain of {el[i]!r}")
 
-    for (a, b), ab in sg.compose.items():
-        for x in act.base:
-            if sg.d[b] != act.anchor[x]:
-                continue
-            bx = act.act.get((b, x))
-            lhs = act.act.get((ab, x))
-            rhs = act.act.get((a, bx)) if bx is not None else None
-            if lhs is None or rhs is None or lhs != rhs:
-                rep.add("A3", (a, b, x), f"(ab).x = {lhs!r} vs a.(b.x) = {rhs!r}")
+    for ka, kb in _chunks(sg.code.pairs, len(base)):
+        lhs = A[T[ka, kb]]
+        bx = A[kb]
+        rhs = np.where(bx >= 0, A[ka[:, None], bx], -1)
+        bad = (d[kb][:, None] == anchor[None, :]) & ((lhs < 0) | (lhs != rhs))
+        for r, x in zip(*np.nonzero(bad)):
+            rep.add("A3", (el[ka[r]], el[kb[r]], base[x]),
+                    f"(ab).x = {_label(base, lhs[r, x])!r} vs a.(b.x) = {_label(base, rhs[r, x])!r}")
 
     if unital:
         units = sg.units if sg.units is not None else _search_units(sg)
@@ -363,12 +448,11 @@ def orbit(act: LeftAction, x) -> set:
 
 def orbit_trivial_bundle(act: LeftAction, bundle) -> bool:
     """True iff the fiber dimension is constant on every action orbit."""
-    for x in act.base:
-        bundle.require(x)
-        dims = {bundle.dim[y] for y in orbit(act, x)}
-        if len(dims) > 1:
-            return False
-    return True
+    dim = np.fromiter((bundle.dim[bundle.require(x)] for x in act.base),
+                      dtype=np.int64, count=len(act.base))
+    A = act.code.A
+    steps = (act.sg.code.d[:, None] == act.code.anchor[None, :]) & (A >= 0)
+    return not np.any(steps & (dim[A] != dim[None, :]))
 
 
 # ------------------------------------------------------------------

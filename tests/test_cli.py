@@ -204,3 +204,42 @@ def test_out_writes_report_file(circulant_instance, tmp_path, capsys):
     rep = json.loads(out.read_text())
     assert rep["command"] == "check hermitian"
     assert rep["pass"] is True
+
+
+def test_check_invariant_reports_the_bound_that_failed(tmp_path, capsys):
+    # pair groupoid on s, t, u: part u scaled by 1e6, one diagonal entry of
+    # part s moved by 1e-5. The failing element joins s and t, so its bound
+    # is atol times the scale of those parts, not of part u.
+    from kgl import sgpd
+    from kgl.bundle import HilbertBundle
+    from kgl.kernel import OpKernel
+
+    sg, act = sgpd.pair_groupoid(("s", "t", "u"))
+    bundle = HilbertBundle(points=act.base, dim={x: 1 for x in act.base})
+    blocks = {(x, x): np.array([[1e6 if act.anchor[x] == "u" else 1.0]])
+              for x in act.base}
+    blocks[("(s,s)", "(s,s)")] = np.array([[1.0 + 1e-5]])
+    k = OpKernel(bundle, blocks)
+    path = tmp_path / "scaled.json"
+    formats.save_instance(formats.instance_to_doc(sg, act, bundle, k), path)
+    code, rep = run_json(capsys, ["check", "invariant", str(path)])
+    assert code == 1
+    rec = rep["records"][0]
+    assert rec["pass"] is False
+    assert rec["residual"] == pytest.approx(1e-5)
+    assert rec["tolerance"] == pytest.approx(TOL.atol * np.sqrt(3.0 + 2e-5))
+    assert rec["residual"] > rec["tolerance"]
+
+
+def test_lift_digest_addresses_content(tmp_path, capsys):
+    digests = []
+    for seed in (11, 12):
+        a, b, t, s = generators.random_lift_quadruple(3, 2, seed=seed, tol=TOL)
+        path = tmp_path / f"lift{seed}.json"
+        path.write_text(json.dumps({
+            "a": formats.matrix_to_doc(a), "b": formats.matrix_to_doc(b),
+            "t": formats.matrix_to_doc(t), "s": formats.matrix_to_doc(s)}))
+        code, rep = run_json(capsys, ["lift", str(path)])
+        assert code == 0
+        digests.append(rep["instance_digest"])
+    assert digests[0] != digests[1]

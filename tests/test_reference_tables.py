@@ -1,0 +1,301 @@
+"""The array checks of sgpd and kernel agree with the loop oracle.
+
+Every generator family at small sizes, hand-built tables, and seeded
+corruptions of each (compose, star, unit and action entries, kernel blocks
+pushed off invariance) go through the library and through
+`reference_tables`. Reports must match entry for entry and in order,
+classifications field for field, invariance results witness for witness,
+and raised exceptions in type and message.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import reference_tables as ref
+from helpers import merge_monoid, trivial_group, z2_swap
+from kgl import generators, sgpd
+from kgl.bundle import HilbertBundle
+from kgl.errors import InvalidSemigroupoid
+from kgl.kernel import OpKernel, is_invariant, partition_from_action
+from kgl.numlin import Tolerances
+from kgl.sgpd import LeftAction, StarSemigroupoid
+
+
+def outcome(fn, *args, **kwargs):
+    """The value of a call, or the type and message of what it raised."""
+    try:
+        return "value", fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return "raised", type(exc), str(exc)
+
+
+def assert_same(lib_fn, ref_fn, *args, **kwargs):
+    got, want = outcome(lib_fn, *args, **kwargs), outcome(ref_fn, *args, **kwargs)
+    if got[0] == "value" and hasattr(got[1], "entries"):
+        assert got[1].entries == want[1].entries
+    else:
+        assert got == want
+    # also the Python types and dict orders, which reach the report JSON
+    assert repr(got) == repr(want)
+    return got
+
+
+def structures():
+    """(name, semigroupoid, action) for every family at small sizes."""
+    out = []
+    for n in (1, 2, 3, 4):
+        syms = tuple(f"s{i}" for i in range(n))
+        for action in ("self", "symbols"):
+            out.append((f"pair{n}-{action}", *sgpd.pair_groupoid(syms, action=action)))
+    for n in (1, 2, 3, 5):
+        out.append((f"cyclic{n}", *sgpd.group_as_groupoid(sgpd.cyclic_group_table(n))))
+    for seed in (0, 1, 2):
+        out.append((f"group_action{seed}", *sgpd.generate("group_action", seed=seed)))
+    for sizes in ((1,), (2,), (1, 1), (2, 1), (1, 1, 1), (2, 2)):
+        for action in ("self", "symbols"):
+            out.append((f"pb{sizes}-{action}", *sgpd.partial_bijections(sizes, action=action)))
+    sg, act = z2_swap()
+    out.append(("z2_swap", sg, act))
+    out.append(("merge_monoid", *merge_monoid()))
+    sg = trivial_group()
+    out.append(("trivial", sg, sgpd.self_action(sg)))
+    free = StarSemigroupoid(
+        symbols=("s", "t"), elements=("a", "a2"), d={"a": "s", "a2": "s"},
+        c={"a": "s", "a2": "s"},
+        compose={("a", "a"): "a2", ("a", "a2"): "a2", ("a2", "a"): "a2", ("a2", "a2"): "a2"},
+        star={"a": "a", "a2": "a2"})
+    out.append(("free-isolated", free,
+                LeftAction(free, ("x",), {"x": "s"}, {("a", "x"): "x", ("a2", "x"): "x"})))
+    return out
+
+
+STRUCTURES = structures()
+IDS = [name for name, _, _ in STRUCTURES]
+
+
+def rebuilt(sg, compose=None, star=None, units="keep"):
+    return StarSemigroupoid(sg.symbols, sg.elements, sg.d, sg.c,
+                            sg.compose if compose is None else compose,
+                            sg.star if star is None else star,
+                            sg.units if units == "keep" else units)
+
+
+def corrupted_tables(sg, rng):
+    """Seeded single and double defects of the compose, star and unit tables."""
+    el = sg.elements
+    keys = list(sg.compose)
+    out = []
+    for _ in range(3):
+        comp = dict(sg.compose)
+        del comp[keys[rng.integers(len(keys))]]
+        out.append(rebuilt(sg, compose=comp))
+        comp = dict(sg.compose)
+        for k in rng.choice(len(keys), size=min(2, len(keys)), replace=False):
+            comp[keys[k]] = el[rng.integers(len(el))]
+        out.append(rebuilt(sg, compose=comp))
+        star = dict(sg.star)
+        star[el[rng.integers(len(el))]] = el[rng.integers(len(el))]
+        out.append(rebuilt(sg, star=star))
+    off = [(a, b) for a, b in itertools.product(el, repeat=2) if (a, b) not in sg.compose]
+    if off:
+        comp = dict(sg.compose)
+        comp[off[rng.integers(len(off))]] = el[0]
+        out.append(rebuilt(sg, compose=comp))
+    star = dict(sg.star)
+    del star[el[-1]]
+    out.append(rebuilt(sg, star=star))
+    if sg.units:
+        units = dict(sg.units)
+        units[sg.symbols[-1]] = el[rng.integers(len(el))]
+        out.append(rebuilt(sg, units=units))
+        units = dict(sg.units)
+        del units[sg.symbols[0]]
+        out.append(rebuilt(sg, units=units))
+    out.append(rebuilt(sg, units=None))
+    return out
+
+
+def corrupted_actions(act, rng):
+    """Seeded defects of the action table and the anchor map."""
+    sg, base = act.sg, act.base
+    keys = list(act.act)
+    out = []
+    for _ in range(3):
+        table = dict(act.act)
+        del table[keys[rng.integers(len(keys))]]
+        out.append(LeftAction(sg, base, act.anchor, table))
+        table = dict(act.act)
+        table[keys[rng.integers(len(keys))]] = base[rng.integers(len(base))]
+        out.append(LeftAction(sg, base, act.anchor, table))
+    off = [(g, x) for g in sg.elements for x in base if (g, x) not in act.act]
+    if off:
+        table = dict(act.act)
+        table[off[rng.integers(len(off))]] = base[0]
+        out.append(LeftAction(sg, base, act.anchor, table))
+    anchor = dict(act.anchor)
+    anchor[base[-1]] = sg.symbols[0]
+    out.append(LeftAction(sg, base, anchor, act.act))
+    return out
+
+
+@pytest.mark.parametrize("name,sg,act", STRUCTURES, ids=IDS)
+def test_structure_checks_match_reference(name, sg, act):
+    assert_same(sgpd.validate, ref.validate, sg)
+    assert_same(sgpd.classify, ref.classify, sg)
+    assert sgpd._search_units(sg) == ref.search_units(sg)
+    for unital in (False, True):
+        assert_same(sgpd.validate_action, ref.validate_action, act, unital=unital)
+
+
+@pytest.mark.parametrize("name,sg,act", STRUCTURES, ids=IDS)
+def test_corrupted_structures_match_reference(name, sg, act):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for bad in corrupted_tables(sg, rng):
+        assert_same(sgpd.validate, ref.validate, bad)
+        assert_same(sgpd.classify, ref.classify, bad)
+        assert sgpd._search_units(bad) == ref.search_units(bad)
+        bad_act = LeftAction(bad, act.base, act.anchor, act.act)
+        assert_same(sgpd.validate_action, ref.validate_action, bad_act, unital=True)
+    for bad_act in corrupted_actions(act, rng):
+        for unital in (False, True):
+            assert_same(sgpd.validate_action, ref.validate_action, bad_act, unital=unital)
+
+
+@pytest.mark.parametrize("name,sg,act", STRUCTURES, ids=IDS)
+def test_orbit_triviality_matches_reference(name, sg, act):
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    for _ in range(4):
+        dims = {x: int(rng.integers(1, 3)) for x in act.base}
+        bundle = HilbertBundle(points=act.base, dim=dims)
+        assert_same(sgpd.orbit_trivial_bundle, ref.orbit_trivial_bundle, act, bundle)
+    if len(act.base) > 1:
+        short = HilbertBundle(points=act.base[1:], dim={x: 1 for x in act.base[1:]})
+        assert_same(sgpd.orbit_trivial_bundle, ref.orbit_trivial_bundle, act, short)
+
+
+# ------------------------------------------------------------------
+# invariance
+
+
+def perturbed(k, p, rng, sizes):
+    """Copies of k with one within-part block moved by each given size."""
+    out = []
+    for size in sizes:
+        part = [idx for idx in p.parts.values() if idx.part]
+        idx = part[rng.integers(len(part))]
+        x, y = (idx.part[rng.integers(len(idx.part))] for _ in range(2))
+        shape = (k.bundle.dim[x], k.bundle.dim[y])
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        blocks = dict(k.blocks)
+        blocks[(x, y)] = k.block(x, y) + size * z / np.linalg.norm(z)
+        out.append(OpKernel(k.bundle, blocks))
+    return out
+
+
+def pair_groupoid_kernel(n, rng):
+    """Invariant kernel of the pair groupoid acting on itself, fibers of varying size.
+
+    The point (u, v) has fiber dimension 1 + (index of v) % 3, and every
+    part u carries the same Hermitian matrix in the v coordinates.
+    """
+    syms = tuple(f"s{i}" for i in range(n))
+    sg, act = sgpd.pair_groupoid(syms)
+    dim_of = {v: 1 + i % 3 for i, v in enumerate(syms)}
+    dims = {f"({u},{v})": dim_of[v] for u in syms for v in syms}
+    bundle = HilbertBundle(points=act.base, dim=dims)
+    h = {}
+    for v, w in itertools.product(syms, repeat=2):
+        if (w, v) in h:
+            h[(v, w)] = h[(w, v)].conj().T
+        else:
+            z = rng.standard_normal((dim_of[v], dim_of[w]))
+            h[(v, w)] = z + z.T if v == w else z + 1j * rng.standard_normal(z.shape)
+    blocks = {(f"({u},{v})", f"({u},{w})"): h[(v, w)]
+              for u in syms for v in syms for w in syms}
+    return act, OpKernel(bundle, blocks)
+
+
+def group_kernel(n, rng):
+    """Z_n rotating n points and fixing two more, kernel averaged over the group."""
+    table = sgpd.cyclic_group_table(n)
+    base = tuple(f"x{k}" for k in range(n)) + ("f0", "f1")
+    amap = {(f"g{i}", f"x{k}"): f"x{(i + k) % n}" for i in range(n) for k in range(n)}
+    amap.update({(f"g{i}", f): f for i in range(n) for f in ("f0", "f1")})
+    sg, act = sgpd.group_action(table, base, amap)
+    dims = {x: 2 for x in base[:n]} | {"f0": 1, "f1": 3}
+    bundle = HilbertBundle(points=base, dim=dims)
+    raw = {(x, y): rng.standard_normal((dims[x], dims[y])) for x in base for y in base}
+    blocks = {}
+    for x, y in itertools.product(base, repeat=2):
+        blocks[(x, y)] = sum(raw[(act.apply(g, x), act.apply(g, y))] for g in sg.elements)
+    return act, OpKernel(bundle, blocks)
+
+
+def invariance_cases():
+    cases = []
+    for family, params in (("pair_groupoid", {"symbols": ("a", "b", "c")}),
+                           ("group_as_groupoid", {"table": sgpd.cyclic_group_table(4)}),
+                           ("group_action", {}),
+                           ("partial_bijections", {"fiber_sizes": (2, 1)}),
+                           ("partial_bijections", {"fiber_sizes": (2,)})):
+        for seed, mode in ((1, "psd_invariant"), (2, "hermitian_invariant"), (3, "arbitrary")):
+            sg, act, bundle, k = generators.generate_instance(family, seed=seed, mode=mode,
+                                                              **params)
+            cases.append((f"{family}-{mode}", act, k))
+    rng = np.random.default_rng(7)
+    cases.append(("pair-varying-fibers", *pair_groupoid_kernel(3, rng)))
+    cases.append(("group-fixed-points", *group_kernel(3, rng)))
+    return cases
+
+
+INVARIANCE = invariance_cases()
+LOOSE = Tolerances(atol=1e-6)
+
+
+@pytest.mark.parametrize("name,act,k", INVARIANCE, ids=[c[0] for c in INVARIANCE])
+def test_invariance_matches_reference(name, act, k):
+    got = assert_same(is_invariant, ref.is_invariant, k, act)
+    if not name.endswith("arbitrary"):
+        assert got == ("value", (True, None))
+    rng = np.random.default_rng(sum(map(ord, name)))
+    p = partition_from_action(k.bundle, act)
+    for bad in perturbed(k, p, rng, (1e-13, 1e-7, 1e-3, 1.0, 1.0)):
+        assert_same(is_invariant, ref.is_invariant, bad, act)
+        assert_same(is_invariant, ref.is_invariant, bad, act, LOOSE)
+    keys = list(act.act)
+    for _ in range(3):
+        table = dict(act.act)
+        del table[keys[rng.integers(len(keys))]]
+        bad_act = LeftAction(act.sg, act.base, act.anchor, table)
+        assert_same(is_invariant, ref.is_invariant, k, bad_act)
+        g, x = keys[rng.integers(len(keys))]
+        same_part = [y for y in act.base if act.anchor[y] == act.anchor[act.act[(g, x)]]]
+        table = dict(act.act)
+        table[(g, x)] = same_part[rng.integers(len(same_part))]
+        assert_same(is_invariant, ref.is_invariant, k,
+                    LeftAction(act.sg, act.base, act.anchor, table))
+
+
+def test_invariance_raises_where_the_loop_order_first_meets_a_missing_value():
+    # g1 misses the point g1 (second row), g1* = g3 misses g2 (third column of
+    # the first row): the first row reaches the missing g3.g2 first
+    sg, act, bundle, k = generators.generate_instance(
+        "group_as_groupoid", seed=1, table=sgpd.cyclic_group_table(4))
+    table = dict(act.act)
+    del table[("g1", "g1")], table[("g3", "g2")]
+    bad_act = LeftAction(sg, act.base, act.anchor, table)
+    got = assert_same(is_invariant, ref.is_invariant, k, bad_act)
+    assert got == ("raised", InvalidSemigroupoid, "action of 'g3' on 'g2' is not defined")
+
+
+def test_invariance_rejects_action_values_outside_the_part():
+    # the loop oracle would read a cross-part block here; the array check
+    # has only the part Gram matrices and refuses the table instead
+    act, k = pair_groupoid_kernel(2, np.random.default_rng(0))
+    table = dict(act.act)
+    table[("(s0,s1)", "(s1,s0)")] = "(s1,s0)"  # anchored at s1, not at s0
+    bad_act = LeftAction(act.sg, act.base, act.anchor, table)
+    with pytest.raises(InvalidSemigroupoid, match="outside the part"):
+        is_invariant(k, bad_act)
