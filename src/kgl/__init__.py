@@ -34,6 +34,7 @@ from .kernel import (
     Partition,
     adjoint_kernel,
     bounded_shift_constant,
+    bounded_shift_constants,
     conv_blocks,
     dominates,
     identity_kernel,
@@ -76,7 +77,7 @@ from .krein_lin import (
     uniqueness_report,
     verify_krein_factorization,
 )
-from .numlin import DEFAULT_TOL, Tolerances
+from .numlin import DEFAULT_TOL, Tolerances, decomposition_store
 from .reports import Record, Report, report_to_json, save_report
 from .sgpd import (
     Classification,
@@ -101,7 +102,8 @@ __all__ = [
     "HilbertBundle", "PartIndex", "Section",
     "delta_section", "part_index", "section_from_dict",
     "OpKernel", "Partition",
-    "adjoint_kernel", "bounded_shift_constant", "conv_blocks", "dominates",
+    "adjoint_kernel", "bounded_shift_constant", "bounded_shift_constants",
+    "conv_blocks", "dominates",
     "identity_kernel", "is_invariant", "is_partially_hermitian",
     "is_partially_psd", "kernel_from_part_grams", "kernel_inner",
     "kernel_lincomb", "partition_from_action", "partition_from_anchor",
@@ -118,7 +120,7 @@ __all__ = [
     "invariant_krein_representation", "j_unitary_equivalence", "jordan_split",
     "krein_linearisation", "krein_representation_laws", "rk_krein_space",
     "uniqueness_report", "verify_krein_factorization",
-    "DEFAULT_TOL", "Tolerances",
+    "DEFAULT_TOL", "Tolerances", "decomposition_store",
     "Record", "Report", "report_to_json", "save_report",
     "Classification", "LeftAction", "StarSemigroupoid",
     "classify", "generate", "group_action", "group_as_groupoid",

@@ -12,23 +12,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import generators, hilbert_lin, krein_core, krein_lin, numlin
-from .errors import (
-    AxiomError,
-    BadFamilyParams,
-    CrossRefError,
-    InvalidSemigroupoid,
-    KernelNotDominated,
-    KglError,
-    MalformedTable,
-    OrbitBundleNotTrivial,
-    PairingViolated,
-    ParseError,
-    QuotientIncompatible,
-    UnsupportedFamily,
-)
+from .errors import KernelNotDominated, KglError, PairingViolated, QuotientIncompatible
 from .formats import (
     instance_to_doc,
     load,
@@ -38,7 +23,7 @@ from .formats import (
     save_instance,
 )
 from .kernel import (
-    bounded_shift_constant,
+    bounded_shift_constants,
     conv_blocks,
     invariance_bounds,
     is_invariant,
@@ -101,12 +86,9 @@ def _psd_records(conv, tol):
                                   herm_resid, tol.atol * max(1.0, frob(g)), False,
                                   witness={"part": label, "reason": "not Hermitian"}))
             continue
-        w = numlin.herm_eig(g, tol).eigenvalues
-        top = float(np.max(np.abs(w), initial=0.0))
-        viol = max(0.0, -float(np.min(w, initial=0.0)))
-        bound = tol.atol * max(1.0, top)
+        s = numlin.spectrum(g, tol)
         records.append(Record("kernel is PSD on the part", "kernel/psd",
-                              viol, bound, viol <= bound, witness=label))
+                              s.psd_violation, -s.floor, s.is_psd, witness=label))
     return records
 
 
@@ -160,8 +142,8 @@ def cmd_check(args, tol):
     elif args.what == "bounded-shift":
         records = _psd_records(conv, tol)
         if all(r.passed for r in records):
-            for alpha in inst.sg.elements:
-                m = bounded_shift_constant(inst.kernel, inst.action, alpha, tol)
+            constants = bounded_shift_constants(inst.kernel, inst.action, tol)
+            for alpha, m in constants.items():
                 records.append(Record("shifted form is boundedly dominated",
                                       "kernel/bounded-shift",
                                       0.0 if m is not None else 1.0, 0.5,
@@ -346,7 +328,7 @@ def cmd_report(args, tol):
         _, rep = krein_lin.invariant_krein_representation(k, act, p, tol)
         records.extend(rep.records)
     if invariant and psd:
-        hrep = hilbert_lin.invariant_representation(k, act, p, tol)
+        hrep = hilbert_lin.invariant_representation(k, act, p, tol, lin=hlin)
         records.extend(hilbert_lin.representation_laws(hrep, tol))
         records.extend(hilbert_lin.partial_isometry_report(hrep, cls, tol))
     return Report("report", inst.digest, _tol_dict(tol), records)
@@ -449,15 +431,13 @@ def main(argv=None) -> int:
         return 2
     try:
         tol = _tolerances(args)
-        report = _COMMANDS[args.command](args, tol)
-    except (ParseError, CrossRefError, AxiomError, MalformedTable, InvalidSemigroupoid,
-            BadFamilyParams, UnsupportedFamily, OrbitBundleNotTrivial) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"kgl: error: {exc}\n")
         return 2
-    except KglError as exc:
-        sys.stderr.write(f"kgl: error: {exc}\n")
-        return 2
-    except (OSError, ValueError) as exc:
+    try:
+        with numlin.decomposition_store():
+            report = _COMMANDS[args.command](args, tol)
+    except (KglError, OSError) as exc:
         sys.stderr.write(f"kgl: error: {exc}\n")
         return 2
     if report is None:

@@ -57,8 +57,11 @@ def matrix_to_doc(m) -> dict:
 def matrix_from_doc(doc, where="matrix") -> np.ndarray:
     if not isinstance(doc, dict) or "re" not in doc:
         raise ParseError(f"{where}: expected an object with 're' (and optional 'im')")
-    re = np.asarray(doc["re"], dtype=np.float64)
-    im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=np.float64)
+    try:
+        re = np.asarray(doc["re"], dtype=np.float64)
+        im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: not an array of numbers ({exc})")
     if re.shape != im.shape:
         raise ParseError(f"{where}: 're' shape {re.shape} differs from 'im' shape {im.shape}")
     if re.ndim != 2:
@@ -172,7 +175,10 @@ def bundle_from_doc(doc, base=None) -> HilbertBundle:
     if base is not None and set(points) != set(base):
         missing = sorted(set(base) - set(points)) + sorted(set(points) - set(base))
         raise CrossRefError(f"bundle points and action base differ at {missing[:3]!r}")
-    return HilbertBundle(points=points, dim=dict(dims))
+    try:
+        return HilbertBundle(points=points, dim=dict(dims))
+    except ValueError as exc:
+        raise ParseError(f"bundle: {exc}")
 
 
 def kernel_to_doc(k: OpKernel) -> dict:
@@ -259,12 +265,26 @@ def parse_instance(doc, strict: bool = True) -> Instance:
                     partition=partition, doc=canon, digest=instance_digest(canon))
 
 
+def _unique_keys(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"key {key!r} appears twice in one object")
+        out[key] = value
+    return out
+
+
 def _read_json(path):
+    """Parse a JSON file; a key repeated inside one object is an error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}")
 
@@ -293,7 +313,7 @@ def load(paths, strict: bool = True) -> Instance:
 
 def loads(text: str, strict: bool = True) -> Instance:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}")
     return parse_instance(doc, strict=strict)

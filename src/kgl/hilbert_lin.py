@@ -8,6 +8,7 @@ invariant kernel, compressing the shift matrices onto the factor spaces
 yields a star-representation of the semigroupoid.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,11 @@ from .errors import (
 from .kernel import (
     OpKernel,
     Partition,
-    _kernel_basis,
-    bounded_shift_constant,
+    _PartForm,
+    _shift,
     conv_blocks,
     is_invariant,
     is_partially_psd,
-    shift_map,
 )
 from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm
 from .reports import Record
@@ -275,28 +275,22 @@ def invariant_representation(k: OpKernel, act: LeftAction, p: Partition,
         lin = minimal_linearisation(k, p, tol)
 
     sg = act.sg
+    forms = {s: _PartForm(g, tol) for s, g in lin.gram.items()}
+    factor_pinv = functools.cache(lambda s: numlin.pinv(lin.factor[s], tol))
     phi, m_const = {}, {}
     for alpha in sg.elements:
         sd, sc = sg.d[alpha], sg.c[alpha]
-        psi = shift_map(act, k.bundle, alpha, p)
-        _guard_kernel_inclusion(lin, sd, sc, psi, tol, alpha)
-        b_c, b_d = lin.factor[sc], lin.factor[sd]
-        phi[alpha] = b_c @ psi @ numlin.pinv(b_d, tol)
-        m_const[alpha] = bounded_shift_constant(k, act, alpha, tol)
+        psi = _shift(act, k.bundle, alpha, p)
+        leak = forms[sd].leak(psi, forms[sc])
+        if leak is not None and leak[0] > leak[1]:
+            raise QuotientIncompatible(
+                f"shift of {alpha!r} moves the Gram kernel off the Gram kernel "
+                f"(residual {leak[0]:.3e})")
+        phi[alpha] = lin.factor[sc] @ psi @ factor_pinv(sd)
+        # the guard above is bounded_shift_constant's, so the constant is
+        # the compressed norm
+        m_const[alpha] = forms[sd].compressed_norm(psi, forms[sc])
     return HilbertRepresentation(action=act, lin=lin, phi=phi, shift_constants=m_const)
-
-
-def _guard_kernel_inclusion(lin, sd, sc, psi, tol, alpha):
-    g_d, g_c = lin.gram[sd], lin.gram[sc]
-    nd = _kernel_basis(g_d, tol)
-    if not nd.shape[1]:
-        return
-    lead = psi @ nd
-    resid = opnorm(lead.conj().T @ g_c @ lead)
-    if resid > tol.atol * max(1.0, opnorm(g_c)):
-        raise QuotientIncompatible(
-            f"shift of {alpha!r} moves the Gram kernel off the Gram kernel "
-            f"(residual {resid:.3e})")
 
 
 def representation_laws(rep: HilbertRepresentation, tol: Tolerances = DEFAULT_TOL):

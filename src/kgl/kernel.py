@@ -9,6 +9,7 @@ be stored but are ignored by every partition-relative operation.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     UnknownPoint,
 )
-from .numlin import DEFAULT_TOL, Tolerances, frob, herm_eig, opnorm, psd_root_factor
+from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm, psd_root_factor
 from .sgpd import LeftAction, StarSemigroupoid, orbit_trivial_bundle
 
 __all__ = [
@@ -50,15 +51,22 @@ __all__ = [
     "invariance_bounds",
     "is_invariant",
     "bounded_shift_constant",
+    "bounded_shift_constants",
 ]
 
 
 @dataclass(eq=False)
 class OpKernel:
-    """Sparse block kernel; block (x, y) has shape (dim x, dim y)."""
+    """Sparse block kernel; block (x, y) has shape (dim x, dim y).
+
+    The blocks are read-only copies, and the block table must not be
+    changed after construction: the Gram matrix of each part is assembled
+    once (see conv_blocks) and kept with the kernel.
+    """
 
     bundle: HilbertBundle
     blocks: dict = field(default_factory=dict)
+    _grams: dict = field(default_factory=dict, init=False, repr=False)  # part layout -> Gram
 
     def __post_init__(self):
         checked = {}
@@ -69,6 +77,7 @@ class OpKernel:
             want = (self.bundle.dim[x], self.bundle.dim[y])
             if a.shape != want:
                 raise ShapeMismatch(f"block ({x!r},{y!r}) has shape {a.shape}, expected {want}")
+            a.setflags(write=False)
             checked[(x, y)] = a
         self.blocks = checked
 
@@ -200,16 +209,25 @@ def kernel_from_part_grams(p: Partition, grams: dict) -> OpKernel:
 
 
 def conv_blocks(k: OpKernel, p: Partition) -> ConvBlocks:
-    """Assemble the per-part Gram block matrices in the fixed point order."""
+    """The per-part Gram block matrices in the fixed point order, read-only.
+
+    A part's Gram matrix depends only on the part's layout (its points and
+    their offsets), so each is assembled once per kernel and kept with it.
+    """
     if k.bundle != p.bundle:
         raise BundleMismatch("kernel and partition bundles differ")
     gram = {}
     for label, idx in p.parts.items():
-        g = np.zeros((idx.total_dim, idx.total_dim), dtype=np.complex128)
-        for x in idx.part:
-            for y in idx.part:
-                if (x, y) in k.blocks:
-                    g[idx.slice_of(x), idx.slice_of(y)] = k.blocks[(x, y)]
+        layout = (idx.part, tuple(idx.offsets[x] for x in idx.part), idx.total_dim)
+        g = k._grams.get(layout)
+        if g is None:
+            g = np.zeros((idx.total_dim, idx.total_dim), dtype=np.complex128)
+            for x in idx.part:
+                for y in idx.part:
+                    if (x, y) in k.blocks:
+                        g[idx.slice_of(x), idx.slice_of(y)] = k.blocks[(x, y)]
+            g.setflags(write=False)
+            k._grams[layout] = g
         gram[label] = g
     return ConvBlocks(partition=p, gram=gram)
 
@@ -292,6 +310,11 @@ def shift_map(act: LeftAction, bundle: HilbertBundle, alpha, p: Partition = None
     _require_orbit_trivial(act, bundle)
     if p is None:
         p = partition_from_action(bundle, act)
+    return _shift(act, bundle, alpha, p)
+
+
+def _shift(act: LeftAction, bundle: HilbertBundle, alpha, p: Partition) -> np.ndarray:
+    """shift_map for a bundle already known to be orbit-trivial."""
     sg = act.sg
     idx_d = p.index(sg.d[alpha])
     idx_c = p.index(sg.c[alpha])
@@ -412,12 +435,66 @@ def is_invariant(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
     return True, None
 
 
-def _kernel_basis(g, tol: Tolerances) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel of a Hermitian PSD matrix."""
-    eig = herm_eig(g, tol)
-    w = eig.eigenvalues
-    cut = tol.rank_rel * float(np.max(np.abs(w), initial=0.0))
-    return eig.basis[:, np.abs(w) <= cut]
+class _PartForm:
+    """One part's Gram matrix of a partially PSD kernel, with what the shift
+    of any element from or into the part reads from it.
+
+    Each derived value is computed on first use, once per part rather than
+    once per element.
+    """
+
+    def __init__(self, gram: np.ndarray, tol: Tolerances):
+        self.gram = gram
+        self.tol = tol
+
+    @cached_property
+    def kernel_basis(self) -> np.ndarray:
+        """Orthonormal basis of the form kernel."""
+        return numlin.spectrum(self.gram, self.tol).kernel_basis
+
+    @cached_property
+    def norm(self) -> float:
+        return opnorm(self.gram)
+
+    @cached_property
+    def factor_pinv(self):
+        """Pseudo-inverse of the root factor B with G = B*B; None at rank 0."""
+        b, r = psd_root_factor(self.gram, self.tol)
+        return numlin.pinv(b, self.tol) if r else None
+
+    def leak(self, psi: np.ndarray, cod: "_PartForm"):
+        """(residual, bound) of the shift psi moving this part's form kernel
+        off the form kernel of the codomain part; None when the form kernel
+        is zero."""
+        if not self.kernel_basis.shape[1]:
+            return None
+        lead = psi @ self.kernel_basis
+        return (opnorm(lead.conj().T @ cod.gram @ lead),
+                self.tol.atol * max(1.0, cod.norm))
+
+    def compressed_norm(self, psi: np.ndarray, cod: "_PartForm") -> float:
+        """Largest eigenvalue of the shifted form compressed to the quotient."""
+        if self.factor_pinv is None:
+            return 0.0
+        comp = psi @ self.factor_pinv
+        w = numlin.spectrum(comp.conj().T @ cod.gram @ comp, self.tol).eigenvalues
+        return max(float(w[-1]), 0.0) if w.size else 0.0
+
+
+def _shift_constant(psi: np.ndarray, dom: _PartForm, cod: _PartForm):
+    leak = dom.leak(psi, cod)
+    if leak is not None and leak[0] > leak[1]:
+        return None
+    return dom.compressed_norm(psi, cod)
+
+
+def _psd_part_forms(l: OpKernel, act: LeftAction, tol: Tolerances):
+    """The action's partition and a _PartForm per part, for a partially PSD kernel."""
+    _require_orbit_trivial(act, l.bundle)
+    p = partition_from_action(l.bundle, act)
+    if not is_partially_psd(l, p, tol):
+        raise NotPSD("bounded-shift constants are relative to a partially PSD kernel")
+    return p, {s: _PartForm(g, tol) for s, g in conv_blocks(l, p).gram.items()}
 
 
 def bounded_shift_constant(l: OpKernel, act: LeftAction, alpha,
@@ -431,27 +508,21 @@ def bounded_shift_constant(l: OpKernel, act: LeftAction, alpha,
     part into the form kernel at the codomain part, so no finite constant
     exists relative to the quotient.
     """
-    _require_orbit_trivial(act, l.bundle)
-    p = partition_from_action(l.bundle, act)
-    if not is_partially_psd(l, p, tol):
-        raise NotPSD("bounded-shift constants are relative to a partially PSD kernel")
+    p, forms = _psd_part_forms(l, act, tol)
     sg = act.sg
-    conv = conv_blocks(l, p)
-    g_d = conv.gram[sg.d[alpha]]
-    g_c = conv.gram[sg.c[alpha]]
-    psi = shift_map(act, l.bundle, alpha, p)
+    return _shift_constant(_shift(act, l.bundle, alpha, p), forms[sg.d[alpha]],
+                           forms[sg.c[alpha]])
 
-    nd = _kernel_basis(g_d, tol)
-    if nd.shape[1]:
-        lead = psi @ nd
-        resid = opnorm(lead.conj().T @ g_c @ lead)
-        if resid > tol.atol * max(1.0, opnorm(g_c)):
-            return None
 
-    b_d, r_d = psd_root_factor(g_d, tol)
-    if r_d == 0:
-        return 0.0
-    comp = psi @ numlin.pinv(b_d, tol)
-    m = comp.conj().T @ g_c @ comp
-    w = herm_eig(m, tol).eigenvalues
-    return max(float(w[-1]), 0.0) if w.size else 0.0
+def bounded_shift_constants(l: OpKernel, act: LeftAction,
+                            tol: Tolerances = DEFAULT_TOL) -> dict:
+    """bounded_shift_constant of every element, keyed by element.
+
+    The PSD check, the Gram assembly and the per-part factors are done
+    once for all elements.
+    """
+    p, forms = _psd_part_forms(l, act, tol)
+    sg = act.sg
+    return {alpha: _shift_constant(_shift(act, l.bundle, alpha, p), forms[sg.d[alpha]],
+                                   forms[sg.c[alpha]])
+            for alpha in sg.elements}

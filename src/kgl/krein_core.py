@@ -121,15 +121,14 @@ class InducedKrein:
 def induced_krein(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") -> InducedKrein:
     """Spectral construction of the Krein space induced by a Hermitian matrix.
 
-    Nonzero eigenpairs are retained; eigenvalues inside the rank cutoff
-    belong to the form's kernel and are dropped. Rows of the canonical map
-    are sqrt(|eigenvalue|) times the adjoint eigenvector, positives first.
+    Nonzero eigenpairs are retained; eigenvalues inside the cutoff belong
+    to the form's kernel and are dropped. Rows of the canonical map are
+    sqrt(|eigenvalue|) times the adjoint eigenvector, positives first.
     """
-    eig = numlin.herm_eig(a, tol, tie_break=tie_break)
-    w, u = eig.eigenvalues, eig.basis
-    cut = tol.rank_rel * float(np.max(np.abs(w), initial=0.0))
-    pos = np.flatnonzero(w > cut)
-    neg = np.flatnonzero(w < -cut)
+    s = numlin.spectrum(a, tol, tie_break=tie_break)
+    w, u = s.eigenvalues, s.basis
+    pos = np.flatnonzero(s.positive)
+    neg = np.flatnonzero(s.negative)
     keep = np.concatenate([pos, neg])
     scalew = np.sqrt(np.abs(w[keep])) if keep.size else np.zeros(0)
     pi = scalew[:, None] * u[:, keep].conj().T if keep.size else np.zeros(

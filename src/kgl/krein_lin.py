@@ -12,6 +12,7 @@ J-unitary. The dominant route is the one that supports the distinguished
 fundamental symmetries used by the reducibility check.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +30,11 @@ from .errors import (
 from .kernel import (
     OpKernel,
     Partition,
-    _kernel_basis,
+    _shift,
     conv_blocks,
     is_invariant,
     is_partially_hermitian,
     kernel_from_part_grams,
-    shift_map,
 )
 from .krein_core import KreinSpace, gap_uniqueness, induced_krein, krein_adjoint
 from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm
@@ -114,7 +114,7 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
             b_l, r_l = numlin.psd_root_factor(g_l, tol)
         except NotPSD:
             raise KernelNotDominated(f"part {label!r}: the dominant is not PSD")
-        nl = _kernel_basis(g_l, tol)
+        nl = numlin.spectrum(g_l, tol).kernel_basis
         if nl.shape[1]:
             resid = frob(g_k @ nl)
             if resid > tol.atol * max(1.0, frob(g_k)):
@@ -156,17 +156,15 @@ def jordan_split(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
     conv = conv_blocks(k, p)
     plus, minus, cert = {}, {}, {}
     for label, g in conv.gram.items():
-        eig = numlin.herm_eig(g, tol)
-        w, u = eig.eigenvalues, eig.basis
+        s = numlin.spectrum(g, tol)
+        w, u = s.eigenvalues, s.basis
         g_plus = (u * np.clip(w, 0.0, None)) @ u.conj().T
         g_minus = (u * np.clip(-w, 0.0, None)) @ u.conj().T
         plus[label] = g_plus
         minus[label] = g_minus
         # ranks counted at the scale of the whole Gram matrix; a side that
         # is pure rounding noise must count as zero, not as its own scale
-        cut = tol.rank_rel * float(np.max(np.abs(w), initial=0.0))
-        r_plus = int(np.count_nonzero(w > cut))
-        r_minus = int(np.count_nonzero(w < -cut))
+        r_plus, r_minus = s.signature
         r_sum = numlin.rank_tol(g_plus + g_minus, tol)
         cert[label] = {
             "rank_plus": r_plus,
@@ -439,13 +437,15 @@ def invariant_krein_representation(k: OpKernel, act: LeftAction, p: Partition,
     via = "dominant" if dominant is not None else "direct"
     lin = krein_linearisation(k, p, tol, via=via, dominant=dominant)
     sg = act.sg
+    wmap_pinv = functools.cache(lambda s: numlin.pinv(lin.wmap[s], tol))
+    wmap_norm = functools.cache(lambda s: opnorm(lin.wmap[s]))
     psi = {}
     for alpha in sg.elements:
         sd, sc = sg.d[alpha], sg.c[alpha]
-        shift = shift_map(act, k.bundle, alpha, p)
+        shift = _shift(act, k.bundle, alpha, p)
         w_c, w_d = lin.wmap[sc], lin.wmap[sd]
-        t = w_c @ shift @ numlin.pinv(w_d, tol)
-        scale = max(1.0, opnorm(w_c) * opnorm(shift))
+        t = w_c @ shift @ wmap_pinv(sd)
+        scale = max(1.0, wmap_norm(sc) * opnorm(shift))
         resid = frob(t @ w_d - w_c @ shift)
         if resid > tol.atol * scale:
             raise PairingViolated(

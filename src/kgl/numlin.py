@@ -7,12 +7,30 @@ made real positive) and exact eigenvalue ties ordered lexicographically by
 the normalized eigenvector coordinates. Two invocations on bit-identical
 input therefore produce bit-identical output.
 
-A single relative cutoff ``rank_rel * max|eigenvalue|`` classifies
-eigenvalues as zero everywhere (rank, sign, spectral projections, PSD
-factor), so every module of the package agrees on kernels and ranges.
+Three thresholds decide, each in one place:
+
+- the eigenvalue cutoff ``rank_rel * max|eigenvalue|``: eigenvalues within
+  it count as zero for rank, sign, spectral projections, kernel bases,
+  induced Krein spaces and the PSD root factor;
+- the PSD floor ``-atol * max(1, max|eigenvalue|)``: a Hermitian matrix is
+  PSD when no eigenvalue lies below it (``psd_check``, ``herm_fn``
+  "sqrt_psd", ``psd_root_factor``);
+- the singular-value cutoff ``rank_rel * largest singular value``, which
+  applies only to ``pinv`` and to the minimality records that count
+  singular values the same way.
+
+A :class:`Spectrum` carries one canonical decomposition with the first two
+decisions read from it. Inside a :func:`decomposition_store` scope (every
+``kgl`` command runs in one) each distinct matrix is decomposed, and each
+pseudo-inverse computed, once: results are looked up by a digest of the
+matrix content. Outside a scope every call computes afresh.
 """
 
+import contextlib
+import contextvars
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +40,13 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "HermEig",
+    "Spectrum",
     "as_cmatrix",
     "frob",
     "opnorm",
     "herm_eig",
+    "spectrum",
+    "decomposition_store",
     "herm_fn",
     "spectral_projections",
     "pinv",
@@ -128,32 +149,21 @@ def _normalize_phases(u: np.ndarray, pivot: str) -> np.ndarray:
     return u
 
 
-def _lex_key(col: np.ndarray):
-    out = []
-    for z in col:
-        out.append(z.real)
-        out.append(z.imag)
-    return tuple(out)
-
-
 def _order_ties(w: np.ndarray, u: np.ndarray, reverse: bool):
     """Reorder columns inside groups of exactly equal eigenvalues.
 
     Within a tie group, columns are sorted lexicographically by their
-    (already phase-normalized) coordinates; reverse flips that order.
-    This never changes the ascending eigenvalue sequence.
+    (already phase-normalized) coordinates, compared as the sequence
+    re u[0], im u[0], re u[1], ...; reverse flips that order. This never
+    changes the ascending eigenvalue sequence.
     """
-    n = w.size
-    i = 0
-    order = np.arange(n)
-    while i < n:
-        j = i + 1
-        while j < n and w[j] == w[i]:
-            j += 1
+    order = np.arange(w.size)
+    starts = np.flatnonzero(np.diff(w, prepend=np.nan) != 0.0)
+    for i, j in zip(starts.tolist(), starts[1:].tolist() + [w.size]):
         if j - i > 1:
-            block = sorted(range(i, j), key=lambda k: _lex_key(u[:, k]), reverse=reverse)
-            order[i:j] = block
-        i = j
+            block = u[:, i:j]
+            keys = np.stack([block.real, block.imag], axis=1).reshape(-1, j - i).T.tolist()
+            order[i:j] = sorted(range(i, j), key=lambda k: keys[k - i], reverse=reverse)
     return w, u[:, order]
 
 
@@ -179,37 +189,151 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") -> Herm
     return HermEig(w, u)
 
 
-def _zero_cutoff(w: np.ndarray, tol: Tolerances) -> float:
-    if w.size == 0:
-        return 0.0
-    return tol.rank_rel * float(np.max(np.abs(w)))
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A canonical eigendecomposition with the decisions read from it.
+
+    eigenvalues and basis are those of herm_eig, read-only. cutoff is the
+    eigenvalue cutoff rank_rel * max|eigenvalue| and floor the PSD floor
+    -atol * max(1, max|eigenvalue|) of the tolerances it was made with.
+    """
+
+    eigenvalues: np.ndarray
+    basis: np.ndarray
+    cutoff: float
+    floor: float
+
+    @cached_property
+    def positive(self) -> np.ndarray:
+        """Mask of the eigenvalues above the cutoff, read-only."""
+        return _frozen(self.eigenvalues > self.cutoff)
+
+    @cached_property
+    def negative(self) -> np.ndarray:
+        """Mask of the eigenvalues below minus the cutoff, read-only."""
+        return _frozen(self.eigenvalues < -self.cutoff)
+
+    @property
+    def rank(self) -> int:
+        return int(np.count_nonzero(np.abs(self.eigenvalues) > self.cutoff))
+
+    @property
+    def signature(self):
+        """(count of positive, count of negative) eigenvalues beyond the cutoff."""
+        return int(np.count_nonzero(self.positive)), int(np.count_nonzero(self.negative))
+
+    @cached_property
+    def kernel_basis(self) -> np.ndarray:
+        """Orthonormal basis of the eigenvectors within the cutoff, read-only."""
+        return _frozen(self.basis[:, np.abs(self.eigenvalues) <= self.cutoff])
+
+    @property
+    def psd_violation(self) -> float:
+        """How far the lowest eigenvalue lies below zero (0 when none does)."""
+        return max(0.0, -float(np.min(self.eigenvalues, initial=0.0)))
+
+    @property
+    def is_psd(self) -> bool:
+        """No eigenvalue lies below the PSD floor."""
+        return self.psd_violation <= -self.floor
+
+    @property
+    def gaps(self):
+        """Distances from 0 to the nearest negative / positive eigenvalue.
+
+        Eigenvalues within the cutoff count as zero; a side with no
+        eigenvalues is None (the gap is infinite).
+        """
+        neg = self.eigenvalues[self.negative]
+        pos = self.eigenvalues[self.positive]
+        return (float(-np.max(neg)) if neg.size else None,
+                float(np.min(pos)) if pos.size else None)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# The open store, if any: content key -> Spectrum or pseudo-inverse.
+_STORE = contextvars.ContextVar("kgl_decomposition_store", default=None)
+
+
+@contextlib.contextmanager
+def decomposition_store():
+    """Scope in which each distinct matrix is decomposed once.
+
+    Within it, spectrum and pinv look results up by the matrix content
+    (shape, dtype and a SHA-256 digest of the bytes) and the tolerances,
+    so a matrix equal in content to one seen before costs a hash, not a
+    decomposition. A nested scope uses the outer store. Yields the store,
+    a dict that is emptied and dropped when the outermost scope exits.
+    """
+    store = _STORE.get()
+    if store is not None:
+        yield store
+        return
+    store = {}
+    token = _STORE.set(store)
+    try:
+        yield store
+    finally:
+        _STORE.reset(token)
+        store.clear()
+
+
+def _content_key(m: np.ndarray):
+    m = np.ascontiguousarray(m)
+    return m.shape, m.dtype.str, hashlib.sha256(m.data).digest()
+
+
+def spectrum(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") -> Spectrum:
+    """The canonical decomposition of a Hermitian matrix (see herm_eig).
+
+    Inside a decomposition_store scope, the Spectrum of the symmetrized
+    matrix is stored, so every later call on the same content, tolerances
+    and tie_break returns it without calling herm_eig.
+    """
+    store = _STORE.get()
+    if store is None:
+        return _spectrum_of(herm_eig(a, tol, tie_break), tol)
+    m = _require_hermitian(a, tol)
+    key = ("spectrum", tol, tie_break) + _content_key(m)
+    found = store.get(key)
+    if found is None:
+        found = store[key] = _spectrum_of(herm_eig(m, tol, tie_break), tol)
+    return found
+
+
+def _spectrum_of(eig: HermEig, tol: Tolerances) -> Spectrum:
+    w = _frozen(eig.eigenvalues)
+    top = float(np.max(np.abs(w), initial=0.0))
+    return Spectrum(w, _frozen(eig.basis), tol.rank_rel * top, -tol.atol * max(1.0, top))
 
 
 def herm_fn(a, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Apply a spectral function to a Hermitian matrix: U f(diag) U*.
 
-    f is "abs", "sqrt_psd", "sign", or a callable mapping an eigenvalue
-    array to an array. sign sends eigenvalues inside the rank cutoff to 0;
-    sqrt_psd clamps tiny negative eigenvalues to 0 and rejects genuinely
-    negative ones.
+    f is "abs", "sqrt_psd", "sign", or a callable mapping a (read-only)
+    eigenvalue array to an array. sign sends eigenvalues inside the cutoff
+    to 0; sqrt_psd clamps eigenvalues above the PSD floor to 0 and rejects
+    any below it.
     """
-    eig = herm_eig(a, tol)
-    w = eig.eigenvalues
+    s = spectrum(a, tol)
+    w = s.eigenvalues
     if callable(f):
         fw = np.asarray(f(w), dtype=np.float64)
     elif f == "abs":
         fw = np.abs(w)
     elif f == "sqrt_psd":
-        floor = -tol.atol * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-        if w.size and float(np.min(w)) < floor:
-            raise NegativeForSqrt(f"eigenvalue {np.min(w):.3e} below {floor:.3e}")
+        if not s.is_psd:
+            raise NegativeForSqrt(f"eigenvalue {np.min(w):.3e} below {s.floor:.3e}")
         fw = np.sqrt(np.clip(w, 0.0, None))
     elif f == "sign":
-        cut = _zero_cutoff(w, tol)
-        fw = np.where(w > cut, 1.0, np.where(w < -cut, -1.0, 0.0))
+        fw = np.where(s.positive, 1.0, np.where(s.negative, -1.0, 0.0))
     else:
         raise ValueError(f"unknown spectral function {f!r}")
-    return (eig.basis * fw) @ eig.basis.conj().T
+    return (s.basis * fw) @ s.basis.conj().T
 
 
 def spectral_projections(a, tol: Tolerances = DEFAULT_TOL):
@@ -217,69 +341,68 @@ def spectral_projections(a, tol: Tolerances = DEFAULT_TOL):
 
     Returns (E_minus, E_zero, E_plus) with E_zero = I - E_minus - E_plus,
     so the three sum to the identity exactly as constructed. Eigenvalues
-    inside the rank cutoff count as zero.
+    inside the cutoff count as zero.
     """
-    eig = herm_eig(a, tol)
-    w, u = eig.eigenvalues, eig.basis
-    cut = _zero_cutoff(w, tol)
-    un = u[:, w < -cut]
-    up = u[:, w > cut]
+    s = spectrum(a, tol)
+    un = s.basis[:, s.negative]
+    up = s.basis[:, s.positive]
     e_minus = un @ un.conj().T
     e_plus = up @ up.conj().T
-    e_zero = np.eye(w.size, dtype=np.complex128) - e_minus - e_plus
+    e_zero = np.eye(s.eigenvalues.size, dtype=np.complex128) - e_minus - e_plus
     return e_minus, e_zero, e_plus
 
 
 def pinv(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the package-wide rank cutoff."""
+    """Moore-Penrose pseudoinverse with the singular-value cutoff, read-only.
+
+    Inside a decomposition_store scope the result is stored by content.
+    """
     m = as_cmatrix(a)
+    store = _STORE.get()
+    key = None if store is None else ("pinv", tol.rank_rel) + _content_key(m)
+    if key is not None and key in store:
+        return store[key]
     if m.size == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    return np.linalg.pinv(m, rcond=tol.rank_rel)
+        p = np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
+    else:
+        p = np.linalg.pinv(m, rcond=tol.rank_rel)
+    p = _frozen(p)
+    if key is not None:
+        store[key] = p
+    return p
 
 
 def rank_tol(a, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of a Hermitian matrix: eigenvalues above the relative cutoff."""
-    w = herm_eig(a, tol).eigenvalues
-    cut = _zero_cutoff(w, tol)
-    return int(np.count_nonzero(np.abs(w) > cut))
+    """Rank of a Hermitian matrix: eigenvalues above the cutoff in modulus."""
+    return spectrum(a, tol).rank
 
 
 def psd_check(a, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian matrix has min eigenvalue >= -atol*max(1, max|eig|)."""
-    w = herm_eig(a, tol).eigenvalues
-    if w.size == 0:
-        return True
-    return float(np.min(w)) >= -tol.atol * max(1.0, float(np.max(np.abs(w))))
+    """True iff the Hermitian matrix has no eigenvalue below the PSD floor."""
+    return spectrum(a, tol).is_psd
 
 
 def gap_at_zero(a, tol: Tolerances = DEFAULT_TOL):
     """Distances from 0 to the nearest negative / positive eigenvalue.
 
-    Eigenvalues inside the rank cutoff count as zero. A side with no
+    Eigenvalues inside the cutoff count as zero. A side with no
     eigenvalues is reported as None (the gap is infinite).
     """
-    w = herm_eig(a, tol).eigenvalues
-    cut = _zero_cutoff(w, tol)
-    neg = w[w < -cut]
-    pos = w[w > cut]
-    gap_neg = float(-np.max(neg)) if neg.size else None
-    gap_pos = float(np.min(pos)) if pos.size else None
-    return gap_neg, gap_pos
+    return spectrum(a, tol).gaps
 
 
 def psd_root_factor(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first"):
     """Factor a PSD matrix as G = B* B with B of full row rank.
 
-    Returns (B, r) where r = rank_tol(G) and B has shape (r, n), built as
-    sqrt(retained eigenvalues) times the adjoint eigenvector block. Tiny
-    negative eigenvalues inside the PSD tolerance are treated as zero.
+    Returns (B, r) where r counts the eigenvalues above the cutoff and B
+    has shape (r, n), built as sqrt(retained eigenvalues) times the adjoint
+    eigenvector block. Negative eigenvalues above the PSD floor are treated
+    as zero; one below it raises NotPSD.
     """
-    eig = herm_eig(a, tol, tie_break=tie_break)
-    w, u = eig.eigenvalues, eig.basis
-    if w.size and float(np.min(w)) < -tol.atol * max(1.0, float(np.max(np.abs(w)))):
+    s = spectrum(a, tol, tie_break=tie_break)
+    w, u = s.eigenvalues, s.basis
+    if not s.is_psd:
         raise NotPSD(f"min eigenvalue {np.min(w):.3e} is negative beyond tolerance")
-    cut = _zero_cutoff(w, tol)
-    keep = w > cut
+    keep = s.positive
     b = (np.sqrt(w[keep])[:, None]) * u[:, keep].conj().T
     return b, int(np.count_nonzero(keep))

@@ -32,8 +32,6 @@ TAGS = {
     "hilbert/representation": "the induced representation is multiplicative, star-compatible and intertwines the feature maps",
     "hilbert/bounded-shift-consistency": "the bounded-shift constant equals the squared norm of the represented shift",
     "hilbert/partial-isometry": "represented shifts of an inverse semigroupoid are partial isometries",
-    "krein/adjoint": "the indefinite adjoint satisfies the defining pairing identity",
-    "krein/induced": "the induced indefinite space reconstructs the Hermitian matrix through its canonical map",
     "krein/lift": "operator pairs in adjoint duality lift to the induced spaces with commuting factorizations",
     "krein/gap-uniqueness": "the spectrum has a gap at zero, so the induced space is unique up to J-unitary equivalence",
     "krein/gram": "the Gram operator is a Hermitian contraction reproducing the indefinite form against the dominant",
@@ -42,7 +40,6 @@ TAGS = {
     "krein/rk-space": "kernel columns are members and the indefinite reproducing identity holds",
     "krein/representation": "the indefinite representation is multiplicative, sharp-compatible and intertwines the feature maps",
     "krein/reducibility": "the represented shifts commute with the bundle of fundamental symmetries",
-    "io/roundtrip": "serialization followed by parsing reproduces the instance",
 }
 
 

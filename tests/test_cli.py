@@ -180,6 +180,27 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_2_on_bad_tolerance_and_duplicate_points(circulant_instance, tmp_path,
+                                                           capsys):
+    assert main(["report", "--atol", "2", circulant_instance]) == 2
+    text = open(circulant_instance).read()
+    dup = tmp_path / "dup.json"
+    dup.write_text(text.replace('"dims": {', '"dims": {"x1": 1, ', 1))
+    assert main(["report", str(dup)]) == 2
+    assert "appears twice" in capsys.readouterr().err
+
+
+def test_value_error_during_analysis_is_not_bad_input(circulant_instance, monkeypatch):
+    from kgl import krein_lin
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(krein_lin, "jordan_split", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["report", circulant_instance])
+
+
 def test_list_checks(capsys):
     assert main(["--list-checks"]) == 0
     out = capsys.readouterr().out

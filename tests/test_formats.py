@@ -60,6 +60,22 @@ def test_malformed_json_reports_position(tmp_path):
     assert "line" in str(exc.value)
 
 
+def test_unreadable_values_are_parse_errors(tmp_path):
+    # each raised ValueError (or UnicodeDecodeError) before reaching the formats
+    with pytest.raises(ParseError):
+        formats.matrix_from_doc({"re": [[1.0], [1.0, 2.0]]})
+    with pytest.raises(ParseError):
+        formats.matrix_from_doc({"re": [["one"]]})
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError):
+        formats.load(str(binary))
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"kernel": {}, "kernel": {}}')
+    with pytest.raises(ParseError, match="appears twice"):
+        formats.load(str(repeated))
+
+
 def test_wrong_block_shape_names_the_pair():
     doc = sample_doc()
     bad = json.loads(json.dumps(doc))

@@ -155,3 +155,35 @@ def test_norms_on_empty():
     assert numlin.frob(empty) == 0.0
     assert numlin.opnorm(empty) == 0.0
     assert numlin.pinv(empty, TOL).shape == (3, 0)
+
+
+def _order_ties_by_sorting(w, u, reverse):
+    """Loop reference for numlin._order_ties: Python tuple order of the columns."""
+    def lex_key(k):
+        return tuple(v for z in u[:, k] for v in (z.real, z.imag))
+    order = np.arange(w.size)
+    i = 0
+    while i < w.size:
+        j = i + 1
+        while j < w.size and w[j] == w[i]:
+            j += 1
+        order[i:j] = sorted(range(i, j), key=lex_key, reverse=reverse)
+        i = j
+    return u[:, order]
+
+
+def test_tie_order_matches_the_sorting_reference():
+    rng = np.random.default_rng(7)
+    for trial in range(400):
+        n = int(rng.integers(1, 8))
+        w = np.sort(rng.integers(0, 3, size=n).astype(float))
+        # small integer coordinates force long shared prefixes; -0.0 must tie with 0.0
+        u = (rng.integers(-1, 2, size=(n, n)) + 1j * rng.integers(-1, 2, size=(n, n)))
+        u = u * np.where(rng.random((n, n)) < 0.3, -0.0, 1.0)
+        if trial % 5 == 0 and n > 2:
+            u[:, 2] = u[:, 1]  # equal columns keep their order, as in a stable sort
+        for reverse in (True, False):
+            got = numlin._order_ties(w, u, reverse)[1]
+            want = _order_ties_by_sorting(w, u, reverse)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(got, want)

@@ -1,0 +1,125 @@
+"""The decomposition store: each distinct matrix decomposed once per command,
+with no effect on report bytes and nothing kept after the command."""
+
+import contextlib
+import hashlib
+
+import numpy as np
+import pytest
+
+from kgl import cli, formats, generators, numlin
+from kgl.kernel import conv_blocks
+from kgl.numlin import DEFAULT_TOL as TOL
+
+FAMILIES = {
+    "pair_groupoid": {"symbols": ("a", "b", "c", "d")},
+    "group_action": {},
+    "partial_bijections": {"fiber_sizes": (2, 1)},
+    "group_as_groupoid": {},
+}
+MODES = ("psd_invariant", "hermitian_invariant", "arbitrary")
+
+
+def write_instance(tmp_path, family, mode, seed=1):
+    sg, act, bundle, kernel = generators.generate_instance(
+        family, seed=seed, mode=mode, **FAMILIES[family])
+    path = tmp_path / f"{family}-{mode}.json"
+    formats.save_instance(formats.instance_to_doc(sg, act, bundle, kernel), path)
+    return str(path)
+
+
+def run(capsys, argv):
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def count_decompositions(monkeypatch):
+    """Record a content hash of every np.linalg.eigh input, and count herm_eig calls."""
+    inputs, herm = [], []
+    eigh, herm_eig = np.linalg.eigh, numlin.herm_eig
+
+    def counted_eigh(a, *args, **kwargs):
+        m = np.ascontiguousarray(a)
+        inputs.append((m.shape, hashlib.blake2b(m.tobytes(), digest_size=16).digest()))
+        return eigh(a, *args, **kwargs)
+
+    def counted_herm_eig(*args, **kwargs):
+        herm.append(1)
+        return herm_eig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(numlin, "herm_eig", counted_herm_eig)
+    return inputs, herm
+
+
+@pytest.mark.parametrize("family, mode", [("pair_groupoid", "psd_invariant"),
+                                          ("group_action", "hermitian_invariant")])
+def test_report_decomposes_each_matrix_once(tmp_path, capsys, monkeypatch, family, mode):
+    path = write_instance(tmp_path, family, mode)
+    inputs, herm = count_decompositions(monkeypatch)
+    code, _, _ = run(capsys, ["report", path])
+    assert code == 0
+    assert inputs
+    assert len(inputs) == len(set(inputs))
+    assert len(herm) == len(inputs)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("mode", MODES)
+def test_report_bytes_do_not_depend_on_the_store(tmp_path, capsys, monkeypatch, family, mode):
+    path = write_instance(tmp_path, family, mode)
+    stored = run(capsys, ["report", path])
+    monkeypatch.setattr(numlin, "decomposition_store", contextlib.nullcontext)
+    assert run(capsys, ["report", path]) == stored
+
+
+def test_store_is_emptied_when_the_command_returns(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, "pair_groupoid", "psd_invariant")
+    sizes, stores = [], []
+    opened = numlin.decomposition_store
+
+    @contextlib.contextmanager
+    def watched():
+        with opened() as store:
+            stores.append(store)
+            yield store
+            sizes.append(len(store))
+
+    monkeypatch.setattr(numlin, "decomposition_store", watched)
+    assert run(capsys, ["report", path])[0] == 0
+    assert sizes[0] > 0
+    assert stores[0] == {}
+    # outside the command every call decomposes afresh
+    inputs, _ = count_decompositions(monkeypatch)
+    g = np.diag([2.0, 1.0]).astype(complex)
+    numlin.spectrum(g, TOL)
+    numlin.spectrum(g, TOL)
+    assert len(inputs) == 2
+
+
+def test_stored_arrays_are_read_only():
+    g = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
+    with numlin.decomposition_store():
+        s = numlin.spectrum(g, TOL)
+        assert numlin.spectrum(g.copy(), TOL) is s
+        p = numlin.pinv(g, TOL)
+        assert numlin.pinv(g.copy(), TOL) is p
+        for a in (s.eigenvalues, s.basis, s.kernel_basis, s.positive, s.negative, p):
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
+def test_part_grams_are_assembled_once_and_read_only():
+    from helpers import circulant_kernel, z2_swap
+    from kgl.kernel import partition_from_action
+
+    _, act = z2_swap()
+    k = circulant_kernel(2.0, 1.0)
+    first = conv_blocks(k, partition_from_action(k.bundle, act)).gram["s"]
+    again = conv_blocks(k, partition_from_action(k.bundle, act)).gram["s"]
+    assert again is first
+    with pytest.raises(ValueError):
+        first[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        k.block("x1", "x1")[0, 0] = 5.0
