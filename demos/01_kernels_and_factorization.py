@@ -56,7 +56,7 @@ print(f"reconstruction residual max ||V_x* V_y - K(x,y)||_F = {worst:.2e}")
 # The factorization doubles as a reproducing-kernel space of sections:
 # members are sections x -> V_x* f, and pairing against a kernel column
 # at x evaluates the member at x.
-view = rkhs(k, p, lin)
+view = rkhs(lin)
 for record in verify_reproducing(view):
     print(f"  [{'ok' if record.passed else 'FAIL'}] {record.name}: residual {record.residual:.2e}")
 

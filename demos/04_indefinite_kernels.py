@@ -53,7 +53,7 @@ worst = max(
 )
 print(f"indefinite reconstruction residual {worst:.2e}")
 
-_view, records = rk_krein_space(k, p, lin)
+_view, records = rk_krein_space(lin)
 for record in records:
     print(f"  [{'ok' if record.passed else 'FAIL'}] {record.name}: residual {record.residual:.2e}")
 

@@ -37,7 +37,9 @@ from .kernel import (
     bounded_shift_constants,
     conv_blocks,
     dominates,
+    hermitian_records,
     identity_kernel,
+    invariance_record,
     is_invariant,
     is_partially_hermitian,
     is_partially_psd,
@@ -46,6 +48,7 @@ from .kernel import (
     kernel_lincomb,
     partition_from_action,
     partition_from_anchor,
+    psd_records,
     shift_map,
     shift_maps,
     single_partition,
@@ -74,6 +77,7 @@ from .krein_lin import (
     krein_linearisation,
     krein_representation_laws,
     rk_krein_space,
+    split_records,
     uniqueness_report,
     verify_krein_factorization,
 )
@@ -103,11 +107,11 @@ __all__ = [
     "delta_section", "part_index", "section_from_dict",
     "OpKernel", "Partition",
     "adjoint_kernel", "bounded_shift_constant", "bounded_shift_constants",
-    "conv_blocks", "dominates",
-    "identity_kernel", "is_invariant", "is_partially_hermitian",
+    "conv_blocks", "dominates", "hermitian_records",
+    "identity_kernel", "invariance_record", "is_invariant", "is_partially_hermitian",
     "is_partially_psd", "kernel_from_part_grams", "kernel_inner",
     "kernel_lincomb", "partition_from_action", "partition_from_anchor",
-    "shift_map", "shift_maps", "single_partition", "zero_kernel",
+    "psd_records", "shift_map", "shift_maps", "single_partition", "zero_kernel",
     "HilbertLinearisation", "HilbertRepresentation", "RkhsView",
     "invariant_representation", "minimal_linearisation",
     "partial_isometry_report", "representation_laws", "rkhs",
@@ -119,7 +123,7 @@ __all__ = [
     "canonical_dominant", "fundamental_reducibility_check", "gram_operator",
     "invariant_krein_representation", "j_unitary_equivalence", "jordan_split",
     "krein_linearisation", "krein_representation_laws", "rk_krein_space",
-    "uniqueness_report", "verify_krein_factorization",
+    "split_records", "uniqueness_report", "verify_krein_factorization",
     "DEFAULT_TOL", "Tolerances", "decomposition_store",
     "Record", "Report", "report_to_json", "save_report",
     "Classification", "LeftAction", "StarSemigroupoid",

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import generators, hilbert_lin, krein_core, krein_lin, numlin
-from .errors import KernelNotDominated, KglError, PairingViolated, QuotientIncompatible
+from .errors import KernelNotDominated, KglError, PairingViolated
 from .formats import (
     instance_to_doc,
     load,
@@ -24,11 +24,11 @@ from .formats import (
 )
 from .kernel import (
     bounded_shift_constants,
-    conv_blocks,
-    invariance_bounds,
+    hermitian_records,
+    invariance_record,
     is_invariant,
-    is_partially_hermitian,
     is_partially_psd,
+    psd_records,
 )
 from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm
 from .reports import TAGS, Record, Report, report_to_json, save_report
@@ -67,47 +67,6 @@ def _validation_records(inst):
     ]
 
 
-def _hermitian_records(conv, tol):
-    records = []
-    for label, g in conv.gram.items():
-        resid = frob(g - g.conj().T)
-        bound = tol.atol * max(1.0, frob(g))
-        records.append(Record("kernel is Hermitian on the part", "kernel/hermitian",
-                              resid, bound, resid <= bound, witness=label))
-    return records
-
-
-def _psd_records(conv, tol):
-    records = []
-    for label, g in conv.gram.items():
-        herm_resid = frob(g - g.conj().T)
-        if herm_resid > tol.atol * max(1.0, frob(g)):
-            records.append(Record("kernel is PSD on the part", "kernel/psd",
-                                  herm_resid, tol.atol * max(1.0, frob(g)), False,
-                                  witness={"part": label, "reason": "not Hermitian"}))
-            continue
-        s = numlin.spectrum(g, tol)
-        records.append(Record("kernel is PSD on the part", "kernel/psd",
-                              s.psd_violation, -s.floor, s.is_psd, witness=label))
-    return records
-
-
-def _invariance_record(inst, tol):
-    ok, wit = is_invariant(inst.kernel, inst.action, tol)
-    conv = conv_blocks(inst.kernel, inst.partition)
-    if ok:
-        bound = tol.atol * max([1.0] + [frob(g) for g in conv.gram.values()])
-        return Record("kernel is invariant under the action", "kernel/invariant",
-                      0.0, bound, True)
-    alpha, x, y = wit
-    ax = inst.action.apply(alpha, x)
-    ay = inst.action.apply(inst.sg.star[alpha], y)
-    resid = frob(inst.kernel.block(ax, y) - inst.kernel.block(x, ay))
-    return Record("kernel is invariant under the action", "kernel/invariant",
-                  resid, invariance_bounds(conv, inst.sg, tol)[alpha], False,
-                  witness={"element": alpha, "x": x, "y": y})
-
-
 def cmd_validate(args, tol):
     inst = load(args.instance, strict=False)
     return Report("validate", inst.digest, _tol_dict(tol), _validation_records(inst))
@@ -129,115 +88,104 @@ def cmd_classify(args, tol):
     return Report("classify", inst.digest, _tol_dict(tol), [rec])
 
 
+def _guarded(check, family=krein_lin.KREIN):
+    """The records of check(), or one failing record when a guard of the
+    construction rejects the instance: a kernel the dominant does not
+    dominate, or a shift that does not descend to the quotient. Such an
+    instance is analysed, so its report exits with 1, not 2."""
+    try:
+        return check()
+    except KernelNotDominated as exc:
+        return [Record("dominant kernel dominates the instance kernel", "krein/gram",
+                       1.0, 0.5, False, witness=str(exc))]
+    except PairingViolated as exc:
+        name, tag = family["well-defined"]
+        return [Record(name, tag, 1.0, 0.5, False, witness=str(exc))]
+
+
+def _hilbert_laws(inst, tol, cls, lin=None):
+    """The law and partial-isometry records of the invariant Hilbert representation."""
+    rep = hilbert_lin.invariant_representation(inst.kernel, inst.action, inst.partition,
+                                               tol, lin=lin)
+    return (hilbert_lin.representation_laws(rep, tol)
+            + hilbert_lin.partial_isometry_report(rep, cls, tol))
+
+
 def cmd_check(args, tol):
     inst = load(args.instance)
-    conv = conv_blocks(inst.kernel, inst.partition)
-    records = []
+    k, p = inst.kernel, inst.partition
     if args.what == "hermitian":
-        records = _hermitian_records(conv, tol)
-    elif args.what == "psd":
-        records = _psd_records(conv, tol)
+        records = hermitian_records(k, p, tol)
     elif args.what == "invariant":
-        records = [_invariance_record(inst, tol)]
-    elif args.what == "bounded-shift":
-        records = _psd_records(conv, tol)
-        if all(r.passed for r in records):
-            constants = bounded_shift_constants(inst.kernel, inst.action, tol)
-            for alpha, m in constants.items():
-                records.append(Record("shifted form is boundedly dominated",
-                                      "kernel/bounded-shift",
-                                      0.0 if m is not None else 1.0, 0.5,
-                                      m is not None,
-                                      witness={"element": alpha, "constant": m}))
+        records = [invariance_record(k, inst.action, tol)]
+    else:
+        records = psd_records(k, p, tol)
+    if args.what == "bounded-shift" and all(r.passed for r in records):
+        constants = bounded_shift_constants(k, inst.action, tol)
+        for alpha, m in constants.items():
+            records.append(Record("shifted form is boundedly dominated",
+                                  "kernel/bounded-shift",
+                                  0.0 if m is not None else 1.0, 0.5,
+                                  m is not None,
+                                  witness={"element": alpha, "constant": m}))
     return Report(f"check {args.what}", inst.digest, _tol_dict(tol), records)
 
 
 def cmd_linearize(args, tol):
     inst = load(args.instance)
     k, p = inst.kernel, inst.partition
-    conv = conv_blocks(k, p)
     if args.krein:
-        records = _hermitian_records(conv, tol)
-        if all(r.passed for r in records):
-            lin = krein_lin.krein_linearisation(k, p, tol)
-            _, rk_records = krein_lin.rk_krein_space(k, p, lin, tol)
-            records.extend(rk_records)
-        return Report("linearize --krein", inst.digest, _tol_dict(tol), records)
-    records = _psd_records(conv, tol)
+        records = hermitian_records(k, p, tol)
+        build = krein_lin.krein_linearisation
+    else:
+        records = psd_records(k, p, tol)
+        build = hilbert_lin.minimal_linearisation
     if all(r.passed for r in records):
-        lin = hilbert_lin.minimal_linearisation(k, p, tol)
-        records.extend(hilbert_lin.verify_factorization(lin, k, tol))
-        view = hilbert_lin.rkhs(k, p, lin)
-        records.extend(hilbert_lin.verify_reproducing(view, tol))
-    return Report("linearize --hilbert", inst.digest, _tol_dict(tol), records)
+        records.extend(krein_lin.rk_krein_space(build(k, p, tol), tol)[1])
+    route = "krein" if args.krein else "hilbert"
+    return Report(f"linearize --{route}", inst.digest, _tol_dict(tol), records)
 
 
 def cmd_split(args, tol):
     inst = load(args.instance)
     k, p = inst.kernel, inst.partition
-    conv = conv_blocks(k, p)
-    records = _hermitian_records(conv, tol)
+    records = hermitian_records(k, p, tol)
     if all(r.passed for r in records):
-        k_plus, k_minus, cert = krein_lin.jordan_split(k, p, tol)
-        conv_p = conv_blocks(k_plus, p)
-        conv_m = conv_blocks(k_minus, p)
-        for label, g in conv.gram.items():
-            resid = frob(g - (conv_p.gram[label] - conv_m.gram[label]))
-            bound = tol.atol * max(1.0, frob(g))
-            records.append(Record("split reconstructs the kernel", "krein/split",
-                                  resid, bound, resid <= bound, witness=label))
-            both_psd = numlin.psd_check(conv_p.gram[label], tol) and numlin.psd_check(
-                conv_m.gram[label], tol)
+        k_plus, k_minus, split = krein_lin.split_records(k, p, tol)
+        records.extend(split)
+        for label, plus, minus in zip(p.parts, psd_records(k_plus, p, tol),
+                                      psd_records(k_minus, p, tol)):
+            both_psd = plus.passed and minus.passed
             records.append(Record("both split parts are PSD", "krein/split",
                                   0.0 if both_psd else 1.0, 0.5, both_psd, witness=label))
-            c = cert[label]
-            records.append(Record("split parts have disjoint ranges", "krein/split",
-                                  float(abs(c["rank_plus"] + c["rank_minus"] - c["rank_sum"])),
-                                  0.5, c["disjoint"], witness={"part": label, **c}))
     return Report("split", inst.digest, _tol_dict(tol), records)
 
 
 def cmd_represent(args, tol):
     inst = load(args.instance)
     k, p, act = inst.kernel, inst.partition, inst.action
-    conv = conv_blocks(k, p)
     if args.hilbert:
-        records = _psd_records(conv, tol)
-        records.append(_invariance_record(inst, tol))
+        records = psd_records(k, p, tol)
+        records.append(invariance_record(k, act, tol))
         if all(r.passed for r in records):
             cls = classify(inst.sg)
-            try:
-                rep = hilbert_lin.invariant_representation(k, act, p, tol)
-            except QuotientIncompatible as exc:
-                records.append(Record("represented shifts are well defined",
-                                      "hilbert/representation", 1.0, 0.5, False,
-                                      witness=str(exc)))
-            else:
-                records.extend(hilbert_lin.representation_laws(rep, tol))
-                records.extend(hilbert_lin.partial_isometry_report(rep, cls, tol))
+            records.extend(_guarded(lambda: _hilbert_laws(inst, tol, cls), hilbert_lin.HILBERT))
         return Report("represent --hilbert", inst.digest, _tol_dict(tol), records)
 
-    records = _hermitian_records(conv, tol)
-    records.append(_invariance_record(inst, tol))
+    records = hermitian_records(k, p, tol)
+    records.append(invariance_record(k, act, tol))
     dominant = None
     if args.dominant:
         dominant = load_kernel_file(args.dominant, inst.bundle)
+
+    def laws():
+        _, rep = krein_lin.invariant_krein_representation(k, act, p, tol, dominant=dominant)
+        if not args.reducibility:
+            return rep.records
+        return rep.records + krein_lin.fundamental_reducibility_check(rep, dominant, act, tol)
+
     if all(r.passed for r in records):
-        try:
-            _, rep = krein_lin.invariant_krein_representation(k, act, p, tol,
-                                                              dominant=dominant)
-        except KernelNotDominated as exc:
-            records.append(Record("dominant kernel dominates the instance kernel",
-                                  "krein/gram", 1.0, 0.5, False, witness=str(exc)))
-        except PairingViolated as exc:
-            records.append(Record("represented shifts are well defined",
-                                  "krein/representation", 1.0, 0.5, False,
-                                  witness=str(exc)))
-        else:
-            records.extend(rep.records)
-            if args.reducibility:
-                records.extend(krein_lin.fundamental_reducibility_check(
-                    rep, dominant, act, tol))
+        records.extend(_guarded(laws))
     return Report("represent --krein", inst.digest, _tol_dict(tol), records)
 
 
@@ -283,9 +231,8 @@ def cmd_report(args, tol):
         return Report("report", inst.digest, _tol_dict(tol), records)
     cls = classify(inst.sg)
     k, p, act = inst.kernel, inst.partition, inst.action
-    conv = conv_blocks(k, p)
 
-    herm_records = _hermitian_records(conv, tol)
+    herm_records = hermitian_records(k, p, tol)
     records.extend(herm_records)
     hermitian = all(r.passed for r in herm_records)
     psd = hermitian and is_partially_psd(k, p, tol)
@@ -301,36 +248,21 @@ def cmd_report(args, tol):
     if not hermitian:
         return Report("report", inst.digest, _tol_dict(tol), records)
 
-    k_plus, k_minus, cert = krein_lin.jordan_split(k, p, tol)
-    conv_p, conv_m = conv_blocks(k_plus, p), conv_blocks(k_minus, p)
-    for label, g in conv.gram.items():
-        resid = frob(g - (conv_p.gram[label] - conv_m.gram[label]))
-        bound = tol.atol * max(1.0, frob(g))
-        c = cert[label]
-        records.append(Record("split reconstructs the kernel", "krein/split",
-                              resid, bound, resid <= bound, witness=label))
-        records.append(Record("split parts have disjoint ranges", "krein/split",
-                              float(abs(c["rank_plus"] + c["rank_minus"] - c["rank_sum"])),
-                              0.5, c["disjoint"], witness={"part": label, **c}))
-
+    records.extend(krein_lin.split_records(k, p, tol)[2])
     lin = krein_lin.krein_linearisation(k, p, tol)
-    _, rk_records = krein_lin.rk_krein_space(k, p, lin, tol)
-    records.extend(rk_records)
-
+    records.extend(krein_lin.rk_krein_space(lin, tol)[1])
     dominant = krein_lin.canonical_dominant(k, p, tol)
-    records.extend(krein_lin.uniqueness_report(k, dominant, p, tol))
+    records.extend(_guarded(lambda: krein_lin.uniqueness_report(k, dominant, p, tol)))
 
     if psd:
         hlin = hilbert_lin.minimal_linearisation(k, p, tol)
-        records.extend(hilbert_lin.verify_factorization(hlin, k, tol))
-        records.extend(hilbert_lin.verify_reproducing(hilbert_lin.rkhs(k, p, hlin), tol))
+        records.extend(krein_lin.rk_krein_space(hlin, tol)[1])
     if invariant:
-        _, rep = krein_lin.invariant_krein_representation(k, act, p, tol)
-        records.extend(rep.records)
+        records.extend(_guarded(
+            lambda: krein_lin.invariant_krein_representation(k, act, p, tol)[1].records))
     if invariant and psd:
-        hrep = hilbert_lin.invariant_representation(k, act, p, tol, lin=hlin)
-        records.extend(hilbert_lin.representation_laws(hrep, tol))
-        records.extend(hilbert_lin.partial_isometry_report(hrep, cls, tol))
+        records.extend(_guarded(lambda: _hilbert_laws(inst, tol, cls, lin=hlin),
+                                hilbert_lin.HILBERT))
     return Report("report", inst.digest, _tol_dict(tol), records)
 
 

@@ -3,7 +3,7 @@
 Every error raised on purpose by this package derives from :class:`KglError`,
 so callers can catch one type at the boundary. The leaf classes mirror the
 failure modes of the individual modules (bad input tables, non-Hermitian
-matrices, incompatible quotients, ...) and carry a human-readable message,
+matrices, failed dominance, ...) and carry a human-readable message,
 usually with a witness of the violation.
 """
 
@@ -86,10 +86,6 @@ class NotInvariant(KglError):
     """Kernel is not invariant under the given action."""
 
 
-class QuotientIncompatible(KglError):
-    """Shift does not map the form kernel into the form kernel."""
-
-
 class RankMismatch(KglError):
     """Linearisations have different ranks on some part."""
 
@@ -101,7 +97,8 @@ class KernelNotDominated(KglError):
 
 
 class PairingViolated(KglError):
-    """Lifting precondition (adjoint pairing between raw maps) fails."""
+    """A map does not respect the forms: a lift's compatibility pairing fails,
+    or a shift does not descend to the quotient of a linearisation."""
 
 
 # ---------------------------------------------------------------- cli_io

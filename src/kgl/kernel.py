@@ -8,6 +8,8 @@ they read only the within-part blocks of a partition of the base set
 be stored but are ignored by every partition-relative operation.
 """
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,6 +28,7 @@ from .errors import (
     UnknownPoint,
 )
 from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm, psd_root_factor
+from .reports import Record
 from .sgpd import LeftAction, StarSemigroupoid, orbit_trivial_bundle
 
 __all__ = [
@@ -42,6 +45,8 @@ __all__ = [
     "adjoint_kernel",
     "re_im",
     "conv_blocks",
+    "hermitian_records",
+    "psd_records",
     "is_partially_hermitian",
     "is_partially_psd",
     "kernel_inner",
@@ -50,6 +55,7 @@ __all__ = [
     "shift_maps",
     "invariance_bounds",
     "is_invariant",
+    "invariance_record",
     "bounded_shift_constant",
     "bounded_shift_constants",
 ]
@@ -232,22 +238,41 @@ def conv_blocks(k: OpKernel, p: Partition) -> ConvBlocks:
     return ConvBlocks(partition=p, gram=gram)
 
 
+def hermitian_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> list:
+    """One kernel/hermitian record per part: the Hermitian residual of its
+    Gram matrix against atol * max(1, its Frobenius norm)."""
+    records = []
+    for label, g in conv_blocks(k, p).gram.items():
+        resid = frob(g - g.conj().T)
+        bound = tol.atol * max(1.0, frob(g))
+        records.append(Record("kernel is Hermitian on the part", "kernel/hermitian",
+                              resid, bound, resid <= bound, witness=label))
+    return records
+
+
+def psd_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> list:
+    """One kernel/psd record per part: how far its lowest eigenvalue lies
+    below zero, against the PSD floor. A part that is not Hermitian fails
+    with its Hermitian residual."""
+    records = []
+    for herm, g in zip(hermitian_records(k, p, tol), conv_blocks(k, p).gram.values()):
+        if not herm.passed:
+            records.append(Record("kernel is PSD on the part", "kernel/psd",
+                                  herm.residual, herm.tolerance, False,
+                                  witness={"part": herm.witness, "reason": "not Hermitian"}))
+            continue
+        s = numlin.spectrum(g, tol)
+        records.append(Record("kernel is PSD on the part", "kernel/psd",
+                              s.psd_violation, -s.floor, s.is_psd, witness=herm.witness))
+    return records
+
+
 def is_partially_hermitian(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> bool:
-    conv = conv_blocks(k, p)
-    for g in conv.gram.values():
-        if frob(g - g.conj().T) > tol.atol * max(1.0, frob(g)):
-            return False
-    return True
+    return all(r.passed for r in hermitian_records(k, p, tol))
 
 
 def is_partially_psd(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> bool:
-    conv = conv_blocks(k, p)
-    for g in conv.gram.values():
-        if frob(g - g.conj().T) > tol.atol * max(1.0, frob(g)):
-            return False
-        if not numlin.psd_check(g, tol):
-            return False
-    return True
+    return all(r.passed for r in psd_records(k, p, tol))
 
 
 def _support_part(f: Section, p: Partition):
@@ -324,6 +349,14 @@ def _shift(act: LeftAction, bundle: HilbertBundle, alpha, p: Partition) -> np.nd
         m = bundle.dim[x]
         out[idx_c.slice_of(y), idx_d.slice_of(x)] = np.eye(m)
     return out
+
+
+def _shift_norm(act: LeftAction, alpha, p: Partition) -> float:
+    """Operator norm of _shift, exactly. Its columns are unit vectors, so
+    Psi Psi* is diagonal, counting per row the domain points with that
+    image: the norm is the square root of the largest such count."""
+    images = Counter(act.apply(alpha, x) for x in p.index(act.sg.d[alpha]).part)
+    return math.sqrt(max(images.values(), default=0))
 
 
 def shift_maps(act: LeftAction, bundle: HilbertBundle, p: Partition = None) -> dict:
@@ -433,6 +466,28 @@ def is_invariant(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
         if v is not None:
             _raise_unusable(act, astar, ys[v], sd)
     return True, None
+
+
+def invariance_record(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> Record:
+    """The kernel/invariant record of is_invariant.
+
+    A pass carries the bound atol * max(1, every part's Frobenius norm); a
+    failure carries the witness (alpha, x, y), the residual of its block
+    and the bound of alpha (see invariance_bounds).
+    """
+    ok, wit = is_invariant(k, act, tol)
+    conv = conv_blocks(k, partition_from_action(k.bundle, act))
+    if ok:
+        bound = tol.atol * max([1.0] + [frob(g) for g in conv.gram.values()])
+        return Record("kernel is invariant under the action", "kernel/invariant",
+                      0.0, bound, True)
+    alpha, x, y = wit
+    ax = act.apply(alpha, x)
+    ay = act.apply(act.sg.star[alpha], y)
+    resid = frob(k.block(ax, y) - k.block(x, ay))
+    return Record("kernel is invariant under the action", "kernel/invariant",
+                  resid, invariance_bounds(conv, act.sg, tol)[alpha], False,
+                  witness={"element": alpha, "x": x, "y": y})
 
 
 class _PartForm:

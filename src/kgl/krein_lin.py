@@ -1,4 +1,4 @@
-"""Indefinite (Krein) linearisation pipeline for partially Hermitian kernels.
+"""Linearisation pipeline for partially Hermitian kernels, indefinite and definite.
 
 A Hermitian kernel need not be PSD on its parts, but it always splits as a
 difference of PSD kernels, is dominated by a PSD kernel, and factors
@@ -10,6 +10,13 @@ Hermitian contraction (the Gram operator) on the L-quotient, whose induced
 space composed with the L-factor gives the same linearisation up to a
 J-unitary. The dominant route is the one that supports the distinguished
 fundamental symmetries used by the reducibility check.
+
+The Hilbert pipeline of PSD kernels (hilbert_lin) is the case J = I. The
+checks here read a linearisation only through its part spaces, its stacked
+feature maps W, its feature slices and its family, a table giving the name
+and tag of each of its records, so one implementation certifies both:
+factorization and minimality, the reproducing-kernel identities, the
+canonical (J-)unitary, the represented shifts and their laws.
 """
 
 import functools
@@ -31,33 +38,59 @@ from .kernel import (
     OpKernel,
     Partition,
     _shift,
+    _shift_norm,
     conv_blocks,
     is_invariant,
     is_partially_hermitian,
     kernel_from_part_grams,
 )
-from .krein_core import KreinSpace, gap_uniqueness, induced_krein, krein_adjoint
+from .krein_core import gap_uniqueness, induced_krein, krein_adjoint
 from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm
 from .reports import Record
 from .sgpd import LeftAction
 
 __all__ = [
+    "KREIN",
     "GramData",
     "KreinLinearisation",
     "RkKreinView",
+    "EquivalenceResult",
     "KreinRepresentation",
     "canonical_dominant",
     "gram_operator",
     "jordan_split",
+    "split_records",
     "krein_linearisation",
+    "feature_maps",
     "verify_krein_factorization",
+    "verify_reproducing",
     "rk_krein_space",
     "uniqueness_report",
     "j_unitary_equivalence",
+    "represented_shifts",
     "invariant_krein_representation",
     "krein_representation_laws",
     "fundamental_reducibility_check",
 ]
+
+# The records of the indefinite family: check -> (record name, tag).
+KREIN = {
+    "factorization": ("indefinite factorization reconstructs the kernel", "krein/factorization"),
+    "minimality": ("feature columns span the whole space", "krein/factorization"),
+    "members": ("kernel columns are members", "krein/rk-space"),
+    "reproducing": ("indefinite reproducing identity", "krein/rk-space"),
+    "unitary": ("canonical map is J-unitary", "krein/gap-uniqueness"),
+    "matches": ("canonical map matches features", "krein/gap-uniqueness"),
+    "multiplicative": ("multiplicative on composable pairs", "krein/representation"),
+    "star": ("star maps to the indefinite adjoint", "krein/representation"),
+    "intertwining": ("intertwines the feature maps", "krein/representation"),
+    "well-defined": ("represented shifts are well defined", "krein/representation"),
+}
+
+
+def _record(family: dict, check: str, resid: float, bound: float, witness) -> Record:
+    name, tag = family[check]
+    return Record(name, tag, resid, bound, resid <= bound, witness=witness)
 
 
 def canonical_dominant(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL,
@@ -175,6 +208,27 @@ def jordan_split(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
     return kernel_from_part_grams(p, plus), kernel_from_part_grams(p, minus), cert
 
 
+def split_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
+    """The Jordan split with its krein/split records.
+
+    Returns (k_plus, k_minus, records): per part, that K_plus - K_minus
+    reconstructs the kernel and that the ranks of the two sides add up.
+    """
+    k_plus, k_minus, cert = jordan_split(k, p, tol)
+    conv_p, conv_m = conv_blocks(k_plus, p), conv_blocks(k_minus, p)
+    records = []
+    for label, g in conv_blocks(k, p).gram.items():
+        resid = frob(g - (conv_p.gram[label] - conv_m.gram[label]))
+        bound = tol.atol * max(1.0, frob(g))
+        c = cert[label]
+        records.append(Record("split reconstructs the kernel", "krein/split",
+                              resid, bound, resid <= bound, witness=label))
+        records.append(Record("split parts have disjoint ranges", "krein/split",
+                              float(abs(c["rank_plus"] + c["rank_minus"] - c["rank_sum"])),
+                              0.5, c["disjoint"], witness={"part": label, **c}))
+    return k_plus, k_minus, records
+
+
 @dataclass(eq=False)
 class KreinLinearisation:
     """Per part: a Krein space and the stacked feature map W with W*JW = G.
@@ -192,9 +246,16 @@ class KreinLinearisation:
     provenance: str  # "direct" or "dominant"
     dominant: OpKernel = None
     tie_break: str = "first"
+    family = KREIN
 
     def part_label(self, x):
         return self.partition.part_of[x]
+
+
+def feature_maps(p: Partition, wmap: dict) -> dict:
+    """Per point x, the column slice V_x of its part's stacked map W."""
+    return {x: wmap[label][:, idx.slice_of(x)]
+            for label, idx in p.parts.items() for x in idx.part}
 
 
 def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL,
@@ -210,7 +271,7 @@ def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL
     if not is_partially_hermitian(k, p, tol):
         raise NotHermitian("linearisation needs a partially Hermitian kernel")
     conv = conv_blocks(k, p)
-    spaces, wmap, features = {}, {}, {}
+    spaces, wmap = {}, {}
     used_dominant = None
     if via == "direct":
         for label, g in conv.gram.items():
@@ -226,34 +287,27 @@ def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL
             wmap[label] = ik.pi @ gd.dominant_factor[label]
     else:
         raise ValueError(f"unknown construction route {via!r}")
-    for label, idx in p.parts.items():
-        for x in idx.part:
-            features[x] = wmap[label][:, idx.slice_of(x)]
-    return KreinLinearisation(p, dict(conv.gram), spaces, wmap, features,
+    return KreinLinearisation(p, dict(conv.gram), spaces, wmap, feature_maps(p, wmap),
                               provenance=via, dominant=used_dominant, tie_break=tie_break)
 
 
-def verify_krein_factorization(lin: KreinLinearisation, tol: Tolerances = DEFAULT_TOL):
+def verify_krein_factorization(lin, tol: Tolerances = DEFAULT_TOL):
     """Records certifying reconstruction and minimality of a linearisation."""
     records = []
-    for label, idx in lin.partition.parts.items():
+    for label in lin.partition.parts:
         w = lin.wmap[label]
         g = lin.gram[label]
         j = lin.spaces[label].matrix
-        scale = max(1.0, frob(g))
-        resid = frob(w.conj().T @ j @ w - g)
-        records.append(Record("indefinite factorization reconstructs the kernel",
-                              "krein/factorization", resid, tol.atol * scale,
-                              resid <= tol.atol * scale, witness=label))
+        bound = tol.atol * max(1.0, frob(g))
+        records.append(_record(lin.family, "factorization",
+                               frob(w.conj().T @ j @ w - g), bound, label))
         dim = lin.spaces[label].dim
         if w.size:
             s = np.linalg.svd(w, compute_uv=False)
             span = int(np.count_nonzero(s > tol.rank_rel * s[0]))
         else:
             span = 0
-        records.append(Record("feature columns span the whole space",
-                              "krein/factorization", float(abs(span - dim)), 0.5,
-                              span == dim, witness=label))
+        records.append(_record(lin.family, "minimality", float(abs(span - dim)), 0.5, label))
     return records
 
 
@@ -263,10 +317,10 @@ class RkKreinView:
 
     The kernel column at (x, h) is the member represented by V_x h; the
     reproducing identity pairs evaluation against kernel columns in the
-    indefinite inner product.
+    indefinite inner product. With J = I this is the reproducing-kernel
+    Hilbert space of a PSD kernel.
     """
 
-    kernel: OpKernel
     lin: KreinLinearisation
 
     def member(self, label, f) -> Section:
@@ -286,30 +340,26 @@ class RkKreinView:
         return self.lin.features[x] @ np.asarray(h, dtype=np.complex128).reshape(-1)
 
 
-def rk_krein_space(k: OpKernel, p: Partition, lin: KreinLinearisation,
-                   tol: Tolerances = DEFAULT_TOL):
-    """The reproducing-kernel view of a linearisation, plus its certificates.
+def verify_reproducing(view: RkKreinView, tol: Tolerances = DEFAULT_TOL):
+    """Certify the reproducing-kernel identities of the view.
 
-    Returns (view, records). The records certify that kernel columns are
-    members, that the indefinite reproducing identity holds on a
-    deterministic batch of members, and minimality of the column span.
+    Per part: kernel columns are members (the member represented by V_x h
+    stacks to the Gram column at x), and the reproducing identity holds on
+    a deterministic batch of three members.
     """
-    view = RkKreinView(kernel=k, lin=lin)
+    lin = view.lin
+    dims = lin.partition.bundle.dim
     rng = np.random.Generator(np.random.Philox(67890))
     records = []
-    for label, idx in p.parts.items():
+    for label, idx in lin.partition.parts.items():
         w = lin.wmap[label]
         g = lin.gram[label]
-        j = lin.spaces[label].matrix
-        scale = max(1.0, frob(g))
+        wj = w.conj().T @ lin.spaces[label].matrix
+        bound = tol.atol * max(1.0, frob(g))
         col_resid = 0.0
         for x in idx.part:
-            # the member represented by V_x h stacks to the Gram column at x
-            block = w.conj().T @ j @ w[:, idx.slice_of(x)] - g[:, idx.slice_of(x)]
-            col_resid = max(col_resid, frob(block))
-        records.append(Record("kernel columns are members", "krein/rk-space",
-                              col_resid, tol.atol * scale,
-                              col_resid <= tol.atol * scale, witness=label))
+            col_resid = max(col_resid, frob(wj @ w[:, idx.slice_of(x)] - g[:, idx.slice_of(x)]))
+        records.append(_record(lin.family, "members", col_resid, bound, label))
 
         rep_resid = 0.0
         m = lin.spaces[label].dim
@@ -318,18 +368,24 @@ def rk_krein_space(k: OpKernel, p: Partition, lin: KreinLinearisation,
         for f in trials:
             sec = view.member(label, f)
             for x in idx.part:
-                for i in range(k.bundle.dim[x]):
-                    h = np.zeros(k.bundle.dim[x], dtype=np.complex128)
+                for i in range(dims[x]):
+                    h = np.zeros(dims[x], dtype=np.complex128)
                     h[i] = 1.0
                     lhs = complex(np.vdot(h, sec.at(x)))
-                    kxh = lin.features[x] @ h
-                    rhs = complex(np.vdot(kxh, jdiag * f))
+                    rhs = complex(np.vdot(lin.features[x] @ h, jdiag * f))
                     rep_resid = max(rep_resid, abs(lhs - rhs))
-        records.append(Record("indefinite reproducing identity", "krein/rk-space",
-                              rep_resid, tol.atol * scale,
-                              rep_resid <= tol.atol * scale, witness=label))
-    records.extend(verify_krein_factorization(lin, tol))
-    return view, records
+        records.append(_record(lin.family, "reproducing", rep_resid, bound, label))
+    return records
+
+
+def rk_krein_space(lin, tol: Tolerances = DEFAULT_TOL):
+    """The reproducing-kernel view of a linearisation, plus its certificates.
+
+    Returns (view, records): the records of verify_reproducing, then those
+    of verify_krein_factorization.
+    """
+    view = RkKreinView(lin)
+    return view, verify_reproducing(view, tol) + verify_krein_factorization(lin, tol)
 
 
 def uniqueness_report(k: OpKernel, l: OpKernel, p: Partition,
@@ -361,17 +417,21 @@ def uniqueness_report(k: OpKernel, l: OpKernel, p: Partition,
 
 
 @dataclass(eq=False)
-class KreinEquivalenceResult:
+class EquivalenceResult:
     maps: dict  # part label -> J-unitary U with U W_a = W_b
     records: list
+
+    @property
+    def unitaries(self):
+        """The maps, by their name in the Hilbert case."""
+        return self.maps
 
     @property
     def ok(self):
         return all(r.passed for r in self.records)
 
 
-def j_unitary_equivalence(lin_a: KreinLinearisation, lin_b: KreinLinearisation,
-                          tol: Tolerances = DEFAULT_TOL) -> KreinEquivalenceResult:
+def j_unitary_equivalence(lin_a, lin_b, tol: Tolerances = DEFAULT_TOL) -> EquivalenceResult:
     """Certify the canonical J-unitary between two minimal linearisations.
 
     U = W_b W_a+ is pinned on the feature columns by minimality; the
@@ -391,29 +451,56 @@ def j_unitary_equivalence(lin_a: KreinLinearisation, lin_b: KreinLinearisation,
         wa, wb = lin_a.wmap[label], lin_b.wmap[label]
         u = wb @ numlin.pinv(wa, tol)
         maps[label] = u
-        scale = max(1.0, frob(lin_a.gram[label]))
+        bound = tol.atol * max(1.0, frob(lin_a.gram[label]))
         usharp = krein_adjoint(u, sa, sb)
         resid_iso = frob(usharp @ u - np.eye(sa.dim)) if sa.dim else 0.0
         resid_v = 0.0
         for x in p.index(label).part:
             resid_v = max(resid_v, frob(u @ lin_a.features[x] - lin_b.features[x]))
-        records.append(Record("canonical map is J-unitary", "krein/gap-uniqueness",
-                              resid_iso, tol.atol * scale, resid_iso <= tol.atol * scale,
-                              witness=label))
-        records.append(Record("canonical map matches features", "krein/gap-uniqueness",
-                              resid_v, tol.atol * scale, resid_v <= tol.atol * scale,
-                              witness=label))
-    return KreinEquivalenceResult(maps, records)
+        records.append(_record(lin_a.family, "unitary", resid_iso, bound, label))
+        records.append(_record(lin_a.family, "matches", resid_v, bound, label))
+    return EquivalenceResult(maps, records)
 
 
 @dataclass(eq=False)
 class KreinRepresentation:
-    """Represented shifts between part Krein spaces, with law certificates."""
+    """Represented shifts between part spaces, with their operator norms
+    and law certificates."""
 
     action: LeftAction
     lin: KreinLinearisation
     psi: dict  # element -> matrix space_d -> space_c
+    norms: dict  # element -> operator norm of psi
     records: list = field(default_factory=list)
+
+
+def represented_shifts(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
+    """The represented shift W_c Psi W_d+ of every element, and its norm.
+
+    Invariance makes the shift respect the form kernels, so the compression
+    satisfies W_c Psi = Psi_rep W_d; that pairing identity is verified and
+    raised as PairingViolated on failure. Returns (psi, norms), keyed by
+    element.
+    """
+    sg = act.sg
+    p = lin.partition
+    wmap_pinv = functools.cache(lambda s: numlin.pinv(lin.wmap[s], tol))
+    wmap_norm = functools.cache(lambda s: opnorm(lin.wmap[s]))
+    psi, norms = {}, {}
+    for alpha in sg.elements:
+        sd, sc = sg.d[alpha], sg.c[alpha]
+        shift = _shift(act, p.bundle, alpha, p)
+        w_c, w_d = lin.wmap[sc], lin.wmap[sd]
+        t = w_c @ shift @ wmap_pinv(sd)
+        scale = max(1.0, wmap_norm(sc) * _shift_norm(act, alpha, p))
+        resid = frob(t @ w_d - w_c @ shift)
+        if resid > tol.atol * scale:
+            raise PairingViolated(
+                f"shift of {alpha!r} does not descend to the quotient "
+                f"(residual {resid:.3e})")
+        psi[alpha] = t
+        norms[alpha] = opnorm(t)
+    return psi, norms
 
 
 def invariant_krein_representation(k: OpKernel, act: LeftAction, p: Partition,
@@ -424,10 +511,8 @@ def invariant_krein_representation(k: OpKernel, act: LeftAction, p: Partition,
     Returns (lin, rep). With a dominant supplied the linearisation goes
     through its Gram operator (required for the reducibility check);
     otherwise the direct route is used, so a non-invariant canonical
-    dominant never blocks construction. Each represented shift is
-    W_c Psi W_d+; invariance makes the shift respect the form kernels, so
-    the compression satisfies W_c Psi = Psi_rep W_d, which is verified and
-    raised as PairingViolated on failure.
+    dominant never blocks construction. The shifts are those of
+    represented_shifts, and rep.records certifies their laws.
     """
     if not is_partially_hermitian(k, p, tol):
         raise NotHermitian("invariant linearisation needs a Hermitian kernel")
@@ -436,68 +521,42 @@ def invariant_krein_representation(k: OpKernel, act: LeftAction, p: Partition,
         raise NotInvariant(f"kernel is not invariant; witness {witness!r}")
     via = "dominant" if dominant is not None else "direct"
     lin = krein_linearisation(k, p, tol, via=via, dominant=dominant)
-    sg = act.sg
-    wmap_pinv = functools.cache(lambda s: numlin.pinv(lin.wmap[s], tol))
-    wmap_norm = functools.cache(lambda s: opnorm(lin.wmap[s]))
-    psi = {}
-    for alpha in sg.elements:
-        sd, sc = sg.d[alpha], sg.c[alpha]
-        shift = _shift(act, k.bundle, alpha, p)
-        w_c, w_d = lin.wmap[sc], lin.wmap[sd]
-        t = w_c @ shift @ wmap_pinv(sd)
-        scale = max(1.0, wmap_norm(sc) * opnorm(shift))
-        resid = frob(t @ w_d - w_c @ shift)
-        if resid > tol.atol * scale:
-            raise PairingViolated(
-                f"shift of {alpha!r} does not descend to the quotient "
-                f"(residual {resid:.3e})")
-        psi[alpha] = t
-    rep = KreinRepresentation(action=act, lin=lin, psi=psi)
+    rep = KreinRepresentation(act, lin, *represented_shifts(lin, act, tol))
     rep.records = krein_representation_laws(rep, tol)
     return lin, rep
 
 
-def krein_representation_laws(rep: KreinRepresentation, tol: Tolerances = DEFAULT_TOL):
+def krein_representation_laws(rep, tol: Tolerances = DEFAULT_TOL):
     """Records for multiplicativity, indefinite-adjoint compatibility and
-    intertwining of a Krein representation."""
+    intertwining of a representation (with J = I, the adjoint is the
+    ordinary one)."""
     sg = rep.action.sg
     psi = rep.psi
     lin = rep.lin
-    records = []
-    scale = max([1.0] + [opnorm(m) ** 2 for m in psi.values()])
+    bound = tol.atol * max([1.0] + [n ** 2 for n in rep.norms.values()])
 
     resid_mul, wit_mul = 0.0, None
     for (a, b), ab in sg.compose.items():
         r = frob(psi[ab] - psi[a] @ psi[b])
         if r > resid_mul:
             resid_mul, wit_mul = r, (a, b)
-    records.append(Record("multiplicative on composable pairs", "krein/representation",
-                          resid_mul, tol.atol * scale, resid_mul <= tol.atol * scale,
-                          witness=wit_mul))
 
     resid_sharp, wit_sharp = 0.0, None
     for a in sg.elements:
-        sd, sc = sg.d[a], sg.c[a]
-        sharp = krein_adjoint(psi[a], lin.spaces[sd], lin.spaces[sc])
+        sharp = krein_adjoint(psi[a], lin.spaces[sg.d[a]], lin.spaces[sg.c[a]])
         r = frob(psi[sg.star[a]] - sharp)
         if r > resid_sharp:
             resid_sharp, wit_sharp = r, (a,)
-    records.append(Record("star maps to the indefinite adjoint", "krein/representation",
-                          resid_sharp, tol.atol * scale, resid_sharp <= tol.atol * scale,
-                          witness=wit_sharp))
 
     resid_int, wit_int = 0.0, None
-    p = lin.partition
     for a in sg.elements:
-        for x in p.index(sg.d[a]).part:
-            ax = rep.action.apply(a, x)
-            r = frob(psi[a] @ lin.features[x] - lin.features[ax])
+        for x in lin.partition.index(sg.d[a]).part:
+            r = frob(psi[a] @ lin.features[x] - lin.features[rep.action.apply(a, x)])
             if r > resid_int:
                 resid_int, wit_int = r, (a, x)
-    records.append(Record("intertwines the feature maps", "krein/representation",
-                          resid_int, tol.atol * scale, resid_int <= tol.atol * scale,
-                          witness=wit_int))
-    return records
+    return [_record(lin.family, "multiplicative", resid_mul, bound, wit_mul),
+            _record(lin.family, "star", resid_sharp, bound, wit_sharp),
+            _record(lin.family, "intertwining", resid_int, bound, wit_int)]
 
 
 def fundamental_reducibility_check(rep: KreinRepresentation, l: OpKernel,
@@ -527,7 +586,7 @@ def fundamental_reducibility_check(rep: KreinRepresentation, l: OpKernel,
     for a, m in rep.psi.items():
         j_d = rep.lin.spaces[sg.d[a]].matrix
         j_c = rep.lin.spaces[sg.c[a]].matrix
-        scale = max(1.0, opnorm(m))
+        scale = max(1.0, rep.norms[a])
         resid = frob(j_c @ m - m @ j_d)
         records.append(Record("represented shift commutes with the symmetry bundle",
                               "krein/reducibility", resid, tol.atol * scale,

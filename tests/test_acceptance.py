@@ -119,7 +119,7 @@ def test_02_reproducing_kernel_space_identities():
     for k, p in _psd_corpus():
         lin = minimal_linearisation(k, p)
         scales = {label: max(1.0, frob(g)) for label, g in lin.gram.items()}
-        for r in verify_reproducing(rkhs(k, p, lin)):
+        for r in verify_reproducing(rkhs(lin)):
             assert r.passed, r.name
             if r.witness in scales and "span" not in r.name:
                 worst = max(worst, r.residual / scales[r.witness])
@@ -201,7 +201,7 @@ def test_06_hermitian_split_and_indefinite_factorization():
                 for y in idx.part:
                     r = frob(lin.features[x].conj().T @ j @ lin.features[y] - k.block(x, y))
                     worst_fact = max(worst_fact, r / scale)
-        _view, records = rk_krein_space(k, p, lin)
+        _view, records = rk_krein_space(lin)
         for r in records:
             assert r.passed, r.name
     assert worst_split <= SPLIT_RESID

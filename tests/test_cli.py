@@ -264,3 +264,107 @@ def test_lift_digest_addresses_content(tmp_path, capsys):
         assert code == 0
         digests.append(rep["instance_digest"])
     assert digests[0] != digests[1]
+
+
+def _guard_instance(tmp_path, eps):
+    """Pair groupoid on a, b acting on itself, scalar fibers. Part a has the
+    Gram matrix [[1, 1], [1, 1]], part b the same plus eps v v* with
+    v = (1, -1)/sqrt2: invariant within tolerance, but part b sees a
+    direction that the rank-one quotient of part a does not have."""
+    from kgl import sgpd
+    from kgl.bundle import HilbertBundle
+    from kgl.kernel import OpKernel
+
+    sg, act = sgpd.pair_groupoid(("a", "b"))
+    bundle = HilbertBundle(points=act.base, dim={x: 1 for x in act.base})
+    v = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    grams = {"a": np.ones((2, 2)), "b": np.ones((2, 2)) + eps * np.outer(v, v)}
+    blocks = {}
+    for s, g in grams.items():
+        pts = [x for x in act.base if act.anchor[x] == s]
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                blocks[(x, y)] = np.array([[g[i, j]]])
+    path = tmp_path / "guard.json"
+    formats.save_instance(formats.instance_to_doc(sg, act, bundle, OpKernel(bundle, blocks)),
+                          path)
+    return str(path)
+
+
+@pytest.mark.parametrize("eps", [3e-10, 5e-10, 1e-9])
+def test_guard_failures_are_failing_records(tmp_path, capsys, eps):
+    path = _guard_instance(tmp_path, eps)
+    guards = {("represented shifts are well defined", "krein/representation"),
+              ("represented shifts are well defined", "hilbert/representation"),
+              ("dominant kernel dominates the instance kernel", "krein/gram")}
+    for argv in (["report"], ["represent", "--krein"], ["represent", "--hilbert"]):
+        code, rep = run_json(capsys, argv + [path])
+        assert code == 1, argv
+        failing = {(r["name"], r["tag"]) for r in rep["records"] if not r["pass"]}
+        assert failing and failing <= guards, (argv, failing)
+        for r in rep["records"]:
+            if not r["pass"]:
+                assert r["witness"], r["name"]
+
+
+def _part(witness):
+    if isinstance(witness, dict):
+        return witness.get("part")
+    return witness if isinstance(witness, str) else None
+
+
+def _per_part(parts, *checks):
+    """Each (name, tag) once per part, part by part."""
+    return [(name, tag, s) for s in parts for name, tag in checks]
+
+
+def _hilbert_section(parts):
+    return (_per_part(parts, ("kernel columns are members", "hilbert/rkhs"),
+                      ("reproducing identity", "hilbert/rkhs"))
+            + _per_part(parts, ("factorization reconstructs the kernel", "hilbert/factorization"),
+                        ("feature columns span the whole space", "hilbert/minimality")))
+
+
+def _report_skeleton(parts, n_elements):
+    return ([("semigroupoid axioms hold", "axioms/semigroupoid", None),
+             ("action axioms hold", "axioms/action", None)]
+            + _per_part(parts, ("kernel is Hermitian on the part", "kernel/hermitian"))
+            + [("classification established by exhaustive search", "axioms/classification", None)]
+            + _per_part(parts, ("split reconstructs the kernel", "krein/split"),
+                        ("split parts have disjoint ranges", "krein/split"))
+            + _per_part(parts, ("kernel columns are members", "krein/rk-space"),
+                        ("indefinite reproducing identity", "krein/rk-space"))
+            + _per_part(parts, ("indefinite factorization reconstructs the kernel",
+                                "krein/factorization"),
+                        ("feature columns span the whole space", "krein/factorization"))
+            + _per_part(parts, ("induced space unique up to J-unitary equivalence",
+                                "krein/gap-uniqueness"))
+            + _hilbert_section(parts)
+            + [("multiplicative on composable pairs", "krein/representation", None),
+               ("star maps to the indefinite adjoint", "krein/representation", None),
+               ("intertwines the feature maps", "krein/representation", None),
+               ("multiplicative on composable pairs", "hilbert/representation", None),
+               ("star-compatible", "hilbert/representation", None),
+               ("intertwines the feature maps", "hilbert/representation", None),
+               ("shift constant equals squared represented norm",
+                "hilbert/bounded-shift-consistency", None)]
+            + [("partial isometry law", "hilbert/partial-isometry", None)] * n_elements)
+
+
+def test_record_skeleton_of_report_and_linearize(circulant_instance, tmp_path, capsys):
+    sg, act, bundle, k = generators.generate_instance("pair_groupoid", seed=1,
+                                                      symbols=("s", "t", "u"))
+    pair3 = tmp_path / "pair3.json"
+    formats.save_instance(formats.instance_to_doc(sg, act, bundle, k), pair3)
+    for path, parts, n_elements in ((circulant_instance, ("s",), 2),
+                                    (str(pair3), ("s", "t", "u"), 9)):
+        code, rep = run_json(capsys, ["report", path])
+        assert code == 0
+        got = [(r["name"], r["tag"], _part(r["witness"])) for r in rep["records"]]
+        assert got == _report_skeleton(parts, n_elements)
+
+        code, rep = run_json(capsys, ["linearize", "--hilbert", path])
+        assert code == 0
+        got = [(r["name"], r["tag"], _part(r["witness"])) for r in rep["records"]]
+        assert got == (_per_part(parts, ("kernel is PSD on the part", "kernel/psd"))
+                       + _hilbert_section(parts))

@@ -5,7 +5,7 @@ from helpers import circulant_kernel, scalar_bundle, trivial_group, z2_swap
 from kgl import hilbert_lin as hl
 from kgl import kernel as kn
 from kgl.bundle import HilbertBundle
-from kgl.errors import NotInvariant, NotPartiallyPSD, QuotientIncompatible, RankMismatch
+from kgl.errors import NotInvariant, NotPartiallyPSD, RankMismatch
 from kgl.numlin import DEFAULT_TOL as TOL, frob
 from kgl.sgpd import classify
 
@@ -18,7 +18,7 @@ def test_constant_kernel_rank_one_frozen():
     # features worked out from the rank-one eigenpair of [[1,1],[1,1]]
     assert np.allclose(lin.features["x1"], [[1.0]], atol=1e-12)
     assert np.allclose(lin.features["x2"], [[1.0]], atol=1e-12)
-    for rec in hl.verify_factorization(lin, k, TOL):
+    for rec in hl.verify_factorization(lin, TOL):
         assert rec.passed
 
 
@@ -39,7 +39,7 @@ def test_zero_kernel_rank_zero():
     lin = hl.minimal_linearisation(k, p, TOL)
     assert lin.rank["all"] == 0
     assert lin.features["x1"].shape == (0, 1)
-    for rec in hl.verify_factorization(lin, k, TOL):
+    for rec in hl.verify_factorization(lin, TOL):
         assert rec.passed
 
 
@@ -73,7 +73,7 @@ def test_rkhs_member_frozen():
     k = circulant_kernel(1.0, 1.0)
     p = kn.single_partition(k.bundle)
     lin = hl.minimal_linearisation(k, p, TOL)
-    view = hl.rkhs(k, p, lin)
+    view = hl.rkhs(lin)
     f = view.member("all", np.array([1.0]))
     assert np.allclose(f.at("x1"), [1.0])
     assert np.allclose(f.at("x2"), [1.0])
@@ -90,7 +90,7 @@ def test_verify_reproducing_clean():
         m = rng.normal(size=(t, t)) + 1j * rng.normal(size=(t, t))
         k = kn.kernel_from_part_grams(p, {"all": m.conj().T @ m})
         lin = hl.minimal_linearisation(k, p, TOL)
-        view = hl.rkhs(k, p, lin)
+        view = hl.rkhs(lin)
         for rec in hl.verify_reproducing(view, TOL):
             assert rec.passed, rec.name
 

@@ -163,7 +163,7 @@ def test_krein_linearisation_zero_kernel():
     p = kn.single_partition(b)
     lin = kl.krein_linearisation(k, p, TOL)
     assert lin.spaces["all"].dim == 0
-    _, records = kl.rk_krein_space(k, p, lin, TOL)
+    _, records = kl.rk_krein_space(lin, TOL)
     assert all(r.passed for r in records)
 
 
@@ -172,7 +172,7 @@ def test_rk_krein_space_records_pass():
     for _ in range(10):
         k, p = random_hermitian_instance(rng)
         lin = kl.krein_linearisation(k, p, TOL)
-        view, records = kl.rk_krein_space(k, p, lin, TOL)
+        view, records = kl.rk_krein_space(lin, TOL)
         assert records
         for rec in records:
             assert rec.passed, (rec.name, rec.residual)
@@ -182,7 +182,7 @@ def test_rk_krein_member_and_column():
     k = swap_gram_kernel()
     p = kn.single_partition(k.bundle)
     lin = kl.krein_linearisation(k, p, TOL)
-    view, _ = kl.rk_krein_space(k, p, lin, TOL)
+    view, _ = kl.rk_krein_space(lin, TOL)
     col = view.kernel_column("x1", np.array([1.0]))
     # column section at y is K(y, x1) h
     assert np.allclose(col.at("x1"), k.block("x1", "x1") @ np.array([1.0]))
@@ -333,3 +333,27 @@ def test_dominant_route_representation_on_generated_pairs():
         recs = kl.fundamental_reducibility_check(rep, l, act, TOL)
         for rec in recs:
             assert rec.passed, (family, rec.name, rec.residual)
+
+
+@pytest.mark.parametrize("family", ["pair_groupoid", "group_action", "partial_bijections",
+                                    "group_as_groupoid"])
+def test_hilbert_is_the_definite_case_of_krein(family):
+    from kgl import generators
+
+    parts = 0
+    for seed in range(6):
+        sg, act, bundle, k = generators.generate_instance(family, seed=seed)
+        p = kn.partition_from_action(bundle, act)
+        lin, krep = kl.invariant_krein_representation(k, act, p, TOL)
+        hrep = hl.invariant_representation(k, act, p, TOL)
+        for label, space in lin.spaces.items():
+            assert space.signature == (hrep.lin.rank[label], 0)
+            assert hrep.lin.spaces[label].jdiag == space.jdiag
+            assert np.array_equal(hrep.lin.factor[label], lin.wmap[label])
+            parts += 1
+        for a in sg.elements:
+            assert np.array_equal(hrep.phi[a], krep.psi[a])
+        laws = hl.representation_laws(hrep, TOL)[:3]
+        assert [r.residual for r in laws] == [r.residual for r in krep.records]
+        assert [r.tolerance for r in laws] == [r.tolerance for r in krep.records]
+    assert parts >= 6
