@@ -57,7 +57,7 @@ p = partition_from_action(bundle, act)
 lin, rep = invariant_krein_representation(k, act, p, dominant=l)
 sigs = {label: lin.spaces[label].signature for label in p.parts}
 print("  part signatures:", sigs)
-for record in fundamental_reducibility_check(rep, l, act)[:4]:
+for record in fundamental_reducibility_check(rep)[:4]:
     print(f"  commutator at {record.witness}: residual {record.residual:.2e}")
 print("  ... every represented element commutes with the sign bundle, so the")
 print("  representation is a direct sum of two definite representations.")

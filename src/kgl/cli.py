@@ -103,12 +103,13 @@ def _guarded(check, family=krein_lin.KREIN):
         return [Record(name, tag, 1.0, 0.5, False, witness=str(exc))]
 
 
-def _hilbert_laws(inst, tol, cls, lin=None):
-    """The law and partial-isometry records of the invariant Hilbert representation."""
-    rep = hilbert_lin.invariant_representation(inst.kernel, inst.action, inst.partition,
-                                               tol, lin=lin)
-    return (hilbert_lin.representation_laws(rep, tol)
-            + hilbert_lin.partial_isometry_report(rep, cls, tol))
+def _hilbert_laws(lin, act, tol, cls):
+    """The Hilbert representation's law and partial-isometry records, _guarded."""
+    def laws():
+        rep = hilbert_lin.represent(lin, act, tol)
+        return (hilbert_lin.representation_laws(rep, tol)
+                + hilbert_lin.partial_isometry_report(rep, cls, tol))
+    return _guarded(laws, hilbert_lin.HILBERT)
 
 
 def cmd_check(args, tol):
@@ -168,8 +169,8 @@ def cmd_represent(args, tol):
         records = psd_records(k, p, tol)
         records.append(invariance_record(k, act, tol))
         if all(r.passed for r in records):
-            cls = classify(inst.sg)
-            records.extend(_guarded(lambda: _hilbert_laws(inst, tol, cls), hilbert_lin.HILBERT))
+            hlin = hilbert_lin.minimal_linearisation(k, p, tol)
+            records.extend(_hilbert_laws(hlin, act, tol, classify(inst.sg)))
         return Report("represent --hilbert", inst.digest, _tol_dict(tol), records)
 
     records = hermitian_records(k, p, tol)
@@ -179,10 +180,12 @@ def cmd_represent(args, tol):
         dominant = load_kernel_file(args.dominant, inst.bundle)
 
     def laws():
-        _, rep = krein_lin.invariant_krein_representation(k, act, p, tol, dominant=dominant)
+        via = "dominant" if dominant is not None else "direct"
+        lin = krein_lin.krein_linearisation(k, p, tol, via=via, dominant=dominant)
+        rep = krein_lin.represent(lin, act, tol)
         if not args.reducibility:
             return rep.records
-        return rep.records + krein_lin.fundamental_reducibility_check(rep, dominant, act, tol)
+        return rep.records + krein_lin.fundamental_reducibility_check(rep, tol)
 
     if all(r.passed for r in records):
         records.extend(_guarded(laws))
@@ -258,11 +261,9 @@ def cmd_report(args, tol):
         hlin = hilbert_lin.minimal_linearisation(k, p, tol)
         records.extend(krein_lin.rk_krein_space(hlin, tol)[1])
     if invariant:
-        records.extend(_guarded(
-            lambda: krein_lin.invariant_krein_representation(k, act, p, tol)[1].records))
+        records.extend(_guarded(lambda: krein_lin.represent(lin, act, tol).records))
     if invariant and psd:
-        records.extend(_guarded(lambda: _hilbert_laws(inst, tol, cls, lin=hlin),
-                                hilbert_lin.HILBERT))
+        records.extend(_hilbert_laws(hlin, act, tol, cls))
     return Report("report", inst.digest, _tol_dict(tol), records)
 
 

@@ -10,6 +10,7 @@ represented shifts and their laws) certify it under the names and tags of
 the hilbert family below. Only what has no indefinite counterpart lives
 here: the bounded-shift constants with their consistency record, and the
 partial-isometry law of inverse semigroupoids.
+As in krein_lin, a representation is built from a linearisation (represent).
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from .errors import NotInvariant, NotPartiallyPSD
 from .kernel import (
     OpKernel,
     Partition,
-    bounded_shift_constants,
+    _shift_constants,
     conv_blocks,
     is_invariant,
     is_partially_psd,
@@ -41,6 +42,7 @@ __all__ = [
     "verify_reproducing",
     "unitary_equivalence",
     "EquivalenceResult",
+    "represent",
     "invariant_representation",
     "representation_laws",
     "partial_isometry_report",
@@ -129,26 +131,28 @@ class HilbertRepresentation(krein_lin.KreinRepresentation):
         return self.psi
 
 
-def invariant_representation(k: OpKernel, act: LeftAction, p: Partition,
-                             tol: Tolerances = DEFAULT_TOL,
-                             lin: HilbertLinearisation = None) -> HilbertRepresentation:
+def represent(lin: HilbertLinearisation, act: LeftAction,
+              tol: Tolerances = DEFAULT_TOL) -> HilbertRepresentation:
     """Compress the shift matrices of an invariant PSD kernel onto the factors.
 
     The represented shift of an element is B_c Psi B_d+, built and guarded
     by krein_lin.represented_shifts (PairingViolated when a shift does not
-    descend to the quotient). The bounded-shift constant of every element
-    is kept with it.
+    descend to the quotient). The bounded-shift constant of every element,
+    from the part Gram matrices of lin, is kept with it. Invariance is not checked.
     """
-    if not is_partially_psd(k, p, tol):
-        raise NotPartiallyPSD("kernel must be PSD on every part")
+    psi, norms = krein_lin.represented_shifts(lin, act, tol)
+    constants = _shift_constants(act, lin.partition, lin.gram, tol, act.sg.elements)
+    return HilbertRepresentation(act, lin, psi, norms, shift_constants=constants)
+
+
+def invariant_representation(k: OpKernel, act: LeftAction, p: Partition,
+                             tol: Tolerances = DEFAULT_TOL) -> HilbertRepresentation:
+    """minimal_linearisation, the invariance check (NotInvariant), then represent."""
+    lin = minimal_linearisation(k, p, tol)
     ok, witness = is_invariant(k, act, tol)
     if not ok:
         raise NotInvariant(f"kernel is not invariant; witness {witness!r}")
-    if lin is None:
-        lin = minimal_linearisation(k, p, tol)
-    psi, norms = krein_lin.represented_shifts(lin, act, tol)
-    return HilbertRepresentation(act, lin, psi, norms,
-                                 shift_constants=bounded_shift_constants(k, act, tol))
+    return represent(lin, act, tol)
 
 
 def representation_laws(rep: HilbertRepresentation, tol: Tolerances = DEFAULT_TOL):

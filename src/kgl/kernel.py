@@ -536,20 +536,28 @@ class _PartForm:
         return max(float(w[-1]), 0.0) if w.size else 0.0
 
 
-def _shift_constant(psi: np.ndarray, dom: _PartForm, cod: _PartForm):
-    leak = dom.leak(psi, cod)
-    if leak is not None and leak[0] > leak[1]:
-        return None
-    return dom.compressed_norm(psi, cod)
-
-
-def _psd_part_forms(l: OpKernel, act: LeftAction, tol: Tolerances):
-    """The action's partition and a _PartForm per part, for a partially PSD kernel."""
+def _psd_grams(l: OpKernel, act: LeftAction, tol: Tolerances):
+    """The action's partition and the part Grams of a partially PSD kernel on it."""
     _require_orbit_trivial(act, l.bundle)
     p = partition_from_action(l.bundle, act)
     if not is_partially_psd(l, p, tol):
         raise NotPSD("bounded-shift constants are relative to a partially PSD kernel")
-    return p, {s: _PartForm(g, tol) for s, g in conv_blocks(l, p).gram.items()}
+    return p, conv_blocks(l, p).gram
+
+
+def _shift_constants(act: LeftAction, p: Partition, grams: dict, tol: Tolerances,
+                     elements) -> dict:
+    """The bounded-shift constant of each element, from the part Gram
+    matrices of a partially PSD kernel on the action's partition p."""
+    forms = {s: _PartForm(g, tol) for s, g in grams.items()}
+    constants = {}
+    for alpha in elements:
+        psi = _shift(act, p.bundle, alpha, p)
+        dom, cod = forms[act.sg.d[alpha]], forms[act.sg.c[alpha]]
+        leak = dom.leak(psi, cod)
+        undefined = leak is not None and leak[0] > leak[1]
+        constants[alpha] = None if undefined else dom.compressed_norm(psi, cod)
+    return constants
 
 
 def bounded_shift_constant(l: OpKernel, act: LeftAction, alpha,
@@ -563,10 +571,7 @@ def bounded_shift_constant(l: OpKernel, act: LeftAction, alpha,
     part into the form kernel at the codomain part, so no finite constant
     exists relative to the quotient.
     """
-    p, forms = _psd_part_forms(l, act, tol)
-    sg = act.sg
-    return _shift_constant(_shift(act, l.bundle, alpha, p), forms[sg.d[alpha]],
-                           forms[sg.c[alpha]])
+    return _shift_constants(act, *_psd_grams(l, act, tol), tol, (alpha,))[alpha]
 
 
 def bounded_shift_constants(l: OpKernel, act: LeftAction,
@@ -576,8 +581,4 @@ def bounded_shift_constants(l: OpKernel, act: LeftAction,
     The PSD check, the Gram assembly and the per-part factors are done
     once for all elements.
     """
-    p, forms = _psd_part_forms(l, act, tol)
-    sg = act.sg
-    return {alpha: _shift_constant(_shift(act, l.bundle, alpha, p), forms[sg.d[alpha]],
-                                   forms[sg.c[alpha]])
-            for alpha in sg.elements}
+    return _shift_constants(act, *_psd_grams(l, act, tol), tol, act.sg.elements)

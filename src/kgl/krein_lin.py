@@ -17,6 +17,9 @@ feature maps W, its feature slices and its family, a table giving the name
 and tag of each of its records, so one implementation certifies both:
 factorization and minimality, the reproducing-kernel identities, the
 canonical (J-)unitary, the represented shifts and their laws.
+
+A representation is built from a linearisation that already exists
+(represent), once the kernel's invariance has been decided.
 """
 
 import functools
@@ -68,6 +71,7 @@ __all__ = [
     "uniqueness_report",
     "j_unitary_equivalence",
     "represented_shifts",
+    "represent",
     "invariant_krein_representation",
     "krein_representation_laws",
     "fundamental_reducibility_check",
@@ -93,24 +97,15 @@ def _record(family: dict, check: str, resid: float, bound: float, witness) -> Re
     return Record(name, tag, resid, bound, resid <= bound, witness=witness)
 
 
-def canonical_dominant(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL,
-                       act: LeftAction = None):
+def canonical_dominant(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
     """The dominating PSD kernel whose part Gram matrices are |G_s|.
 
-    Satisfies -L <= K <= L partwise. With an action supplied, returns
-    (L, flag) where the flag tells whether L is itself invariant; taking
-    spectral absolute values does not always preserve invariance, so the
-    flag is decided per instance rather than assumed.
+    Satisfies -L <= K <= L partwise. Taking spectral absolute values does
+    not always preserve invariance, so is_invariant decides it per instance.
     """
-    if not is_partially_hermitian(k, p, tol):
-        raise NotHermitian("canonical dominant needs a partially Hermitian kernel")
     conv = conv_blocks(k, p)
     grams = {label: numlin.herm_fn(g, "abs", tol) for label, g in conv.gram.items()}
-    l = kernel_from_part_grams(p, grams)
-    if act is None:
-        return l
-    ok, _ = is_invariant(l, act, tol)
-    return l, ok
+    return kernel_from_part_grams(p, grams)
 
 
 @dataclass(eq=False)
@@ -184,8 +179,6 @@ def jordan_split(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
     ranges intersect trivially, which is the finite-dimensional form of
     disjointness of the decomposition.
     """
-    if not is_partially_hermitian(k, p, tol):
-        raise NotHermitian("Jordan split needs a partially Hermitian kernel")
     conv = conv_blocks(k, p)
     plus, minus, cert = {}, {}, {}
     for label, g in conv.gram.items():
@@ -268,8 +261,6 @@ def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL
     PSD kernel (the canonical dominant when none is supplied); the two
     routes agree up to a J-unitary map.
     """
-    if not is_partially_hermitian(k, p, tol):
-        raise NotHermitian("linearisation needs a partially Hermitian kernel")
     conv = conv_blocks(k, p)
     spaces, wmap = {}, {}
     used_dominant = None
@@ -503,6 +494,14 @@ def represented_shifts(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
     return psi, norms
 
 
+def represent(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> KreinRepresentation:
+    """The shifts of represented_shifts on lin, with rep.records certifying
+    their laws. The kernel lin linearises must be invariant; this is not checked."""
+    rep = KreinRepresentation(act, lin, *represented_shifts(lin, act, tol))
+    rep.records = krein_representation_laws(rep, tol)
+    return rep
+
+
 def invariant_krein_representation(k: OpKernel, act: LeftAction, p: Partition,
                                    tol: Tolerances = DEFAULT_TOL,
                                    dominant: OpKernel = None):
@@ -511,19 +510,15 @@ def invariant_krein_representation(k: OpKernel, act: LeftAction, p: Partition,
     Returns (lin, rep). With a dominant supplied the linearisation goes
     through its Gram operator (required for the reducibility check);
     otherwise the direct route is used, so a non-invariant canonical
-    dominant never blocks construction. The shifts are those of
-    represented_shifts, and rep.records certifies their laws.
+    dominant never blocks construction. Raises NotInvariant when the
+    kernel, once linearised, is not invariant.
     """
-    if not is_partially_hermitian(k, p, tol):
-        raise NotHermitian("invariant linearisation needs a Hermitian kernel")
+    via = "dominant" if dominant is not None else "direct"
+    lin = krein_linearisation(k, p, tol, via=via, dominant=dominant)
     ok, witness = is_invariant(k, act, tol)
     if not ok:
         raise NotInvariant(f"kernel is not invariant; witness {witness!r}")
-    via = "dominant" if dominant is not None else "direct"
-    lin = krein_linearisation(k, p, tol, via=via, dominant=dominant)
-    rep = KreinRepresentation(act, lin, *represented_shifts(lin, act, tol))
-    rep.records = krein_representation_laws(rep, tol)
-    return lin, rep
+    return lin, represent(lin, act, tol)
 
 
 def krein_representation_laws(rep, tol: Tolerances = DEFAULT_TOL):
@@ -559,8 +554,7 @@ def krein_representation_laws(rep, tol: Tolerances = DEFAULT_TOL):
             _record(lin.family, "intertwining", resid_int, bound, wit_int)]
 
 
-def fundamental_reducibility_check(rep: KreinRepresentation, l: OpKernel,
-                                   act: LeftAction, tol: Tolerances = DEFAULT_TOL):
+def fundamental_reducibility_check(rep: KreinRepresentation, tol: Tolerances = DEFAULT_TOL):
     """Check that the represented shifts commute with the part symmetries.
 
     The distinguished fundamental symmetries exist when the linearisation
@@ -575,14 +569,13 @@ def fundamental_reducibility_check(rep: KreinRepresentation, l: OpKernel,
         return [Record("not applicable: linearisation was not built through a dominant",
                        "krein/reducibility", 0.0, 0.5, True,
                        witness={"provenance": rep.lin.provenance})]
-    dom = l if l is not None else rep.lin.dominant
-    ok, witness = is_invariant(dom, act, tol)
+    ok, witness = is_invariant(rep.lin.dominant, rep.action, tol)
     if not ok:
         return [Record("not applicable: the dominant kernel is not invariant",
                        "krein/reducibility", 0.0, 0.5, True,
                        witness={"invariance_witness": witness})]
     records = []
-    sg = act.sg
+    sg = rep.action.sg
     for a, m in rep.psi.items():
         j_d = rep.lin.spaces[sg.d[a]].matrix
         j_c = rep.lin.spaces[sg.c[a]].matrix

@@ -253,7 +253,7 @@ def test_09_invariant_dominants_give_reducing_symmetries():
         ok, _ = is_invariant(l, act)
         assert ok  # the dominant must be verified invariant before the law applies
         _lin, rep = invariant_krein_representation(k, act, p, dominant=l)
-        records = fundamental_reducibility_check(rep, l, act)
+        records = fundamental_reducibility_check(rep)
         for r in records:
             assert r.name.startswith("represented shift commutes"), r.name
             assert r.passed

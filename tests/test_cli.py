@@ -325,10 +325,27 @@ def _hilbert_section(parts):
                         ("feature columns span the whole space", "hilbert/minimality")))
 
 
+_HERMITIAN = ("kernel is Hermitian on the part", "kernel/hermitian")
+_PSD = ("kernel is PSD on the part", "kernel/psd")
+_INVARIANT = ("kernel is invariant under the action", "kernel/invariant", None)
+_KREIN_LAWS = [("multiplicative on composable pairs", "krein/representation", None),
+               ("star maps to the indefinite adjoint", "krein/representation", None),
+               ("intertwines the feature maps", "krein/representation", None)]
+
+
+def _hilbert_laws(n_elements):
+    return ([("multiplicative on composable pairs", "hilbert/representation", None),
+             ("star-compatible", "hilbert/representation", None),
+             ("intertwines the feature maps", "hilbert/representation", None),
+             ("shift constant equals squared represented norm",
+              "hilbert/bounded-shift-consistency", None)]
+            + [("partial isometry law", "hilbert/partial-isometry", None)] * n_elements)
+
+
 def _report_skeleton(parts, n_elements):
     return ([("semigroupoid axioms hold", "axioms/semigroupoid", None),
              ("action axioms hold", "axioms/action", None)]
-            + _per_part(parts, ("kernel is Hermitian on the part", "kernel/hermitian"))
+            + _per_part(parts, _HERMITIAN)
             + [("classification established by exhaustive search", "axioms/classification", None)]
             + _per_part(parts, ("split reconstructs the kernel", "krein/split"),
                         ("split parts have disjoint ranges", "krein/split"))
@@ -340,15 +357,15 @@ def _report_skeleton(parts, n_elements):
             + _per_part(parts, ("induced space unique up to J-unitary equivalence",
                                 "krein/gap-uniqueness"))
             + _hilbert_section(parts)
-            + [("multiplicative on composable pairs", "krein/representation", None),
-               ("star maps to the indefinite adjoint", "krein/representation", None),
-               ("intertwines the feature maps", "krein/representation", None),
-               ("multiplicative on composable pairs", "hilbert/representation", None),
-               ("star-compatible", "hilbert/representation", None),
-               ("intertwines the feature maps", "hilbert/representation", None),
-               ("shift constant equals squared represented norm",
-                "hilbert/bounded-shift-consistency", None)]
-            + [("partial isometry law", "hilbert/partial-isometry", None)] * n_elements)
+            + _KREIN_LAWS
+            + _hilbert_laws(n_elements))
+
+
+def _skeleton(capsys, argv):
+    """(name, tag, witness part) of every record of a passing command, in order."""
+    code, rep = run_json(capsys, argv)
+    assert code == 0, argv
+    return [(r["name"], r["tag"], _part(r["witness"])) for r in rep["records"]]
 
 
 def test_record_skeleton_of_report_and_linearize(circulant_instance, tmp_path, capsys):
@@ -358,13 +375,30 @@ def test_record_skeleton_of_report_and_linearize(circulant_instance, tmp_path, c
     formats.save_instance(formats.instance_to_doc(sg, act, bundle, k), pair3)
     for path, parts, n_elements in ((circulant_instance, ("s",), 2),
                                     (str(pair3), ("s", "t", "u"), 9)):
-        code, rep = run_json(capsys, ["report", path])
-        assert code == 0
-        got = [(r["name"], r["tag"], _part(r["witness"])) for r in rep["records"]]
-        assert got == _report_skeleton(parts, n_elements)
+        assert _skeleton(capsys, ["report", path]) == _report_skeleton(parts, n_elements)
+        assert (_skeleton(capsys, ["linearize", "--hilbert", path])
+                == _per_part(parts, _PSD) + _hilbert_section(parts))
+        assert (_skeleton(capsys, ["represent", "--hilbert", path])
+                == _per_part(parts, _PSD) + [_INVARIANT] + _hilbert_laws(n_elements))
+        assert (_skeleton(capsys, ["represent", "--krein", path])
+                == _per_part(parts, _HERMITIAN) + [_INVARIANT] + _KREIN_LAWS)
+        assert (_skeleton(capsys, ["check", "bounded-shift", path])
+                == _per_part(parts, _PSD)
+                + [("shifted form is boundedly dominated", "kernel/bounded-shift", None)]
+                * n_elements)
 
-        code, rep = run_json(capsys, ["linearize", "--hilbert", path])
-        assert code == 0
-        got = [(r["name"], r["tag"], _part(r["witness"])) for r in rep["records"]]
-        assert got == (_per_part(parts, ("kernel is PSD on the part", "kernel/psd"))
-                       + _hilbert_section(parts))
+    # through an invariant dominant: the laws, then one commutator per element
+    sg, act, bundle, _ = generators.generate_instance(
+        "pair_groupoid", seed=9, mode="hermitian_invariant")
+    k, l = generators.invariant_dominant_pair(act, bundle, seed=9, tol=TOL)
+    ipath, lpath = tmp_path / "inst.json", tmp_path / "dom.json"
+    formats.save_instance(formats.instance_to_doc(sg, act, bundle, k), ipath)
+    lpath.write_text(json.dumps({"kernel": formats.kernel_to_doc(l)}) + "\n")
+    parts = ("s0", "s1", "s2")
+    assert (_skeleton(capsys, ["represent", "--krein", str(ipath)])
+            == _per_part(parts, _HERMITIAN) + [_INVARIANT] + _KREIN_LAWS)
+    assert (_skeleton(capsys, ["represent", "--krein", "--dominant", str(lpath),
+                               "--reducibility", str(ipath)])
+            == _per_part(parts, _HERMITIAN) + [_INVARIANT] + _KREIN_LAWS
+            + [("represented shift commutes with the symmetry bundle",
+                "krein/reducibility", None)] * 9)

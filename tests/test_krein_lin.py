@@ -41,8 +41,8 @@ def test_canonical_dominant_invariance_flag():
     sg, act = z2_swap()
     k = swap_gram_kernel()
     p = kn.partition_from_action(k.bundle, act)
-    l, invariant = kl.canonical_dominant(k, p, TOL, act=act)
-    assert invariant  # |G| = I commutes with the swap
+    l = kl.canonical_dominant(k, p, TOL)
+    assert kn.is_invariant(l, act, TOL)[0]  # |G| = I commutes with the swap
 
 
 def test_gram_operator_frozen():
@@ -289,7 +289,7 @@ def test_reducibility_z2_identity_dominant_frozen():
     l = kn.identity_kernel(k.bundle)  # invariant dominant for the swap kernel
     lin, rep = kl.invariant_krein_representation(k, act, p, TOL, dominant=l)
     assert lin.provenance == "dominant"
-    recs = kl.fundamental_reducibility_check(rep, l, act, TOL)
+    recs = kl.fundamental_reducibility_check(rep, TOL)
     assert recs
     for rec in recs:
         assert rec.passed
@@ -305,14 +305,14 @@ def test_reducibility_not_applicable_cases():
 
     # direct route: nothing to check
     lin, rep = kl.invariant_krein_representation(k, act, p, TOL)
-    recs = kl.fundamental_reducibility_check(rep, None, act, TOL)
+    recs = kl.fundamental_reducibility_check(rep, TOL)
     assert len(recs) == 1
     assert recs[0].passed and "not applicable" in recs[0].name
 
     # dominant exists but is not invariant
     l_bad = scalar_kernel(("x1", "x2"), {("x1", "x1"): 1.0, ("x2", "x2"): 4.0})
     lin2, rep2 = kl.invariant_krein_representation(k, act, p, TOL, dominant=l_bad)
-    recs2 = kl.fundamental_reducibility_check(rep2, l_bad, act, TOL)
+    recs2 = kl.fundamental_reducibility_check(rep2, TOL)
     assert len(recs2) == 1
     assert recs2[0].passed and "not invariant" in recs2[0].name
     assert recs2[0].witness["invariance_witness"] is not None
@@ -330,7 +330,7 @@ def test_dominant_route_representation_on_generated_pairs():
         lin, rep = kl.invariant_krein_representation(k, act, p, TOL, dominant=l)
         for rec in rep.records:
             assert rec.passed, (family, rec.name, rec.residual)
-        recs = kl.fundamental_reducibility_check(rep, l, act, TOL)
+        recs = kl.fundamental_reducibility_check(rep, TOL)
         for rec in recs:
             assert rec.passed, (family, rec.name, rec.residual)
 

@@ -1,8 +1,11 @@
 """The decomposition store: each distinct matrix decomposed once per command,
 with no effect on report bytes and nothing kept after the command."""
 
+import collections
 import contextlib
 import hashlib
+import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +66,44 @@ def test_report_decomposes_each_matrix_once(tmp_path, capsys, monkeypatch, famil
     assert inputs
     assert len(inputs) == len(set(inputs))
     assert len(herm) == len(inputs)
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of kgl functions, given as "module.function", each
+    wrapped at every binding a kgl module holds of it."""
+    counts = collections.Counter()
+    modules = [m for name, m in sys.modules.items() if name == "kgl" or name.startswith("kgl.")]
+    for qualified in names:
+        owner, attr = qualified.split(".")
+        fn = getattr(importlib.import_module(f"kgl.{owner}"), attr)
+
+        def counted(*args, _fn=fn, _name=qualified, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for m in modules:
+            if getattr(m, attr, None) is fn:
+                monkeypatch.setattr(m, attr, counted)
+    return counts
+
+
+PREMISES = ("kernel.is_invariant", "krein_lin.krein_linearisation",
+            "hilbert_lin.minimal_linearisation")
+
+
+@pytest.mark.parametrize("family, mode, argv, budget", [
+    ("pair_groupoid", "psd_invariant", ["report"], (1, 1, 1)),
+    ("group_action", "hermitian_invariant", ["report"], (1, 1, 0)),
+    ("pair_groupoid", "psd_invariant", ["represent", "--hilbert"], (1, 0, 1)),
+    ("pair_groupoid", "psd_invariant", ["represent", "--krein"], (1, 1, 0)),
+])
+def test_each_premise_is_decided_once_per_command(tmp_path, capsys, monkeypatch,
+                                                  family, mode, argv, budget):
+    path = write_instance(tmp_path, family, mode)
+    counts = count_calls(monkeypatch, PREMISES)
+    code, _, _ = run(capsys, argv + [path])
+    assert code == 0
+    assert tuple(counts[name] for name in PREMISES) == budget
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
