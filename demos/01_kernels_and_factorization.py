@@ -37,7 +37,7 @@ p = partition_from_anchor(bundle, {"x": "s", "y": "s"})
 print("Hermitian on the part:", is_partially_hermitian(k, p))
 print("PSD on the part:     ", is_partially_psd(k, p))
 
-g = conv_blocks(k, p).gram["s"]
+g = conv_blocks(k, p)["s"]
 print("\nstacked Gram matrix (3 x 3):")
 print(np.array_str(g.real, precision=3))
 

@@ -36,9 +36,9 @@ print("partially PSD:", is_partially_psd(k, p))
 
 kp, km, cert = jordan_split(k, p)
 print("split certificate:", cert["s"])
-g = conv_blocks(k, p).gram["s"]
-gp = conv_blocks(kp, p).gram["s"]
-gm = conv_blocks(km, p).gram["s"]
+g = conv_blocks(k, p)["s"]
+gp = conv_blocks(kp, p)["s"]
+gm = conv_blocks(km, p)["s"]
 print(f"reconstruction ||G+ - G- - G||_F = {frob(gp - gm - g):.2e}")
 print("both split parts PSD:",
       is_partially_psd(kp, p) and is_partially_psd(km, p))

@@ -2,9 +2,11 @@
 
 An instance file is one JSON object holding the four documents. Complex
 matrices are stored as separate real and imaginary coefficient arrays, so
-no string parsing of numbers is involved. Omitted kernel entries are zero
-blocks. Serialization is canonical (sorted keys, sorted table rows), so
-identical instances produce identical bytes and a stable digest.
+no string parsing of numbers is involved. Labels are strings, and a label or
+document part of another JSON type raises ParseError (matrix entries still
+read booleans as numbers). Omitted kernel entries are zero blocks.
+Serialization is canonical (sorted keys, sorted table rows, nonzero blocks
+only), so identical instances produce identical bytes and a stable digest.
 """
 
 import json
@@ -81,7 +83,22 @@ def semigroupoid_to_doc(sg: StarSemigroupoid) -> dict:
     return doc
 
 
+def _expect(value, kind, where):
+    """value, if it has the type kind: dict (a JSON object), list (an array) or str."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _row(row, n, where):
+    """A table row: an array of n labels."""
+    if not isinstance(row, list) or len(row) != n or not all(isinstance(g, str) for g in row):
+        raise ParseError(f"{where} {row!r} is not a {'pair' if n == 2 else 'triple'} of labels")
+    return row
+
+
 def _require_keys(doc, keys, where):
+    _expect(doc, dict, where)
     for k in keys:
         if k not in doc:
             raise ParseError(f"{where}: missing required key {k!r}")
@@ -89,38 +106,36 @@ def _require_keys(doc, keys, where):
 
 def semigroupoid_from_doc(doc) -> StarSemigroupoid:
     _require_keys(doc, ("symbols", "elements", "compose", "star"), "semigroupoid")
-    symbols = tuple(doc["symbols"])
+    symbols = tuple(_expect(s, str, "semigroupoid symbol")
+                    for s in _expect(doc["symbols"], list, "semigroupoid symbols"))
     ids, d, c = [], {}, {}
-    for row in doc["elements"]:
+    for row in _expect(doc["elements"], list, "semigroupoid elements"):
         _require_keys(row, ("id", "d", "c"), "semigroupoid element")
-        ids.append(row["id"])
-        d[row["id"]] = row["d"]
-        c[row["id"]] = row["c"]
+        g = _expect(row["id"], str, "semigroupoid element id")
+        ids.append(g)
+        d[g] = _expect(row["d"], str, f"domain of {g!r}")
+        c[g] = _expect(row["c"], str, f"codomain of {g!r}")
     known = set(ids)
     compose = {}
-    for row in doc["compose"]:
-        if len(row) != 3:
-            raise ParseError(f"compose row {row!r} is not a triple")
-        a, b, ab = row
+    for row in _expect(doc["compose"], list, "semigroupoid compose"):
+        a, b, ab = _row(row, 3, "compose row")
         for g in (a, b, ab):
             if g not in known:
                 raise CrossRefError(f"compose row {row!r} references unknown element {g!r}")
         compose[(a, b)] = ab
     star = {}
-    for row in doc["star"]:
-        if len(row) != 2:
-            raise ParseError(f"star row {row!r} is not a pair")
-        a, astar = row
+    for row in _expect(doc["star"], list, "semigroupoid star"):
+        a, astar = _row(row, 2, "star row")
         for g in (a, astar):
             if g not in known:
                 raise CrossRefError(f"star row {row!r} references unknown element {g!r}")
         star[a] = astar
     units = doc.get("units")
     if units is not None:
-        for s, e in units.items():
+        for s, e in _expect(units, dict, "semigroupoid units").items():
             if s not in set(symbols):
                 raise CrossRefError(f"unit declared for unknown symbol {s!r}")
-            if e not in known:
+            if _expect(e, str, f"unit of {s!r}") not in known:
                 raise CrossRefError(f"unit {e!r} is not a declared element")
         units = dict(units)
     try:
@@ -138,18 +153,16 @@ def action_to_doc(act: LeftAction) -> dict:
 
 def action_from_doc(doc, sg: StarSemigroupoid) -> LeftAction:
     _require_keys(doc, ("anchor", "act"), "action")
-    anchor = dict(doc["anchor"])
+    anchor = dict(_expect(doc["anchor"], dict, "action anchor"))
     base = tuple(sorted(anchor))
     elts = set(sg.elements)
     syms = set(sg.symbols)
     for x, s in anchor.items():
-        if s not in syms:
+        if _expect(s, str, f"anchor of {x!r}") not in syms:
             raise CrossRefError(f"anchor of {x!r} names unknown symbol {s!r}")
     table = {}
-    for row in doc["act"]:
-        if len(row) != 3:
-            raise ParseError(f"act row {row!r} is not a triple")
-        g, x, y = row
+    for row in _expect(doc["act"], list, "action act"):
+        g, x, y = _row(row, 3, "act row")
         if g not in elts:
             raise CrossRefError(f"act row {row!r} references unknown element {g!r}")
         if x not in anchor or y not in anchor:
@@ -167,9 +180,9 @@ def bundle_to_doc(bundle: HilbertBundle) -> dict:
 
 def bundle_from_doc(doc, base=None) -> HilbertBundle:
     _require_keys(doc, ("dims",), "bundle")
-    dims = doc["dims"]
+    dims = _expect(doc["dims"], dict, "bundle dims")
     for x, n in dims.items():
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # a JSON true is no dimension
             raise ParseError(f"bundle dim of {x!r} must be a positive integer, got {n!r}")
     points = tuple(sorted(dims))
     if base is not None and set(points) != set(base):
@@ -182,10 +195,8 @@ def bundle_from_doc(doc, base=None) -> HilbertBundle:
 
 
 def kernel_to_doc(k: OpKernel) -> dict:
-    entries = []
-    for x, y in sorted(k.blocks):
-        m = k.blocks[(x, y)]
-        entries.append({"row": x, "col": y, **matrix_to_doc(m)})
+    blocks = k.blocks
+    entries = [{"row": x, "col": y, **matrix_to_doc(blocks[(x, y)])} for x, y in sorted(blocks)]
     return {"field": "complex", "entries": entries}
 
 
@@ -195,9 +206,10 @@ def kernel_from_doc(doc, bundle: HilbertBundle) -> OpKernel:
         raise ParseError(f"kernel field must be 'complex', got {doc['field']!r}")
     pts = set(bundle.points)
     blocks = {}
-    for entry in doc["entries"]:
+    for entry in _expect(doc["entries"], list, "kernel entries"):
         _require_keys(entry, ("row", "col", "re"), "kernel entry")
-        x, y = entry["row"], entry["col"]
+        x = _expect(entry["row"], str, "kernel entry row")
+        y = _expect(entry["col"], str, "kernel entry col")
         if x not in pts or y not in pts:
             raise CrossRefError(f"kernel entry ({x!r},{y!r}) references an unknown point")
         if (x, y) in blocks:

@@ -107,7 +107,7 @@ def minimal_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_T
     """
     if not is_partially_psd(k, p, tol):
         raise NotPartiallyPSD("kernel must be PSD on every part")
-    gram = dict(conv_blocks(k, p).gram)
+    gram = conv_blocks(k, p)
     rank, factor = {}, {}
     for label, g in gram.items():
         factor[label], rank[label] = numlin.psd_root_factor(g, tol, tie_break=tie_break)

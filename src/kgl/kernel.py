@@ -1,16 +1,16 @@
 """Operator-valued kernels over a bundle, and their partition calculus.
 
-A kernel stores one complex block per (row point, column point) pair; the
-block at (x, y) is the operator from the fiber at y to the fiber at x.
-Absent blocks are zero. All definiteness and symmetry notions are partial:
-they read only the within-part blocks of a partition of the base set
-(usually the one induced by an action's anchor map). Cross-part blocks may
-be stored but are ignored by every partition-relative operation.
+A kernel is one dense N x N Gram matrix (16 N^2 bytes) over the total fiber
+dimension N, in bundle point order; the block at (x, y), the operator from
+the fiber at y to the fiber at x, is a read-only view into it. Definiteness
+and symmetry are partial: they read only the part Grams, the within-part
+blocks of a partition of the base (usually an action's anchor partition).
+Cross-part blocks may be stored but no partition-relative operation reads them.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,6 +21,7 @@ from .errors import (
     BundleMismatch,
     CrossPartSupport,
     InvalidSemigroupoid,
+    NonFinite,
     NotHermitian,
     NotPSD,
     OrbitBundleNotTrivial,
@@ -34,7 +35,6 @@ from .sgpd import LeftAction, StarSemigroupoid, orbit_trivial_bundle
 __all__ = [
     "OpKernel",
     "Partition",
-    "ConvBlocks",
     "partition_from_anchor",
     "partition_from_action",
     "single_partition",
@@ -61,38 +61,53 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class OpKernel:
-    """Sparse block kernel; block (x, y) has shape (dim x, dim y).
+    """Kernel over a bundle, held as one read-only N x N matrix gram; the
+    constructor writes each block (x, y) given, of shape (dim x, dim y)."""
 
-    The blocks are read-only copies, and the block table must not be
-    changed after construction: the Gram matrix of each part is assembled
-    once (see conv_blocks) and kept with the kernel.
-    """
-
-    bundle: HilbertBundle
-    blocks: dict = field(default_factory=dict)
-    _grams: dict = field(default_factory=dict, init=False, repr=False)  # part layout -> Gram
-
-    def __post_init__(self):
-        checked = {}
-        for (x, y), m in self.blocks.items():
-            self.bundle.require(x)
-            self.bundle.require(y)
+    def __init__(self, bundle: HilbertBundle, blocks: dict = None):
+        index = part_index(bundle, bundle.points)
+        gram = np.zeros((index.total_dim, index.total_dim), dtype=np.complex128)
+        for (x, y), m in (blocks or {}).items():
+            bundle.require(x)
+            bundle.require(y)
             a = numlin.as_cmatrix(m)
-            want = (self.bundle.dim[x], self.bundle.dim[y])
+            want = (bundle.dim[x], bundle.dim[y])
             if a.shape != want:
                 raise ShapeMismatch(f"block ({x!r},{y!r}) has shape {a.shape}, expected {want}")
-            a.setflags(write=False)
-            checked[(x, y)] = a
-        self.blocks = checked
+            gram[index.slice_of(x), index.slice_of(y)] = a
+        self._set(index, gram)
+
+    def _set(self, index: PartIndex, gram: np.ndarray):
+        gram.setflags(write=False)
+        self.bundle = index.bundle
+        self._index = index
+        self.gram = gram
 
     def block(self, x, y) -> np.ndarray:
+        """The block at (x, y): a read-only view into gram."""
         self.bundle.require(x)
         self.bundle.require(y)
-        if (x, y) in self.blocks:
-            return self.blocks[(x, y)]
-        return np.zeros((self.bundle.dim[x], self.bundle.dim[y]), dtype=np.complex128)
+        return self.gram[self._index.slice_of(x), self._index.slice_of(y)]
+
+    @property
+    def blocks(self) -> dict:
+        """The nonzero blocks, keyed by (row point, column point), as views into gram."""
+        pts = self._index.part
+        cut = [self._index.slice_of(x) for x in pts]
+        starts = [c.start for c in cut]
+        nonzero = np.add.reduceat(np.add.reduceat(self.gram != 0, starts, axis=0), starts, axis=1)
+        return {(pts[i], pts[j]): self.gram[cut[i], cut[j]]
+                for i, j in zip(*np.nonzero(nonzero))}
+
+
+def _from_gram(index: PartIndex, gram: np.ndarray) -> OpKernel:
+    """The kernel whose Gram matrix is gram, a fresh array in the whole base's layout index."""
+    if not np.isfinite(gram).all():
+        raise NonFinite("kernel has NaN or Inf entries")
+    k = object.__new__(OpKernel)
+    k._set(index, gram)
+    return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,14 +120,6 @@ class Partition:
 
     def index(self, label) -> PartIndex:
         return self.parts[label]
-
-
-@dataclass(eq=False)
-class ConvBlocks:
-    """Per part, the big Gram block matrix carrying the kernel's form."""
-
-    partition: Partition
-    gram: dict  # label -> ndarray of shape (total_dim, total_dim)
 
 
 def partition_from_anchor(bundle: HilbertBundle, anchor: dict) -> Partition:
@@ -159,35 +166,23 @@ def zero_kernel(bundle: HilbertBundle) -> OpKernel:
 
 def identity_kernel(bundle: HilbertBundle, scale=1.0) -> OpKernel:
     """Diagonal kernel with scale times the identity on every fiber."""
-    blocks = {
-        (x, x): scale * np.eye(bundle.dim[x], dtype=np.complex128) for x in bundle.points
-    }
-    return OpKernel(bundle, blocks)
+    index = part_index(bundle, bundle.points)
+    return _from_gram(index, scale * np.eye(index.total_dim, dtype=np.complex128))
 
 
 def kernel_lincomb(coeffs, kernels) -> OpKernel:
-    """Linear combination of kernels over one bundle, block by block."""
+    """Linear combination of kernels over one bundle."""
     ks = list(kernels)
     if not ks:
         raise ValueError("need at least one kernel")
-    bundle = ks[0].bundle
-    for k in ks[1:]:
-        if k.bundle != bundle:
-            raise BundleMismatch("kernels live over different bundles")
-    keys = set()
-    for k in ks:
-        keys.update(k.blocks)
-    out = {}
-    for x, y in keys:
-        acc = sum(co * k.block(x, y) for co, k in zip(coeffs, ks))
-        if np.asarray(acc).any():
-            out[(x, y)] = acc
-    return OpKernel(bundle, out)
+    if any(k.bundle != ks[0].bundle for k in ks[1:]):
+        raise BundleMismatch("kernels live over different bundles")
+    total = sum((co * k.gram for co, k in zip(coeffs, ks)), np.zeros_like(ks[0].gram))
+    return _from_gram(ks[0]._index, total)
 
 
 def adjoint_kernel(k: OpKernel) -> OpKernel:
-    out = {(y, x): m.conj().T for (x, y), m in k.blocks.items()}
-    return OpKernel(k.bundle, out)
+    return _from_gram(k._index, k.gram.conj().T)
 
 
 def re_im(k: OpKernel):
@@ -198,51 +193,46 @@ def re_im(k: OpKernel):
     return re, im
 
 
+def _coordinates(whole: PartIndex, idx: PartIndex) -> np.ndarray:
+    """A part's coordinates in the whole base's; both follow bundle point order."""
+    inside = [x in idx.offsets for x in whole.part]
+    return np.flatnonzero(np.repeat(inside, [whole.bundle.dim[x] for x in whole.part]))
+
+
 def kernel_from_part_grams(p: Partition, grams: dict) -> OpKernel:
-    """Rebuild a kernel whose within-part blocks are slices of given matrices."""
-    blocks = {}
+    """The kernel whose within-part blocks are those of the given part Gram
+    matrices; cross-part blocks and parts not given are zero."""
+    whole = part_index(p.bundle, p.bundle.points)
+    gram = np.zeros((whole.total_dim, whole.total_dim), dtype=np.complex128)
     for label, g in grams.items():
         idx = p.index(label)
         m = numlin.as_cmatrix(g)
         if m.shape != (idx.total_dim, idx.total_dim):
             raise ShapeMismatch(f"part {label!r}: matrix {m.shape} vs total dim {idx.total_dim}")
-        for x in idx.part:
-            for y in idx.part:
-                b = m[idx.slice_of(x), idx.slice_of(y)]
-                if b.any():
-                    blocks[(x, y)] = b.copy()
-    return OpKernel(p.bundle, blocks)
+        c = _coordinates(whole, idx)
+        gram[np.ix_(c, c)] = m
+    return _from_gram(whole, gram)
 
 
-def conv_blocks(k: OpKernel, p: Partition) -> ConvBlocks:
-    """The per-part Gram block matrices in the fixed point order, read-only.
-
-    A part's Gram matrix depends only on the part's layout (its points and
-    their offsets), so each is assembled once per kernel and kept with it.
-    """
+def conv_blocks(k: OpKernel, p: Partition) -> dict:
+    """Per part label, the part's Gram matrix: gram restricted to the part's
+    coordinates, in point order, read-only."""
     if k.bundle != p.bundle:
         raise BundleMismatch("kernel and partition bundles differ")
-    gram = {}
+    grams = {}
     for label, idx in p.parts.items():
-        layout = (idx.part, tuple(idx.offsets[x] for x in idx.part), idx.total_dim)
-        g = k._grams.get(layout)
-        if g is None:
-            g = np.zeros((idx.total_dim, idx.total_dim), dtype=np.complex128)
-            for x in idx.part:
-                for y in idx.part:
-                    if (x, y) in k.blocks:
-                        g[idx.slice_of(x), idx.slice_of(y)] = k.blocks[(x, y)]
-            g.setflags(write=False)
-            k._grams[layout] = g
-        gram[label] = g
-    return ConvBlocks(partition=p, gram=gram)
+        c = _coordinates(k._index, idx)
+        g = k.gram[np.ix_(c, c)]
+        g.setflags(write=False)
+        grams[label] = g
+    return grams
 
 
 def hermitian_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> list:
     """One kernel/hermitian record per part: the Hermitian residual of its
     Gram matrix against atol * max(1, its Frobenius norm)."""
     records = []
-    for label, g in conv_blocks(k, p).gram.items():
+    for label, g in conv_blocks(k, p).items():
         resid = frob(g - g.conj().T)
         bound = tol.atol * max(1.0, frob(g))
         records.append(Record("kernel is Hermitian on the part", "kernel/hermitian",
@@ -255,7 +245,7 @@ def psd_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> lis
     below zero, against the PSD floor. A part that is not Hermitian fails
     with its Hermitian residual."""
     records = []
-    for herm, g in zip(hermitian_records(k, p, tol), conv_blocks(k, p).gram.values()):
+    for herm, g in zip(hermitian_records(k, p, tol), conv_blocks(k, p).values()):
         if not herm.passed:
             records.append(Record("kernel is PSD on the part", "kernel/psd",
                                   herm.residual, herm.tolerance, False,
@@ -297,7 +287,7 @@ def kernel_inner(k: OpKernel, f: Section, g: Section, p: Partition = None) -> co
     if sf != sg:
         raise CrossPartSupport(f"sections live in parts {sf!r} and {sg!r}")
     idx = p.index(sf)
-    gm = conv_blocks(k, p).gram[sf]
+    gm = conv_blocks(k, p)[sf]
     return complex(stack(g, idx).conj() @ gm @ stack(f, idx))
 
 
@@ -366,14 +356,14 @@ def shift_maps(act: LeftAction, bundle: HilbertBundle, p: Partition = None) -> d
     return {g: shift_map(act, bundle, g, p) for g in act.sg.elements}
 
 
-def invariance_bounds(conv: ConvBlocks, sg: StarSemigroupoid,
+def invariance_bounds(grams: dict, sg: StarSemigroupoid,
                       tol: Tolerances = DEFAULT_TOL) -> dict:
     """Per element, the bound its invariance residuals are compared against.
 
     atol times the larger Frobenius scale, floored at 1, of the element's
-    domain and codomain parts.
+    domain and codomain parts, given the part Gram matrices.
     """
-    scale = {s: max(1.0, frob(g)) for s, g in conv.gram.items()}
+    scale = {s: max(1.0, frob(g)) for s, g in grams.items()}
     return {a: tol.atol * max(scale[sg.d[a]], scale[sg.c[a]]) for a in sg.elements}
 
 
@@ -424,9 +414,9 @@ def is_invariant(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
     """
     _require_orbit_trivial(act, k.bundle)
     p = partition_from_action(k.bundle, act)
-    conv = conv_blocks(k, p)
+    grams = conv_blocks(k, p)
     sg = act.sg
-    bounds = invariance_bounds(conv, sg, tol)
+    bounds = invariance_bounds(grams, sg, tol)
     anchor, A = act.code.anchor, act.code.A
     offset, layouts = _part_layouts(p, act)
     for i, alpha in enumerate(sg.elements):
@@ -445,7 +435,7 @@ def is_invariant(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
         if ys:
             rows = np.where(ax_ok, offset[ax] + x_loc, 0)
             cols = np.where(ay_ok, offset[ay] + y_loc, 0)
-            diff = conv.gram[sc][rows] - conv.gram[sd][:, cols]
+            diff = grams[sc][rows] - grams[sd][:, cols]
             sq = np.add.reduceat(diff.real ** 2 + diff.imag ** 2, x_starts, axis=0)
             bad = np.sqrt(np.add.reduceat(sq, y_starts, axis=1)) > bounds[alpha]
         # in (alpha, x, y) order, alpha.x is needed from row x on and each
@@ -476,9 +466,9 @@ def invariance_record(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TO
     and the bound of alpha (see invariance_bounds).
     """
     ok, wit = is_invariant(k, act, tol)
-    conv = conv_blocks(k, partition_from_action(k.bundle, act))
+    grams = conv_blocks(k, partition_from_action(k.bundle, act))
     if ok:
-        bound = tol.atol * max([1.0] + [frob(g) for g in conv.gram.values()])
+        bound = tol.atol * max([1.0] + [frob(g) for g in grams.values()])
         return Record("kernel is invariant under the action", "kernel/invariant",
                       0.0, bound, True)
     alpha, x, y = wit
@@ -486,7 +476,7 @@ def invariance_record(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TO
     ay = act.apply(act.sg.star[alpha], y)
     resid = frob(k.block(ax, y) - k.block(x, ay))
     return Record("kernel is invariant under the action", "kernel/invariant",
-                  resid, invariance_bounds(conv, act.sg, tol)[alpha], False,
+                  resid, invariance_bounds(grams, act.sg, tol)[alpha], False,
                   witness={"element": alpha, "x": x, "y": y})
 
 
@@ -542,7 +532,7 @@ def _psd_grams(l: OpKernel, act: LeftAction, tol: Tolerances):
     p = partition_from_action(l.bundle, act)
     if not is_partially_psd(l, p, tol):
         raise NotPSD("bounded-shift constants are relative to a partially PSD kernel")
-    return p, conv_blocks(l, p).gram
+    return p, conv_blocks(l, p)
 
 
 def _shift_constants(act: LeftAction, p: Partition, grams: dict, tol: Tolerances,

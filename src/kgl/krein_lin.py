@@ -103,8 +103,7 @@ def canonical_dominant(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL)
     Satisfies -L <= K <= L partwise. Taking spectral absolute values does
     not always preserve invariance, so is_invariant decides it per instance.
     """
-    conv = conv_blocks(k, p)
-    grams = {label: numlin.herm_fn(g, "abs", tol) for label, g in conv.gram.items()}
+    grams = {label: numlin.herm_fn(g, "abs", tol) for label, g in conv_blocks(k, p).items()}
     return kernel_from_part_grams(p, grams)
 
 
@@ -133,11 +132,10 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
     """
     if not is_partially_hermitian(k, p, tol):
         raise NotHermitian("Gram operator needs a partially Hermitian kernel")
-    conv_k = conv_blocks(k, p)
-    conv_l = conv_blocks(l, p)
+    grams_k = conv_blocks(k, p)
     factor, ranks, ghat, gaps, contraction, ident = {}, {}, {}, {}, {}, {}
-    for label, g_l in conv_l.gram.items():
-        g_k = conv_k.gram[label]
+    for label, g_l in conv_blocks(l, p).items():
+        g_k = grams_k[label]
         try:
             b_l, r_l = numlin.psd_root_factor(g_l, tol)
         except NotPSD:
@@ -179,9 +177,8 @@ def jordan_split(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
     ranges intersect trivially, which is the finite-dimensional form of
     disjointness of the decomposition.
     """
-    conv = conv_blocks(k, p)
     plus, minus, cert = {}, {}, {}
-    for label, g in conv.gram.items():
+    for label, g in conv_blocks(k, p).items():
         s = numlin.spectrum(g, tol)
         w, u = s.eigenvalues, s.basis
         g_plus = (u * np.clip(w, 0.0, None)) @ u.conj().T
@@ -208,10 +205,10 @@ def split_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
     reconstructs the kernel and that the ranks of the two sides add up.
     """
     k_plus, k_minus, cert = jordan_split(k, p, tol)
-    conv_p, conv_m = conv_blocks(k_plus, p), conv_blocks(k_minus, p)
+    grams_p, grams_m = conv_blocks(k_plus, p), conv_blocks(k_minus, p)
     records = []
-    for label, g in conv_blocks(k, p).gram.items():
-        resid = frob(g - (conv_p.gram[label] - conv_m.gram[label]))
+    for label, g in conv_blocks(k, p).items():
+        resid = frob(g - (grams_p[label] - grams_m[label]))
         bound = tol.atol * max(1.0, frob(g))
         c = cert[label]
         records.append(Record("split reconstructs the kernel", "krein/split",
@@ -261,24 +258,24 @@ def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL
     PSD kernel (the canonical dominant when none is supplied); the two
     routes agree up to a J-unitary map.
     """
-    conv = conv_blocks(k, p)
+    grams = conv_blocks(k, p)
     spaces, wmap = {}, {}
     used_dominant = None
     if via == "direct":
-        for label, g in conv.gram.items():
+        for label, g in grams.items():
             ik = induced_krein(g, tol, tie_break=tie_break)
             spaces[label] = ik.space
             wmap[label] = ik.pi
     elif via == "dominant":
         used_dominant = dominant if dominant is not None else canonical_dominant(k, p, tol)
         gd = gram_operator(k, used_dominant, p, tol)
-        for label in conv.gram:
+        for label in grams:
             ik = induced_krein(gd.ghat[label], tol, tie_break=tie_break)
             spaces[label] = ik.space
             wmap[label] = ik.pi @ gd.dominant_factor[label]
     else:
         raise ValueError(f"unknown construction route {via!r}")
-    return KreinLinearisation(p, dict(conv.gram), spaces, wmap, feature_maps(p, wmap),
+    return KreinLinearisation(p, grams, spaces, wmap, feature_maps(p, wmap),
                               provenance=via, dominant=used_dominant, tie_break=tie_break)
 
 

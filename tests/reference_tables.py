@@ -209,7 +209,7 @@ def is_invariant(k, act, tol=DEFAULT_TOL):
     p = partition_from_action(k.bundle, act)
     conv = conv_blocks(k, p)
     sg = act.sg
-    scale = {s: max(1.0, frob(g)) for s, g in conv.gram.items()}
+    scale = {s: max(1.0, frob(g)) for s, g in conv.items()}
     for alpha in sg.elements:
         sd, sc = sg.d[alpha], sg.c[alpha]
         astar = sg.star[alpha]

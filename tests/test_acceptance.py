@@ -98,7 +98,7 @@ def test_01_psd_factorization_reconstructs_kernel():
     worst = 0.0
     for k, p in _psd_corpus():
         lin = minimal_linearisation(k, p)
-        grams = conv_blocks(k, p).gram
+        grams = conv_blocks(k, p)
         for label, idx in p.parts.items():
             rank = numlin.rank_tol(grams[label], DEFAULT_TOL)
             assert lin.factor[label].shape[0] == rank == lin.rank[label]
@@ -185,9 +185,9 @@ def test_06_hermitian_split_and_indefinite_factorization():
     worst_fact = 0.0
     for k, p in _hermitian_corpus():
         kp, km, cert = jordan_split(k, p)
-        gk = conv_blocks(k, p).gram
-        gp = conv_blocks(kp, p).gram
-        gm = conv_blocks(km, p).gram
+        gk = conv_blocks(k, p)
+        gp = conv_blocks(kp, p)
+        gm = conv_blocks(km, p)
         for label in p.parts:
             scale = max(1.0, frob(gk[label]))
             worst_split = max(worst_split, frob(gp[label] - gm[label] - gk[label]) / scale)

@@ -190,6 +190,38 @@ def test_exit_code_2_on_bad_tolerance_and_duplicate_points(circulant_instance, t
     assert "appears twice" in capsys.readouterr().err
 
 
+def _set(path, value):
+    """A document edit that replaces the value at a key path."""
+    def edit(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("kernel", "entries", 0, "row"), ["x1"]),
+    _set(("kernel", "entries"), 3),
+    _set(("kernel", "entries", 0), 3),
+    _set(("bundle", "dims"), ["x1", "x2"]),
+    _set(("bundle", "dims", "x1"), True),
+    _set(("semigroupoid", "elements", 0, "id"), ["e"]),
+    _set(("semigroupoid", "elements"), 3),
+    _set(("action", "anchor", "x1"), ["s"]),
+    _set(("action", "act", 0), 3),
+], ids=["entry-row-list", "entries-number", "entry-number", "dims-list", "dim-true",
+        "element-id-list", "elements-number", "anchor-value-list", "act-row-number"])
+def test_wrong_json_type_exits_2(circulant_instance, tmp_path, capsys, edit):
+    with open(circulant_instance) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["report", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("kgl: error:")
+
+
 def test_value_error_during_analysis_is_not_bad_input(circulant_instance, monkeypatch):
     from kgl import krein_lin
 

@@ -151,6 +151,38 @@ def test_omitted_kernel_entries_are_zero():
     assert np.allclose(inst.kernel.block("x2", "x2"), [[0.0]])
 
 
+def test_same_content_same_canonical_document():
+    from kgl.bundle import HilbertBundle
+    from kgl.kernel import OpKernel
+
+    sg, act = z2_swap()
+    b = HilbertBundle(points=("x1", "x2"), dim={"x1": 1, "x2": 1})
+    k = OpKernel(b, {("x1", "x1"): [[2.0]], ("x1", "x2"): [[1.0]]})
+    base = formats.instance_to_doc(sg, act, b, k)
+    entries = base["kernel"]["entries"]
+    assert [(e["row"], e["col"]) for e in entries] == [("x1", "x1"), ("x1", "x2")]
+
+    def variant(new_entries):
+        return dict(base, kernel={"field": "complex", "entries": new_entries})
+
+    zero = {"row": "x2", "col": "x1", "re": [[0.0]], "im": [[0.0]]}
+    negative_zero = {"row": "x2", "col": "x2", "re": [[-0.0]], "im": [[-0.0]]}
+    integers = [dict(e, re=[[int(v) for v in r] for r in e["re"]]) for e in entries]
+    no_im = [{k: v for k, v in e.items() if k != "im"} for e in entries]
+    same = [
+        variant(entries + [zero]),
+        variant(entries + [negative_zero]),
+        variant(integers),
+        variant(no_im),
+        variant(entries[::-1]),
+    ]
+    want = formats.loads(json.dumps(base))
+    for doc in same:
+        inst = formats.loads(json.dumps(doc))
+        assert inst.doc == want.doc
+        assert inst.digest == want.digest
+
+
 def test_kernel_file_and_lift_file(tmp_path):
     doc = sample_doc(seed=2)
     inst = formats.loads(json.dumps(doc))

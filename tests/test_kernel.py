@@ -5,7 +5,7 @@ from helpers import (circulant_kernel, merge_monoid, scalar_bundle, scalar_kerne
                      swap_gram_kernel, z2_swap)
 from kgl import kernel as kn
 from kgl.bundle import HilbertBundle, delta_section
-from kgl.errors import ShapeMismatch, UnknownPoint
+from kgl.errors import NonFinite, ShapeMismatch, UnknownPoint
 from kgl.kernel import OpKernel
 from kgl.numlin import DEFAULT_TOL as TOL
 
@@ -42,18 +42,18 @@ def test_adjoint_and_re_im_frozen():
             assert np.allclose(re.block(x, y) + 1j * im.block(x, y), k2.block(x, y))
 
     rez, imz = kn.re_im(kn.zero_kernel(b))
-    assert kn.conv_blocks(rez, p).gram["all"].any() == False
-    assert kn.conv_blocks(imz, p).gram["all"].any() == False
+    assert kn.conv_blocks(rez, p)["all"].any() == False
+    assert kn.conv_blocks(imz, p)["all"].any() == False
 
 
 def test_conv_blocks_frozen():
     k = circulant_kernel(1.0, 1.0)  # constant scalar kernel on 2 points
     p = kn.single_partition(k.bundle)
-    assert np.allclose(kn.conv_blocks(k, p).gram["all"], np.ones((2, 2)))
+    assert np.allclose(kn.conv_blocks(k, p)["all"], np.ones((2, 2)))
 
     b = scalar_bundle(("x1", "x2"))
     ident = kn.identity_kernel(b)
-    assert np.allclose(kn.conv_blocks(ident, p := kn.single_partition(b)).gram["all"],
+    assert np.allclose(kn.conv_blocks(ident, p := kn.single_partition(b))["all"],
                        np.eye(2))
 
     b3 = HilbertBundle(points=("x1", "x2"), dim={"x1": 1, "x2": 2})
@@ -61,7 +61,7 @@ def test_conv_blocks_frozen():
               ("x1", "x2"): np.array([[2.0, 3.0]]),
               ("x2", "x1"): np.array([[2.0], [3.0]]),
               ("x2", "x2"): 4.0 * np.eye(2)}
-    g = kn.conv_blocks(OpKernel(b3, blocks), kn.single_partition(b3)).gram["all"]
+    g = kn.conv_blocks(OpKernel(b3, blocks), kn.single_partition(b3))["all"]
     expected = np.array([[1, 2, 3], [2, 4, 0], [3, 0, 4]], dtype=float)
     assert np.allclose(g, expected)
 
@@ -209,9 +209,22 @@ def test_kernel_lincomb_and_partition_from_anchor():
     k2 = circulant_kernel(1.0, 1.0)
     comb = kn.kernel_lincomb([2.0, -1.0], [k1, k2])
     p = kn.partition_from_anchor(b, {"x1": "s", "x2": "s"})
-    g = kn.conv_blocks(comb, p).gram["s"]
+    g = kn.conv_blocks(comb, p)["s"]
     assert np.allclose(g, [[1.0, -1.0], [-1.0, 1.0]])
     assert p.part_of["x1"] == "s"
+
+
+def test_derived_kernels_reject_non_finite_values():
+    b = scalar_bundle(("x1", "x2"))
+    big = scalar_kernel(("x1", "x2"), {("x1", "x1"): 1.7e308})
+    neg = kn.kernel_lincomb([-1.0], [big])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFinite):
+            kn.kernel_lincomb([1.0, -1.0], [big, neg])
+        with pytest.raises(NonFinite):
+            kn.dominates(big, neg, kn.single_partition(b), TOL)
+    with pytest.raises(NonFinite):
+        kn.identity_kernel(b, scale=np.nan)
 
 
 def test_partition_relative_ops_ignore_cross_part_blocks():
@@ -222,5 +235,5 @@ def test_partition_relative_ops_ignore_cross_part_blocks():
                      ("x1", "x2"): np.array([[5.0]])})  # cross-part, stored but unused
     assert kn.is_partially_psd(k, p, TOL)
     conv = kn.conv_blocks(k, p)
-    assert np.allclose(conv.gram["s"], [[1.0]])
-    assert np.allclose(conv.gram["t"], [[1.0]])
+    assert np.allclose(conv["s"], [[1.0]])
+    assert np.allclose(conv["t"], [[1.0]])

@@ -24,17 +24,17 @@ def test_canonical_dominant_frozen():
     k = swap_gram_kernel()
     p = kn.single_partition(k.bundle)
     l = kl.canonical_dominant(k, p, TOL)
-    g_l = kn.conv_blocks(l, p).gram["all"]
+    g_l = kn.conv_blocks(l, p)["all"]
     assert np.allclose(g_l, np.eye(2), atol=1e-12)  # abs of the swap
 
     kp = circulant_kernel(2.0, 1.0)
     lp = kl.canonical_dominant(kp, p, TOL)
-    g = kn.conv_blocks(kp, p).gram["all"]
-    assert frob(kn.conv_blocks(lp, p).gram["all"] - g) <= 1e-12
+    g = kn.conv_blocks(kp, p)["all"]
+    assert frob(kn.conv_blocks(lp, p)["all"] - g) <= 1e-12
 
     k0 = kn.zero_kernel(k.bundle)
     l0 = kl.canonical_dominant(k0, p, TOL)
-    assert not kn.conv_blocks(l0, p).gram["all"].any()
+    assert not kn.conv_blocks(l0, p)["all"].any()
 
 
 def test_canonical_dominant_invariance_flag():
@@ -85,8 +85,8 @@ def test_jordan_split_frozen():
     k = swap_gram_kernel()
     p = kn.single_partition(k.bundle)
     kp, km, cert = kl.jordan_split(k, p, TOL)
-    gp = kn.conv_blocks(kp, p).gram["all"]
-    gm = kn.conv_blocks(km, p).gram["all"]
+    gp = kn.conv_blocks(kp, p)["all"]
+    gm = kn.conv_blocks(km, p)["all"]
     assert np.allclose(gp, 0.5 * np.array([[1, 1], [1, 1]]), atol=1e-12)
     assert np.allclose(gm, 0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-12)
     c = cert["all"]
@@ -95,12 +95,12 @@ def test_jordan_split_frozen():
 
     kpsd = circulant_kernel(2.0, 1.0)
     _, km2, _ = kl.jordan_split(kpsd, p, TOL)
-    assert not kn.conv_blocks(km2, p).gram["all"].any()
+    assert not kn.conv_blocks(km2, p)["all"].any()
 
     kd = kn.kernel_from_part_grams(p, {"all": np.diag([2.0, -3.0]).astype(complex)})
     kp3, km3, _ = kl.jordan_split(kd, p, TOL)
-    assert np.allclose(kn.conv_blocks(kp3, p).gram["all"], np.diag([2.0, 0.0]))
-    assert np.allclose(kn.conv_blocks(km3, p).gram["all"], np.diag([0.0, 3.0]))
+    assert np.allclose(kn.conv_blocks(kp3, p)["all"], np.diag([2.0, 0.0]))
+    assert np.allclose(kn.conv_blocks(km3, p)["all"], np.diag([0.0, 3.0]))
 
 
 def test_jordan_split_reconstructs_exactly():
@@ -108,9 +108,9 @@ def test_jordan_split_reconstructs_exactly():
     for _ in range(20):
         k, p = random_hermitian_instance(rng)
         kp, km, cert = kl.jordan_split(k, p, TOL)
-        g = kn.conv_blocks(k, p).gram["all"]
-        gp = kn.conv_blocks(kp, p).gram["all"]
-        gm = kn.conv_blocks(km, p).gram["all"]
+        g = kn.conv_blocks(k, p)["all"]
+        gp = kn.conv_blocks(kp, p)["all"]
+        gm = kn.conv_blocks(km, p)["all"]
         assert frob(g - (gp - gm)) <= 1e-12 * max(1.0, frob(g))
         assert kn.is_partially_psd(kp, p, TOL)
         assert kn.is_partially_psd(km, p, TOL)
@@ -130,7 +130,7 @@ def test_jordan_split_certificate_ignores_noise_side():
         c = cert["all"]
         assert c["rank_minus"] == 0 and c["disjoint"]
         assert c["rank_plus"] == c["rank_sum"] == 2
-        assert frob(kn.conv_blocks(km, p).gram["all"]) <= 1e-12
+        assert frob(kn.conv_blocks(km, p)["all"]) <= 1e-12
 
 
 def test_krein_linearisation_swap_frozen():

@@ -151,16 +151,29 @@ def test_stored_arrays_are_read_only():
                 a[...] = 0
 
 
-def test_part_grams_are_assembled_once_and_read_only():
-    from helpers import circulant_kernel, z2_swap
-    from kgl.kernel import partition_from_action
+def test_kernel_gram_and_part_grams_are_read_only():
+    from kgl.bundle import HilbertBundle
+    from kgl.kernel import OpKernel, kernel_from_part_grams, partition_from_anchor
 
-    _, act = z2_swap()
-    k = circulant_kernel(2.0, 1.0)
-    first = conv_blocks(k, partition_from_action(k.bundle, act)).gram["s"]
-    again = conv_blocks(k, partition_from_action(k.bundle, act)).gram["s"]
-    assert again is first
-    with pytest.raises(ValueError):
-        first[0, 0] = 5.0
-    with pytest.raises(ValueError):
-        k.block("x1", "x1")[0, 0] = 5.0
+    b = HilbertBundle(points=("x1", "x2", "x3"), dim={"x1": 1, "x2": 2, "x3": 1})
+    cross = np.array([[5.0, 6.0]])
+    k = OpKernel(b, {("x1", "x1"): [[2.0]], ("x1", "x3"): [[1j]], ("x3", "x1"): [[-1j]],
+                     ("x2", "x2"): np.eye(2), ("x1", "x2"): cross})
+    # part s is (x1, x3): coordinates 0 and 3 of the whole base, not contiguous
+    p = partition_from_anchor(b, {"x1": "s", "x2": "t", "x3": "s"})
+    for a in (k.gram, k.block("x1", "x3"), k.block("x3", "x3")):  # present, absent
+        assert np.shares_memory(a, k.gram)
+        with pytest.raises(ValueError):
+            a[...] = 0
+    grams = conv_blocks(k, p)
+    for label, coords in (("s", [0, 3]), ("t", [1, 2])):
+        assert np.array_equal(grams[label], k.gram[np.ix_(coords, coords)])
+        with pytest.raises(ValueError):
+            grams[label][...] = 0
+    assert np.array_equal(k.block("x1", "x2"), cross)
+    assert not any(np.isin(cross, g).any() for g in grams.values())
+    rebuilt = kernel_from_part_grams(p, grams)
+    assert set(rebuilt.blocks) == set(k.blocks) - {("x1", "x2")}
+    for (x, y), blk in rebuilt.blocks.items():
+        assert np.array_equal(blk, k.block(x, y))
+    assert not rebuilt.block("x1", "x2").any()

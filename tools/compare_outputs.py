@@ -1,0 +1,157 @@
+"""Fingerprint kgl's command outputs, to show that a change leaves them byte-identical.
+
+Writes the seeded `tables` and `spectral` corpora of perfbench (its
+`corpus.py`, imported unchanged) and runs ten commands on every instance,
+in-process and with one BLAS thread:
+
+    report, check hermitian|psd|invariant|bounded-shift, linearize --hilbert|--krein,
+    split, represent --hilbert|--krein
+
+plus `generate` for every family and mode, and `represent --krein --dominant`,
+with and without `--reducibility`, on generated invariant dominant pairs. The
+output JSON maps each run to the SHA-256 of its (exit code, stdout, stderr),
+and each corpus to its digest. Run from the root of a checkout:
+
+    python3 tools/compare_outputs.py --src OLD/src --out old.json
+    python3 tools/compare_outputs.py --src src --out new.json
+    python3 tools/compare_outputs.py --diff old.json new.json
+
+`--diff` prints the keys whose fingerprints differ or that only one side has,
+and exits 1 if there are any.
+"""
+
+import os
+
+# Pin BLAS to one thread before anything can import numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import traceback  # noqa: E402
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+COMMANDS = (
+    ("report",),
+    ("check", "hermitian"),
+    ("check", "psd"),
+    ("check", "invariant"),
+    ("check", "bounded-shift"),
+    ("linearize", "--hilbert"),
+    ("linearize", "--krein"),
+    ("split",),
+    ("represent", "--hilbert"),
+    ("represent", "--krein"),
+)
+FAMILIES = ("pair_groupoid", "group_action", "partial_bijections", "group_as_groupoid")
+MODES = ("psd_invariant", "hermitian_invariant", "arbitrary")
+SEEDS = (1, 2)
+DOMINANT_SEEDS = range(6)
+
+
+def run(argv, scratch):
+    """SHA-256 of one in-process `kgl` run; the scratch path is masked out."""
+    from kgl import cli
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except Exception:  # an uncaught error is an output too: exit 1 and its traceback tail
+            code = 1
+            err.write(traceback.format_exc().strip().splitlines()[-1] + "\n")
+    text = json.dumps([code, out.getvalue(), err.getvalue()]).replace(scratch, "<scratch>")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def corpus_outputs(scratch, result):
+    import corpus
+    for workload in corpus.WORKLOADS:
+        for seed in SEEDS:
+            where = os.path.join(scratch, f"{workload}-{seed}")
+            manifest, _ = corpus.write_corpus(corpus.plan_corpus(workload, seed), where)
+            result["corpus"][f"{workload}/{seed}"] = corpus.corpus_digest(where)
+            for i, entry in enumerate(manifest["instances"]):
+                for command in COMMANDS:
+                    key = f"{workload}/{seed}/{i:03d} {' '.join(command)}"
+                    result["outputs"][key] = run(command + (entry["file"],), scratch)
+
+
+def generated_outputs(scratch, result):
+    from kgl import formats, generators
+    from kgl.errors import UnsupportedFamily
+    for family in FAMILIES:
+        for seed in SEEDS:
+            for mode in MODES:
+                argv = ("generate", "--family", family, "--seed", str(seed), "--mode", mode)
+                result["outputs"][" ".join(argv)] = run(argv, scratch)
+        for seed in DOMINANT_SEEDS:
+            sg, act, bundle, _ = generators.generate_instance(
+                family, seed=seed, mode="hermitian_invariant")
+            try:
+                k, l = generators.invariant_dominant_pair(act, bundle, seed)
+            except UnsupportedFamily:
+                continue
+            inst = os.path.join(scratch, f"pair-{family}-{seed}.json")
+            dom = os.path.join(scratch, f"dominant-{family}-{seed}.json")
+            formats.save_instance(formats.instance_to_doc(sg, act, bundle, k), inst)
+            formats.save_instance({"kernel": formats.kernel_to_doc(l)}, dom)
+            for extra in ((), ("--reducibility",)):
+                argv = ("represent", "--krein", "--dominant", dom) + extra + (inst,)
+                key = f"dominant {family}/{seed} {' '.join(argv[:3] + extra)}"
+                result["outputs"][key] = run(argv, scratch)
+
+
+def fingerprint(src, out):
+    sys.path.insert(0, os.path.abspath(src))
+    sys.path.insert(0, os.path.abspath(PERFBENCH))
+    result = {"seeds": list(SEEDS), "corpus": {}, "outputs": {}}
+    with tempfile.TemporaryDirectory(prefix="kgl-compare-") as scratch:
+        corpus_outputs(scratch, result)
+        generated_outputs(scratch, result)
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(result['outputs'])} outputs, {len(result['corpus'])} corpus digests -> {out}")
+
+
+def diff(path_a, path_b) -> int:
+    with open(path_a, encoding="utf-8") as fh:
+        a = json.load(fh)
+    with open(path_b, encoding="utf-8") as fh:
+        b = json.load(fh)
+    differ = 0
+    for section in ("corpus", "outputs"):
+        for key in sorted(set(a[section]) | set(b[section])):
+            va, vb = a[section].get(key), b[section].get(key)
+            if va != vb:
+                differ += 1
+                side = "" if va and vb else f" (only in {path_a if va else path_b})"
+                print(f"{section}: {key}{side}")
+    total = len(set(a["outputs"]) | set(b["outputs"])) + len(set(a["corpus"]) | set(b["corpus"]))
+    print(f"{differ} of {total} differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", help="directory holding the kgl package")
+    parser.add_argument("--out", help="where to write the fingerprints")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="compare two fingerprint files instead")
+    args = parser.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
+    if not (args.src and args.out):
+        parser.error("--src and --out are required unless --diff is given")
+    fingerprint(args.src, args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
