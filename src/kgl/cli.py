@@ -8,13 +8,13 @@ input or usage was invalid.
 """
 
 import argparse
-import json
 import os
 import sys
 
 from . import generators, hilbert_lin, krein_core, krein_lin, numlin
 from .errors import KernelNotDominated, KglError, PairingViolated
 from .formats import (
+    _canonical_text,
     instance_to_doc,
     load,
     load_kernel_file,
@@ -194,8 +194,7 @@ def cmd_represent(args, tol):
 
 def cmd_lift(args, tol):
     a, b, t, s = load_lift_file(args.problem)
-    digest_src = json.dumps({k: matrix_to_doc(m) for k, m in zip("abts", (a, b, t, s))},
-                            sort_keys=True, separators=(",", ":"))
+    digest_src = _canonical_text({k: matrix_to_doc(m) for k, m in zip("abts", (a, b, t, s))})
     records = []
     scale = max(1.0, opnorm(b) * opnorm(t), opnorm(s) * opnorm(a))
     compat = frob(b @ t - s.conj().T @ a)
@@ -223,7 +222,7 @@ def cmd_generate(args, tol):
     if args.out:
         save_instance(doc, args.out)
     else:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_canonical_text(doc) + "\n")
     return None
 
 

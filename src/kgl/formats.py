@@ -1,28 +1,34 @@
 """JSON file formats for instances: semigroupoid, action, bundle, kernel.
 
 An instance file is one JSON object holding the four documents. Complex
-matrices are stored as separate real and imaginary coefficient arrays, so
-no string parsing of numbers is involved. Labels are strings, and a label or
-document part of another JSON type raises ParseError (matrix entries still
-read booleans as numbers). Omitted kernel entries are zero blocks.
-Serialization is canonical (sorted keys, sorted table rows, nonzero blocks
-only), so identical instances produce identical bytes and a stable digest.
+matrices are stored as separate real and imaginary coefficient arrays of
+JSON numbers (a string of a number, such as "1.5", still reads as that
+number). Labels are strings, and a label or document part of another JSON
+type raises ParseError, as does a JSON true or false among matrix entries
+(numpy would read it as 1.0 or 0.0). Omitted kernel entries are zero
+blocks. Serialization is canonical (sorted keys, sorted table rows, nonzero
+blocks only), so identical instances produce identical documents. The
+instance digest is the SHA-256 of the canonical document's canonical text:
+one line of JSON with sorted keys and no whitespace. save_instance writes a
+document's text in that form, and a newline, so a file saved from an
+Instance (as `kgl generate` does) hashes to its digest; a file in any other
+layout loads to the same digest.
 """
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .bundle import HilbertBundle
+from .bundle import HilbertBundle, part_index
 from .errors import (
     AxiomError,
     CrossRefError,
     MalformedTable,
     ParseError,
-    ShapeMismatch,
 )
-from .kernel import OpKernel, Partition, partition_from_action
+from .kernel import OpKernel, Partition, _from_gram, partition_from_action
 from .reports import digest_of
 from .sgpd import LeftAction, StarSemigroupoid, validate, validate_action
 
@@ -62,12 +68,15 @@ def matrix_from_doc(doc, where="matrix") -> np.ndarray:
     try:
         re = np.asarray(doc["re"], dtype=np.float64)
         im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: not an array of numbers ({exc})")
     if re.shape != im.shape:
         raise ParseError(f"{where}: 're' shape {re.shape} differs from 'im' shape {im.shape}")
     if re.ndim != 2:
         raise ParseError(f"{where}: expected a 2-d array, got ndim={re.ndim}")
+    # numpy would read a JSON true or false as 1.0 or 0.0
+    if bool in set(map(type, chain.from_iterable(chain(doc["re"], doc.get("im", []))))):
+        raise ParseError(f"{where}: not an array of numbers (found a boolean)")
     return re + 1j * im
 
 
@@ -201,24 +210,31 @@ def kernel_to_doc(k: OpKernel) -> dict:
 
 
 def kernel_from_doc(doc, bundle: HilbertBundle) -> OpKernel:
+    """The kernel whose entries doc lists. Each block is checked and written
+    into the Gram as it is read, so the first faulty entry in document order
+    raises; a NaN or Inf raises once every entry has been read."""
     _require_keys(doc, ("field", "entries"), "kernel")
     if doc["field"] != "complex":
         raise ParseError(f"kernel field must be 'complex', got {doc['field']!r}")
     pts = set(bundle.points)
-    blocks = {}
+    index = part_index(bundle, bundle.points)
+    gram = np.zeros((index.total_dim, index.total_dim), dtype=np.complex128)
+    seen = set()
     for entry in _expect(doc["entries"], list, "kernel entries"):
         _require_keys(entry, ("row", "col", "re"), "kernel entry")
         x = _expect(entry["row"], str, "kernel entry row")
         y = _expect(entry["col"], str, "kernel entry col")
         if x not in pts or y not in pts:
             raise CrossRefError(f"kernel entry ({x!r},{y!r}) references an unknown point")
-        if (x, y) in blocks:
+        if (x, y) in seen:
             raise ParseError(f"kernel entry ({x!r},{y!r}) appears twice")
-        blocks[(x, y)] = matrix_from_doc(entry, where=f"kernel entry ({x!r},{y!r})")
-    try:
-        return OpKernel(bundle, blocks)
-    except ShapeMismatch as exc:
-        raise CrossRefError(str(exc))
+        seen.add((x, y))
+        block = matrix_from_doc(entry, where=f"kernel entry ({x!r},{y!r})")
+        want = (bundle.dim[x], bundle.dim[y])
+        if block.shape != want:
+            raise CrossRefError(f"block ({x!r},{y!r}) has shape {block.shape}, expected {want}")
+        gram[index.slice_of(x), index.slice_of(y)] = block
+    return _from_gram(index, gram)
 
 
 @dataclass(eq=False)
@@ -243,8 +259,14 @@ def instance_to_doc(sg, action, bundle, kernel) -> dict:
     }
 
 
+def _canonical_text(doc) -> str:
+    """The canonical JSON text of a document: sorted keys, no whitespace,
+    ASCII only. Saved files hold it and instance digests hash it."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def instance_digest(doc) -> str:
-    return digest_of(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return digest_of(_canonical_text(doc))
 
 
 def parse_instance(doc, strict: bool = True) -> Instance:
@@ -332,11 +354,11 @@ def loads(text: str, strict: bool = True) -> Instance:
 
 
 def save_instance(instance, path):
-    """Write an instance (or a prebuilt document) canonically."""
+    """Write an instance (or a prebuilt document) as compact sorted JSON and a
+    newline; for an Instance this is the text its digest hashes."""
     doc = instance.doc if isinstance(instance, Instance) else instance
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_canonical_text(doc) + "\n")
 
 
 def load_kernel_file(path, bundle: HilbertBundle) -> OpKernel:

@@ -350,10 +350,11 @@ def _shift_norm(act: LeftAction, alpha, p: Partition) -> float:
 
 
 def shift_maps(act: LeftAction, bundle: HilbertBundle, p: Partition = None) -> dict:
-    """All shift matrices, keyed by element."""
+    """All shift matrices, keyed by element; the orbit check runs once."""
+    _require_orbit_trivial(act, bundle)
     if p is None:
         p = partition_from_action(bundle, act)
-    return {g: shift_map(act, bundle, g, p) for g in act.sg.elements}
+    return {g: _shift(act, bundle, g, p) for g in act.sg.elements}
 
 
 def invariance_bounds(grams: dict, sg: StarSemigroupoid,

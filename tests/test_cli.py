@@ -64,6 +64,14 @@ def test_generate_deterministic(tmp_path):
     assert open(p1).read() == open(p2).read()
 
 
+def test_generate_prints_the_bytes_out_writes(tmp_path, capsysbinary):
+    argv = ["generate", "--family", "pair_groupoid", "--seed", "4", "--mode", "arbitrary"]
+    path = tmp_path / "g.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == path.read_bytes()
+
+
 def test_classify_reports_flags(circulant_instance, capsys):
     code, rep = run_json(capsys, ["classify", circulant_instance])
     assert code == 0
@@ -160,6 +168,11 @@ def test_lift_command(tmp_path, capsys):
     assert code == 0 and rep["pass"]
     assert all(r["tag"] == "krein/lift" for r in rep["records"])
     assert len(rep["records"]) == 3
+    doc = json.loads(path.read_text())
+    doc["t"]["re"][0][0] = True
+    path.write_text(json.dumps(doc))
+    assert main(["lift", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("kgl: error:")
 
 
 def test_report_full_pipeline(circulant_instance, capsys):
@@ -185,7 +198,8 @@ def test_exit_code_2_on_bad_tolerance_and_duplicate_points(circulant_instance, t
     assert main(["report", "--atol", "2", circulant_instance]) == 2
     text = open(circulant_instance).read()
     dup = tmp_path / "dup.json"
-    dup.write_text(text.replace('"dims": {', '"dims": {"x1": 1, ', 1))
+    dup.write_text(text.replace('"dims":{', '"dims":{"x1":1,', 1))
+    assert dup.read_text() != text
     assert main(["report", str(dup)]) == 2
     assert "appears twice" in capsys.readouterr().err
 
@@ -210,8 +224,11 @@ def _set(path, value):
     _set(("semigroupoid", "elements"), 3),
     _set(("action", "anchor", "x1"), ["s"]),
     _set(("action", "act", 0), 3),
+    _set(("kernel", "entries", 0, "re"), [[True]]),
+    _set(("kernel", "entries", 0, "im"), [[False]]),
 ], ids=["entry-row-list", "entries-number", "entry-number", "dims-list", "dim-true",
-        "element-id-list", "elements-number", "anchor-value-list", "act-row-number"])
+        "element-id-list", "elements-number", "anchor-value-list", "act-row-number",
+        "entry-re-true", "entry-im-false"])
 def test_wrong_json_type_exits_2(circulant_instance, tmp_path, capsys, edit):
     with open(circulant_instance) as fh:
         doc = json.load(fh)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 
 from helpers import z2_swap
 from kgl import formats, generators
-from kgl.errors import AxiomError, CrossRefError, ParseError
+from kgl.errors import AxiomError, CrossRefError, NonFinite, ParseError
+from kgl.kernel import OpKernel
 from kgl.numlin import DEFAULT_TOL as TOL
 
 
@@ -26,6 +29,22 @@ def test_roundtrip_through_files(tmp_path):
     path2 = tmp_path / "second.json"
     formats.save_instance(doc2, path2)
     assert formats.load(str(path2)).digest == inst.digest
+
+
+def test_saved_file_is_the_canonical_text_its_digest_hashes(tmp_path):
+    doc = sample_doc(seed=3)
+    path = tmp_path / "inst.json"
+    formats.save_instance(doc, path)
+    data = path.read_bytes()
+    assert data == (formats._canonical_text(doc) + "\n").encode("ascii")
+    inst = formats.load(str(path))
+    assert hashlib.sha256(data[:-1]).hexdigest() == inst.digest
+    # a file in the earlier indented layout holds the same content
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    old = formats.load(str(indented))
+    assert old.digest == inst.digest
+    assert old.kernel.gram.tobytes() == inst.kernel.gram.tobytes()
 
 
 def test_load_accepts_split_documents(tmp_path):
@@ -66,6 +85,11 @@ def test_unreadable_values_are_parse_errors(tmp_path):
         formats.matrix_from_doc({"re": [[1.0], [1.0, 2.0]]})
     with pytest.raises(ParseError):
         formats.matrix_from_doc({"re": [["one"]]})
+    with pytest.raises(ParseError):  # an integer beyond the double range
+        formats.matrix_from_doc({"re": [[10 ** 400]]})
+    for doc in ({"re": [[True]]}, {"re": [[1.0, 2.0]], "im": [[0.0, False]]}):
+        with pytest.raises(ParseError, match="boolean"):
+            formats.matrix_from_doc(doc)
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")
     with pytest.raises(ParseError):
@@ -85,6 +109,40 @@ def test_wrong_block_shape_names_the_pair():
     with pytest.raises(CrossRefError) as exc:
         formats.parse_instance(bad)
     assert entry["row"] in str(exc.value)
+
+
+def test_kernel_entry_faults_raise_in_document_order():
+    doc = sample_doc()
+
+    def spoil(entry, fault):
+        if fault == "shape":
+            entry["re"] = [row + [0.0] for row in entry["re"]]
+            entry["im"] = [row + [0.0] for row in entry["im"]]
+        elif fault == "point":
+            entry["row"] = "ghost"
+        else:
+            entry["re"][0][0] = float("nan")
+
+    raised = {"shape": (CrossRefError, "has shape"), "point": (CrossRefError, "unknown point"),
+              "nan": (NonFinite, "NaN or Inf")}
+    for first, second in itertools.permutations(raised, 2):
+        bad = json.loads(json.dumps(doc))
+        spoil(bad["kernel"]["entries"][0], first)
+        spoil(bad["kernel"]["entries"][1], second)
+        kind, message = raised[second if first == "nan" else first]
+        with pytest.raises(kind, match=message):
+            formats.parse_instance(bad)
+
+
+def test_kernel_from_doc_matches_the_block_constructor():
+    for family in ("pair_groupoid", "group_action", "partial_bijections", "group_as_groupoid"):
+        for mode in ("psd_invariant", "hermitian_invariant", "arbitrary"):
+            _, _, bundle, kernel = generators.generate_instance(family, seed=1, mode=mode)
+            kdoc = json.loads(json.dumps(formats.kernel_to_doc(kernel)))
+            blocks = {(e["row"], e["col"]): formats.matrix_from_doc(e) for e in kdoc["entries"]}
+            got = formats.kernel_from_doc(kdoc, bundle).gram
+            assert got.tobytes() == OpKernel(bundle, blocks).gram.tobytes()
+            assert not got.flags.writeable
 
 
 def test_unknown_compose_reference_rejected():

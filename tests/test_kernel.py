@@ -5,7 +5,7 @@ from helpers import (circulant_kernel, merge_monoid, scalar_bundle, scalar_kerne
                      swap_gram_kernel, z2_swap)
 from kgl import kernel as kn
 from kgl.bundle import HilbertBundle, delta_section
-from kgl.errors import NonFinite, ShapeMismatch, UnknownPoint
+from kgl.errors import NonFinite, OrbitBundleNotTrivial, ShapeMismatch, UnknownPoint
 from kgl.kernel import OpKernel
 from kgl.numlin import DEFAULT_TOL as TOL
 
@@ -136,6 +136,24 @@ def test_shift_map_frozen():
     b2 = scalar_bundle(("x0", "x1"))
     psi_t = kn.shift_map(act2, b2, "t")
     assert np.allclose(psi_t, [[1.0, 1.0], [0.0, 0.0]])  # column merge
+
+
+def test_shift_maps_check_the_orbits_once(monkeypatch):
+    from kgl import generators
+
+    sg, act, bundle, _ = generators.generate_instance("partial_bijections", seed=2)
+    want = {g: kn.shift_map(act, bundle, g) for g in sg.elements}
+    calls = []
+    orbit_trivial_bundle = kn.orbit_trivial_bundle
+    monkeypatch.setattr(kn, "orbit_trivial_bundle",
+                        lambda *args: calls.append(1) or orbit_trivial_bundle(*args))
+    got = kn.shift_maps(act, bundle)
+    assert len(calls) == 1
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[g], want[g]) for g in want)
+    uneven = HilbertBundle(points=("x1", "x2"), dim={"x1": 1, "x2": 2})
+    with pytest.raises(OrbitBundleNotTrivial):
+        kn.shift_maps(z2_swap()[1], uneven)
 
 
 def test_is_invariant_frozen():

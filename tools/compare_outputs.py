@@ -10,14 +10,16 @@ in-process and with one BLAS thread:
 plus `generate` for every family and mode, and `represent --krein --dominant`,
 with and without `--reducibility`, on generated invariant dominant pairs. The
 output JSON maps each run to the SHA-256 of its (exit code, stdout, stderr),
-and each corpus to its digest. Run from the root of a checkout:
+each corpus to its digest (of the file bytes), and each corpus instance to
+its `instance_digest` (of the content), so that a change of the file layout
+reads as files differing with equal content. Run from the root of a checkout:
 
     python3 tools/compare_outputs.py --src OLD/src --out old.json
     python3 tools/compare_outputs.py --src src --out new.json
     python3 tools/compare_outputs.py --diff old.json new.json
 
 `--diff` prints the keys whose fingerprints differ or that only one side has,
-and exits 1 if there are any.
+then a count per section, and exits 1 if there are any.
 """
 
 import os
@@ -52,6 +54,7 @@ COMMANDS = (
 FAMILIES = ("pair_groupoid", "group_action", "partial_bijections", "group_as_groupoid")
 MODES = ("psd_invariant", "hermitian_invariant", "arbitrary")
 SEEDS = (1, 2)
+SECTIONS = ("corpus", "content", "outputs")  # file bytes, instance digests, command outputs
 DOMINANT_SEEDS = range(6)
 
 
@@ -71,14 +74,17 @@ def run(argv, scratch):
 
 def corpus_outputs(scratch, result):
     import corpus
+    from kgl import formats
     for workload in corpus.WORKLOADS:
         for seed in SEEDS:
             where = os.path.join(scratch, f"{workload}-{seed}")
             manifest, _ = corpus.write_corpus(corpus.plan_corpus(workload, seed), where)
             result["corpus"][f"{workload}/{seed}"] = corpus.corpus_digest(where)
             for i, entry in enumerate(manifest["instances"]):
+                name = f"{workload}/{seed}/{i:03d}"
+                result["content"][name] = formats.load(entry["file"], strict=False).digest
                 for command in COMMANDS:
-                    key = f"{workload}/{seed}/{i:03d} {' '.join(command)}"
+                    key = f"{name} {' '.join(command)}"
                     result["outputs"][key] = run(command + (entry["file"],), scratch)
 
 
@@ -110,14 +116,15 @@ def generated_outputs(scratch, result):
 def fingerprint(src, out):
     sys.path.insert(0, os.path.abspath(src))
     sys.path.insert(0, os.path.abspath(PERFBENCH))
-    result = {"seeds": list(SEEDS), "corpus": {}, "outputs": {}}
+    result = {"seeds": list(SEEDS), "corpus": {}, "content": {}, "outputs": {}}
     with tempfile.TemporaryDirectory(prefix="kgl-compare-") as scratch:
         corpus_outputs(scratch, result)
         generated_outputs(scratch, result)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"{len(result['outputs'])} outputs, {len(result['corpus'])} corpus digests -> {out}")
+    print(f"{len(result['outputs'])} outputs, {len(result['corpus'])} corpus digests, "
+          f"{len(result['content'])} content digests -> {out}")
 
 
 def diff(path_a, path_b) -> int:
@@ -125,17 +132,21 @@ def diff(path_a, path_b) -> int:
         a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
-    differ = 0
-    for section in ("corpus", "outputs"):
-        for key in sorted(set(a[section]) | set(b[section])):
-            va, vb = a[section].get(key), b[section].get(key)
+    counts = []
+    for section in SECTIONS:
+        sa, sb = a.get(section, {}), b.get(section, {})
+        keys = sorted(set(sa) | set(sb))
+        differ = 0
+        for key in keys:
+            va, vb = sa.get(key), sb.get(key)
             if va != vb:
                 differ += 1
                 side = "" if va and vb else f" (only in {path_a if va else path_b})"
                 print(f"{section}: {key}{side}")
-    total = len(set(a["outputs"]) | set(b["outputs"])) + len(set(a["corpus"]) | set(b["corpus"]))
-    print(f"{differ} of {total} differ")
-    return 1 if differ else 0
+        counts.append((section, differ, len(keys)))
+    for section, differ, total in counts:
+        print(f"{section}: {differ} of {total} differ")
+    return 1 if any(differ for _, differ, _ in counts) else 0
 
 
 def main(argv=None) -> int:
