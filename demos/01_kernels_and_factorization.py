@@ -42,7 +42,7 @@ print("\nstacked Gram matrix (3 x 3):")
 print(np.array_str(g.real, precision=3))
 
 lin = minimal_linearisation(k, p)
-print("\nfactor space dimension:", lin.rank["s"], "(the rank of the Gram matrix)")
+print("\nfactor space dimension:", lin.spaces["s"].dim, "(the rank of the Gram matrix)")
 for x in bundle.points:
     print(f"feature map at {x}: shape {lin.features[x].shape}")
 

@@ -17,7 +17,6 @@ from .bundle import (
     section_from_dict,
 )
 from .hilbert_lin import (
-    HilbertLinearisation,
     HilbertRepresentation,
     RkhsView,
     invariant_representation,
@@ -112,7 +111,7 @@ __all__ = [
     "is_partially_psd", "kernel_from_part_grams", "kernel_inner",
     "kernel_lincomb", "partition_from_action", "partition_from_anchor",
     "psd_records", "shift_map", "shift_maps", "single_partition", "zero_kernel",
-    "HilbertLinearisation", "HilbertRepresentation", "RkhsView",
+    "HilbertRepresentation", "RkhsView",
     "invariant_representation", "minimal_linearisation",
     "partial_isometry_report", "representation_laws", "rkhs",
     "unitary_equivalence", "verify_factorization", "verify_reproducing",

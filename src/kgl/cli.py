@@ -23,11 +23,10 @@ from .formats import (
     save_instance,
 )
 from .kernel import (
-    bounded_shift_constants,
+    bounded_shift_records,
     hermitian_records,
     invariance_record,
     is_invariant,
-    is_partially_psd,
     psd_records,
 )
 from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm
@@ -88,28 +87,20 @@ def cmd_classify(args, tol):
     return Report("classify", inst.digest, _tol_dict(tol), [rec])
 
 
-def _guarded(check, family=krein_lin.KREIN):
-    """The records of check(), or one failing record when a guard of the
-    construction rejects the instance: a kernel the dominant does not
-    dominate, or a shift that does not descend to the quotient. Such an
-    instance is analysed, so its report exits with 1, not 2."""
+def _guarded(check, families=(krein_lin.KREIN,)):
+    """The records of check(), or failing records when a guard of the
+    construction rejects the instance: one for a kernel the dominant does
+    not dominate, or, for a shift that does not descend to the quotient,
+    one per family whose representation it breaks. Such an instance is
+    analysed, so its report exits with 1, not 2."""
     try:
         return check()
     except KernelNotDominated as exc:
         return [Record("dominant kernel dominates the instance kernel", "krein/gram",
                        1.0, 0.5, False, witness=str(exc))]
     except PairingViolated as exc:
-        name, tag = family["well-defined"]
-        return [Record(name, tag, 1.0, 0.5, False, witness=str(exc))]
-
-
-def _hilbert_laws(lin, act, tol, cls):
-    """The Hilbert representation's law and partial-isometry records, _guarded."""
-    def laws():
-        rep = hilbert_lin.represent(lin, act, tol)
-        return (hilbert_lin.representation_laws(rep, tol)
-                + hilbert_lin.partial_isometry_report(rep, cls, tol))
-    return _guarded(laws, hilbert_lin.HILBERT)
+        return [Record(*family["well-defined"], 1.0, 0.5, False, witness=str(exc))
+                for family in families]
 
 
 def cmd_check(args, tol):
@@ -119,16 +110,10 @@ def cmd_check(args, tol):
         records = hermitian_records(k, p, tol)
     elif args.what == "invariant":
         records = [invariance_record(k, inst.action, tol)]
-    else:
+    elif args.what == "psd":
         records = psd_records(k, p, tol)
-    if args.what == "bounded-shift" and all(r.passed for r in records):
-        constants = bounded_shift_constants(k, inst.action, tol)
-        for alpha, m in constants.items():
-            records.append(Record("shifted form is boundedly dominated",
-                                  "kernel/bounded-shift",
-                                  0.0 if m is not None else 1.0, 0.5,
-                                  m is not None,
-                                  witness={"element": alpha, "constant": m}))
+    else:
+        records = bounded_shift_records(k, inst.action, tol)
     return Report(f"check {args.what}", inst.digest, _tol_dict(tol), records)
 
 
@@ -136,13 +121,12 @@ def cmd_linearize(args, tol):
     inst = load(args.instance)
     k, p = inst.kernel, inst.partition
     if args.krein:
-        records = hermitian_records(k, p, tol)
-        build = krein_lin.krein_linearisation
+        records, family = hermitian_records(k, p, tol), krein_lin.KREIN
     else:
-        records = psd_records(k, p, tol)
-        build = hilbert_lin.minimal_linearisation
+        records, family = psd_records(k, p, tol), hilbert_lin.HILBERT
     if all(r.passed for r in records):
-        records.extend(krein_lin.rk_krein_space(build(k, p, tol), tol)[1])
+        view_records = krein_lin.rk_krein_space(krein_lin.krein_linearisation(k, p, tol), tol)[1]
+        records.extend(krein_lin.rekey(view_records, krein_lin.KREIN, family))
     route = "krein" if args.krein else "hilbert"
     return Report(f"linearize --{route}", inst.digest, _tol_dict(tol), records)
 
@@ -169,8 +153,12 @@ def cmd_represent(args, tol):
         records = psd_records(k, p, tol)
         records.append(invariance_record(k, act, tol))
         if all(r.passed for r in records):
-            hlin = hilbert_lin.minimal_linearisation(k, p, tol)
-            records.extend(_hilbert_laws(hlin, act, tol, classify(inst.sg)))
+            lin, cls = krein_lin.krein_linearisation(k, p, tol), classify(inst.sg)
+
+            def laws():
+                rep = hilbert_lin.represent(lin, act, tol)
+                return rep.records + hilbert_lin.partial_isometry_report(rep, cls, tol)
+            records.extend(_guarded(laws, (hilbert_lin.HILBERT,)))
         return Report("represent --hilbert", inst.digest, _tol_dict(tol), records)
 
     records = hermitian_records(k, p, tol)
@@ -237,7 +225,8 @@ def cmd_report(args, tol):
     herm_records = hermitian_records(k, p, tol)
     records.extend(herm_records)
     hermitian = all(r.passed for r in herm_records)
-    psd = hermitian and is_partially_psd(k, p, tol)
+    lin = krein_lin.krein_linearisation(k, p, tol) if hermitian else None
+    psd = hermitian and hilbert_lin.is_definite(lin)
     invariant = hermitian and is_invariant(k, act, tol)[0]
     profile = {
         "is_groupoid": cls.is_groupoid,
@@ -251,18 +240,23 @@ def cmd_report(args, tol):
         return Report("report", inst.digest, _tol_dict(tol), records)
 
     records.extend(krein_lin.split_records(k, p, tol)[2])
-    lin = krein_lin.krein_linearisation(k, p, tol)
-    records.extend(krein_lin.rk_krein_space(lin, tol)[1])
+    view_records = krein_lin.rk_krein_space(lin, tol)[1]
+    records.extend(view_records)
     dominant = krein_lin.canonical_dominant(k, p, tol)
     records.extend(_guarded(lambda: krein_lin.uniqueness_report(k, dominant, p, tol)))
 
+    # a partially PSD kernel's Hilbert records are its Krein records, rekeyed
     if psd:
-        hlin = hilbert_lin.minimal_linearisation(k, p, tol)
-        records.extend(krein_lin.rk_krein_space(hlin, tol)[1])
+        records.extend(krein_lin.rekey(view_records, krein_lin.KREIN, hilbert_lin.HILBERT))
     if invariant:
-        records.extend(_guarded(lambda: krein_lin.represent(lin, act, tol).records))
-    if invariant and psd:
-        records.extend(_hilbert_laws(hlin, act, tol, cls))
+        def laws():
+            rep = krein_lin.represent(lin, act, tol)
+            if not psd:
+                return rep.records
+            hrep = hilbert_lin.definite_representation(rep, tol)
+            return rep.records + hrep.records + hilbert_lin.partial_isometry_report(hrep, cls, tol)
+        families = (krein_lin.KREIN, hilbert_lin.HILBERT) if psd else (krein_lin.KREIN,)
+        records.extend(_guarded(laws, families))
     return Report("report", inst.digest, _tol_dict(tol), records)
 
 

@@ -2,10 +2,10 @@
 
 An instance file is one JSON object holding the four documents. Complex
 matrices are stored as separate real and imaginary coefficient arrays of
-JSON numbers (a string of a number, such as "1.5", still reads as that
-number). Labels are strings, and a label or document part of another JSON
-type raises ParseError, as does a JSON true or false among matrix entries
-(numpy would read it as 1.0 or 0.0). Omitted kernel entries are zero
+JSON numbers. Labels are strings, and a label or document part of another
+JSON type raises ParseError, as does a matrix entry that is not a JSON
+number: a JSON true or false, or a string such as "1.5" (numpy would read
+them as 1.0, 0.0 and 1.5). Omitted kernel entries are zero
 blocks. Serialization is canonical (sorted keys, sorted table rows, nonzero
 blocks only), so identical instances produce identical documents. The
 instance digest is the SHA-256 of the canonical document's canonical text:
@@ -74,9 +74,11 @@ def matrix_from_doc(doc, where="matrix") -> np.ndarray:
         raise ParseError(f"{where}: 're' shape {re.shape} differs from 'im' shape {im.shape}")
     if re.ndim != 2:
         raise ParseError(f"{where}: expected a 2-d array, got ndim={re.ndim}")
-    # numpy would read a JSON true or false as 1.0 or 0.0
-    if bool in set(map(type, chain.from_iterable(chain(doc["re"], doc.get("im", []))))):
-        raise ParseError(f"{where}: not an array of numbers (found a boolean)")
+    # numpy would read a JSON true or false as 1.0 or 0.0, and "1.5" as 1.5
+    odd = set(map(type, chain.from_iterable(chain(doc["re"], doc.get("im", []))))) - {int, float}
+    if odd:
+        found = "boolean" if bool in odd else "string"
+        raise ParseError(f"{where}: not an array of numbers (found a {found})")
     return re + 1j * im
 
 

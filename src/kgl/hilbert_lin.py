@@ -1,47 +1,37 @@
 """Minimal Hilbert-space factorizations of partially PSD kernels.
 
-Per partition part, the Gram block matrix G is factored as G = B* B with
-B of full row rank; the columns of B belonging to a point x form the
-feature map V_x, so that K(x, y) = V_x* V_y within the part. This is the
-case J = I of the Krein pipeline: a HilbertLinearisation exposes B as its
-stacked map and hilbert_space(rank) as its part spaces, and the checks of
-krein_lin (factorization, reproducing kernel, canonical unitary,
-represented shifts and their laws) certify it under the names and tags of
-the hilbert family below. Only what has no indefinite counterpart lives
-here: the bounded-shift constants with their consistency record, and the
-partial-isometry law of inverse semigroupoids.
-As in krein_lin, a representation is built from a linearisation (represent).
+A partially PSD kernel is the case J = I of a partially Hermitian one: its
+direct Krein linearisation has signature (r, 0) on every part, so each
+part's stacked map B has G = B* B and full row rank, and its columns at x
+form the feature map V_x with K(x, y) = V_x* V_y. minimal_linearisation is
+that KreinLinearisation with the hilbert family below, so the checks of
+krein_lin certify it under the hilbert names and tags. Only what has no
+indefinite counterpart lives here: the bounded-shift constants with their
+consistency record, and the partial-isometry law of inverse semigroupoids.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from . import krein_lin, numlin
+from . import krein_lin
 from .errors import NotInvariant, NotPartiallyPSD
-from .kernel import (
-    OpKernel,
-    Partition,
-    _shift_constants,
-    conv_blocks,
-    is_invariant,
-    is_partially_psd,
-)
-from .krein_core import hilbert_space
+from .kernel import OpKernel, Partition, _shift_constants, is_invariant, is_partially_psd
 from .numlin import DEFAULT_TOL, Tolerances, frob
 from .reports import Record
 from .sgpd import Classification, LeftAction
 
 __all__ = [
     "HILBERT",
-    "HilbertLinearisation",
     "RkhsView",
     "HilbertRepresentation",
     "minimal_linearisation",
+    "is_definite",
     "verify_factorization",
     "rkhs",
     "verify_reproducing",
     "unitary_equivalence",
     "EquivalenceResult",
+    "definite_representation",
     "represent",
     "invariant_representation",
     "representation_laws",
@@ -63,61 +53,30 @@ HILBERT = {
 }
 
 # The views and checks are those of the Krein pipeline.
-RkhsView = krein_lin.RkKreinView
+RkhsView = rkhs = krein_lin.RkKreinView  # sections x -> V_x* f
 EquivalenceResult = krein_lin.EquivalenceResult
 verify_factorization = krein_lin.verify_krein_factorization
 verify_reproducing = krein_lin.verify_reproducing
 unitary_equivalence = krein_lin.j_unitary_equivalence
 
 
-@dataclass(eq=False)
-class HilbertLinearisation:
-    """Per part: rank, factor B with G = B*B, and per point the feature map.
-
-    Read as a KreinLinearisation, the stacked map W is B and each part's
-    space is hilbert_space(rank).
-    """
-
-    partition: Partition
-    gram: dict  # part label -> G
-    rank: dict  # part label -> r
-    factor: dict  # part label -> B, shape (r, total_dim)
-    features: dict  # point -> V_x, shape (r, dim x)
-    tie_break: str = "first"
-    family = HILBERT
-
-    def part_label(self, x):
-        return self.partition.part_of[x]
-
-    @property
-    def wmap(self) -> dict:
-        return self.factor
-
-    @cached_property
-    def spaces(self) -> dict:
-        return {label: hilbert_space(r) for label, r in self.rank.items()}
-
-
 def minimal_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL,
-                          tie_break: str = "first") -> HilbertLinearisation:
-    """Factor each part Gram matrix through a space of dimension its rank.
-
-    tie_break picks one of the two deterministic eigendecomposition
-    conventions; both give valid factorizations of the same kernel.
-    """
+                          tie_break: str = "first") -> krein_lin.KreinLinearisation:
+    """The direct linearisation of a partially PSD kernel (NotPartiallyPSD
+    otherwise), in the hilbert family. tie_break picks one of the two
+    deterministic eigendecomposition conventions; both give valid
+    factorizations of the same kernel."""
     if not is_partially_psd(k, p, tol):
         raise NotPartiallyPSD("kernel must be PSD on every part")
-    gram = conv_blocks(k, p)
-    rank, factor = {}, {}
-    for label, g in gram.items():
-        factor[label], rank[label] = numlin.psd_root_factor(g, tol, tie_break=tie_break)
-    return HilbertLinearisation(p, gram, rank, factor, krein_lin.feature_maps(p, factor),
-                                tie_break)
+    lin = krein_lin.krein_linearisation(k, p, tol, tie_break=tie_break)
+    return dataclasses.replace(lin, family=HILBERT)
 
 
-def rkhs(lin: HilbertLinearisation) -> RkhsView:
-    """The factor data reread as a space of sections x -> V_x* f."""
-    return RkhsView(lin)
+def is_definite(lin) -> bool:
+    """Every part space of lin has signature (r, 0). For the direct
+    linearisation of a partially Hermitian kernel, this holds exactly when
+    the kernel is partially PSD."""
+    return all(space.signature[1] == 0 for space in lin.spaces.values())
 
 
 @dataclass(eq=False)
@@ -131,18 +90,33 @@ class HilbertRepresentation(krein_lin.KreinRepresentation):
         return self.psi
 
 
-def represent(lin: HilbertLinearisation, act: LeftAction,
-              tol: Tolerances = DEFAULT_TOL) -> HilbertRepresentation:
-    """Compress the shift matrices of an invariant PSD kernel onto the factors.
-
-    The represented shift of an element is B_c Psi B_d+, built and guarded
-    by krein_lin.represented_shifts (PairingViolated when a shift does not
-    descend to the quotient). The bounded-shift constant of every element,
-    from the part Gram matrices of lin, is kept with it. Invariance is not checked.
-    """
-    psi, norms = krein_lin.represented_shifts(lin, act, tol)
+def definite_representation(rep: krein_lin.KreinRepresentation,
+                            tol: Tolerances = DEFAULT_TOL) -> HilbertRepresentation:
+    """rep, a representation on the linearisation of a partially PSD kernel,
+    with its records rekeyed to the hilbert family, plus the bounded-shift
+    constant of every element and the record that each defined one equals
+    the squared represented norm."""
+    act, lin = rep.action, dataclasses.replace(rep.lin, family=HILBERT)
     constants = _shift_constants(act, lin.partition, lin.gram, tol, act.sg.elements)
-    return HilbertRepresentation(act, lin, psi, norms, shift_constants=constants)
+    resid_bs, wit_bs = 0.0, None
+    for a, m in constants.items():
+        if m is None:
+            continue
+        r = abs(m - rep.norms[a] ** 2) / max(1.0, m)
+        if r > resid_bs:
+            resid_bs, wit_bs = r, (a,)
+    bs_tol = 1e-8
+    records = krein_lin.rekey(rep.records, rep.lin.family, HILBERT)
+    records.append(Record("shift constant equals squared represented norm",
+                          "hilbert/bounded-shift-consistency",
+                          resid_bs, bs_tol, resid_bs <= bs_tol, witness=wit_bs))
+    return HilbertRepresentation(act, lin, rep.psi, rep.norms, records, constants)
+
+
+def represent(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> HilbertRepresentation:
+    """krein_lin.represent (invariance is not checked, PairingViolated when
+    a shift does not descend), read by definite_representation."""
+    return definite_representation(krein_lin.represent(lin, act, tol), tol)
 
 
 def invariant_representation(k: OpKernel, act: LeftAction, p: Partition,
@@ -157,20 +131,8 @@ def invariant_representation(k: OpKernel, act: LeftAction, p: Partition,
 
 def representation_laws(rep: HilbertRepresentation, tol: Tolerances = DEFAULT_TOL):
     """The laws of krein_representation_laws, then the bounded-shift
-    consistency: each defined constant equals the squared represented norm."""
-    records = krein_lin.krein_representation_laws(rep, tol)
-    resid_bs, wit_bs = 0.0, None
-    for a, m in rep.shift_constants.items():
-        if m is None:
-            continue
-        r = abs(m - rep.norms[a] ** 2) / max(1.0, m)
-        if r > resid_bs:
-            resid_bs, wit_bs = r, (a,)
-    bs_tol = 1e-8
-    records.append(Record("shift constant equals squared represented norm",
-                          "hilbert/bounded-shift-consistency",
-                          resid_bs, bs_tol, resid_bs <= bs_tol, witness=wit_bs))
-    return records
+    consistency: the records rep was built with (tol is not read)."""
+    return list(rep.records)
 
 
 def partial_isometry_report(rep: HilbertRepresentation, cls: Classification,

@@ -58,6 +58,7 @@ __all__ = [
     "invariance_record",
     "bounded_shift_constant",
     "bounded_shift_constants",
+    "bounded_shift_records",
 ]
 
 
@@ -242,8 +243,8 @@ def hermitian_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) 
 
 def psd_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> list:
     """One kernel/psd record per part: how far its lowest eigenvalue lies
-    below zero, against the PSD floor. A part that is not Hermitian fails
-    with its Hermitian residual."""
+    below zero, against the eigenvalue cutoff. A part that is not Hermitian
+    fails with its Hermitian residual."""
     records = []
     for herm, g in zip(hermitian_records(k, p, tol), conv_blocks(k, p).values()):
         if not herm.passed:
@@ -253,7 +254,7 @@ def psd_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> lis
             continue
         s = numlin.spectrum(g, tol)
         records.append(Record("kernel is PSD on the part", "kernel/psd",
-                              s.psd_violation, -s.floor, s.is_psd, witness=herm.witness))
+                              s.psd_violation, s.cutoff, s.is_psd, witness=herm.witness))
     return records
 
 
@@ -573,3 +574,20 @@ def bounded_shift_constants(l: OpKernel, act: LeftAction,
     once for all elements.
     """
     return _shift_constants(act, *_psd_grams(l, act, tol), tol, act.sg.elements)
+
+
+def bounded_shift_records(l: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> list:
+    """The kernel/psd records of l on the action's partition and, when they
+    all pass, one kernel/bounded-shift record per element: whether its
+    bounded_shift_constant is defined. The PSD premise is decided once, by
+    those records."""
+    p = partition_from_action(l.bundle, act)
+    records = psd_records(l, p, tol)
+    if not all(r.passed for r in records):
+        return records
+    _require_orbit_trivial(act, l.bundle)
+    constants = _shift_constants(act, p, conv_blocks(l, p), tol, act.sg.elements)
+    return records + [Record("shifted form is boundedly dominated", "kernel/bounded-shift",
+                             0.0 if m is not None else 1.0, 0.5, m is not None,
+                             witness={"element": alpha, "constant": m})
+                      for alpha, m in constants.items()]

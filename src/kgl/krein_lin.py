@@ -11,12 +11,14 @@ space composed with the L-factor gives the same linearisation up to a
 J-unitary. The dominant route is the one that supports the distinguished
 fundamental symmetries used by the reducibility check.
 
-The Hilbert pipeline of PSD kernels (hilbert_lin) is the case J = I. The
-checks here read a linearisation only through its part spaces, its stacked
-feature maps W, its feature slices and its family, a table giving the name
-and tag of each of its records, so one implementation certifies both:
-factorization and minimality, the reproducing-kernel identities, the
-canonical (J-)unitary, the represented shifts and their laws.
+The Hilbert pipeline of PSD kernels (hilbert_lin) is the case J = I: the
+direct linearisation of a partially PSD kernel, signature (r, 0) on every
+part. The checks here read a linearisation only through its part spaces,
+its stacked feature maps W, its feature slices and its family, a table
+giving the name and tag of each of its records, so one implementation
+certifies both: factorization and minimality, the reproducing-kernel
+identities, the canonical (J-)unitary, the represented shifts and their
+laws.
 
 A representation is built from a linearisation that already exists
 (represent), once the kernel's invariance has been decided.
@@ -54,6 +56,7 @@ from .sgpd import LeftAction
 
 __all__ = [
     "KREIN",
+    "rekey",
     "GramData",
     "KreinLinearisation",
     "RkKreinView",
@@ -95,6 +98,14 @@ KREIN = {
 def _record(family: dict, check: str, resid: float, bound: float, witness) -> Record:
     name, tag = family[check]
     return Record(name, tag, resid, bound, resid <= bound, witness=witness)
+
+
+def rekey(records, source: dict, target: dict) -> list:
+    """Records of the source family as the same records of the target
+    family: each check's name and tag replaced, every number kept."""
+    check = {key: c for c, key in source.items()}
+    return [Record(*target[check[r.name, r.tag]], r.residual, r.tolerance, r.passed,
+                   witness=r.witness) for r in records]
 
 
 def canonical_dominant(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
@@ -226,6 +237,7 @@ class KreinLinearisation:
     features[x] is the column slice of W at x, so K(x, y) = V_x* J V_y
     within each part. provenance records which construction route built
     the object; the dominant kernel is kept when that route was used.
+    family names the records of its checks: KREIN, or HILBERT when J = I.
     """
 
     partition: Partition
@@ -236,7 +248,7 @@ class KreinLinearisation:
     provenance: str  # "direct" or "dominant"
     dominant: OpKernel = None
     tie_break: str = "first"
-    family = KREIN
+    family: dict = field(default_factory=lambda: KREIN)
 
     def part_label(self, x):
         return self.partition.part_of[x]

@@ -7,19 +7,20 @@ made real positive) and exact eigenvalue ties ordered lexicographically by
 the normalized eigenvector coordinates. Two invocations on bit-identical
 input therefore produce bit-identical output.
 
-Three thresholds decide, each in one place:
+Two thresholds decide, each in one place:
 
 - the eigenvalue cutoff ``rank_rel * max|eigenvalue|``: eigenvalues within
   it count as zero for rank, sign, spectral projections, kernel bases,
-  induced Krein spaces and the PSD root factor;
-- the PSD floor ``-atol * max(1, max|eigenvalue|)``: a Hermitian matrix is
-  PSD when no eigenvalue lies below it (``psd_check``, ``herm_fn``
-  "sqrt_psd", ``psd_root_factor``);
+  induced Krein spaces and the PSD root factor, and a Hermitian matrix is
+  PSD exactly when no eigenvalue lies below minus the cutoff (``psd_check``,
+  ``herm_fn`` "sqrt_psd", ``psd_root_factor``), that is when its signature
+  counts no negative direction. The cutoff scales with the matrix, so
+  neither decision depends on the matrix's overall scale;
 - the singular-value cutoff ``rank_rel * largest singular value``, which
   applies only to ``pinv`` and to the minimality records that count
   singular values the same way.
 
-A :class:`Spectrum` carries one canonical decomposition with the first two
+A :class:`Spectrum` carries one canonical decomposition with the cutoff's
 decisions read from it. Inside a :func:`decomposition_store` scope (every
 ``kgl`` command runs in one) each distinct matrix is decomposed, and each
 pseudo-inverse computed, once: results are looked up by a digest of the
@@ -194,14 +195,13 @@ class Spectrum:
     """A canonical eigendecomposition with the decisions read from it.
 
     eigenvalues and basis are those of herm_eig, read-only. cutoff is the
-    eigenvalue cutoff rank_rel * max|eigenvalue| and floor the PSD floor
-    -atol * max(1, max|eigenvalue|) of the tolerances it was made with.
+    eigenvalue cutoff rank_rel * max|eigenvalue| of the tolerances it was
+    made with.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
     cutoff: float
-    floor: float
 
     @cached_property
     def positive(self) -> np.ndarray:
@@ -234,8 +234,8 @@ class Spectrum:
 
     @property
     def is_psd(self) -> bool:
-        """No eigenvalue lies below the PSD floor."""
-        return self.psd_violation <= -self.floor
+        """No eigenvalue lies below minus the cutoff: the signature is (rank, 0)."""
+        return not self.negative.any()
 
     @property
     def gaps(self):
@@ -308,7 +308,7 @@ def spectrum(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") -> Spec
 def _spectrum_of(eig: HermEig, tol: Tolerances) -> Spectrum:
     w = _frozen(eig.eigenvalues)
     top = float(np.max(np.abs(w), initial=0.0))
-    return Spectrum(w, _frozen(eig.basis), tol.rank_rel * top, -tol.atol * max(1.0, top))
+    return Spectrum(w, _frozen(eig.basis), tol.rank_rel * top)
 
 
 def herm_fn(a, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -316,8 +316,8 @@ def herm_fn(a, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     f is "abs", "sqrt_psd", "sign", or a callable mapping a (read-only)
     eigenvalue array to an array. sign sends eigenvalues inside the cutoff
-    to 0; sqrt_psd clamps eigenvalues above the PSD floor to 0 and rejects
-    any below it.
+    to 0; sqrt_psd rejects an eigenvalue below minus the cutoff and clamps
+    the negative ones within it to 0.
     """
     s = spectrum(a, tol)
     w = s.eigenvalues
@@ -327,7 +327,7 @@ def herm_fn(a, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         fw = np.abs(w)
     elif f == "sqrt_psd":
         if not s.is_psd:
-            raise NegativeForSqrt(f"eigenvalue {np.min(w):.3e} below {s.floor:.3e}")
+            raise NegativeForSqrt(f"eigenvalue {np.min(w):.3e} below {-s.cutoff:.3e}")
         fw = np.sqrt(np.clip(w, 0.0, None))
     elif f == "sign":
         fw = np.where(s.positive, 1.0, np.where(s.negative, -1.0, 0.0))
@@ -378,7 +378,7 @@ def rank_tol(a, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def psd_check(a, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian matrix has no eigenvalue below the PSD floor."""
+    """True iff the Hermitian matrix has no eigenvalue below minus the cutoff."""
     return spectrum(a, tol).is_psd
 
 
@@ -396,8 +396,8 @@ def psd_root_factor(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first"):
 
     Returns (B, r) where r counts the eigenvalues above the cutoff and B
     has shape (r, n), built as sqrt(retained eigenvalues) times the adjoint
-    eigenvector block. Negative eigenvalues above the PSD floor are treated
-    as zero; one below it raises NotPSD.
+    eigenvector block, the rows of induced_krein's canonical map. Negative
+    eigenvalues within the cutoff count as zero; one below it raises NotPSD.
     """
     s = spectrum(a, tol, tie_break=tie_break)
     w, u = s.eigenvalues, s.basis

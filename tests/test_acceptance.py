@@ -101,7 +101,7 @@ def test_01_psd_factorization_reconstructs_kernel():
         grams = conv_blocks(k, p)
         for label, idx in p.parts.items():
             rank = numlin.rank_tol(grams[label], DEFAULT_TOL)
-            assert lin.factor[label].shape[0] == rank == lin.rank[label]
+            assert lin.wmap[label].shape[0] == rank == lin.spaces[label].dim
             scale = max(1.0, frob(grams[label]))
             for x in idx.part:
                 for y in idx.part:

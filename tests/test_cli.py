@@ -226,9 +226,10 @@ def _set(path, value):
     _set(("action", "act", 0), 3),
     _set(("kernel", "entries", 0, "re"), [[True]]),
     _set(("kernel", "entries", 0, "im"), [[False]]),
+    _set(("kernel", "entries", 0, "re"), [["1.5"]]),
 ], ids=["entry-row-list", "entries-number", "entry-number", "dims-list", "dim-true",
         "element-id-list", "elements-number", "anchor-value-list", "act-row-number",
-        "entry-re-true", "entry-im-false"])
+        "entry-re-true", "entry-im-false", "entry-re-string"])
 def test_wrong_json_type_exits_2(circulant_instance, tmp_path, capsys, edit):
     with open(circulant_instance) as fh:
         doc = json.load(fh)

@@ -90,6 +90,9 @@ def test_unreadable_values_are_parse_errors(tmp_path):
     for doc in ({"re": [[True]]}, {"re": [[1.0, 2.0]], "im": [[0.0, False]]}):
         with pytest.raises(ParseError, match="boolean"):
             formats.matrix_from_doc(doc)
+    for doc in ({"re": [["1.5"]]}, {"re": [[1.0]], "im": [["0"]]}):
+        with pytest.raises(ParseError, match="string"):
+            formats.matrix_from_doc(doc)
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")
     with pytest.raises(ParseError):

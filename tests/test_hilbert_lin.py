@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ def test_constant_kernel_rank_one_frozen():
     k = circulant_kernel(1.0, 1.0)
     p = kn.single_partition(k.bundle)
     lin = hl.minimal_linearisation(k, p, TOL)
-    assert lin.rank["all"] == 1
+    assert lin.spaces["all"].dim == 1
     # features worked out from the rank-one eigenpair of [[1,1],[1,1]]
     assert np.allclose(lin.features["x1"], [[1.0]], atol=1e-12)
     assert np.allclose(lin.features["x2"], [[1.0]], atol=1e-12)
@@ -27,7 +29,7 @@ def test_identity_kernel_rank_frozen():
     k = kn.identity_kernel(b)
     p = kn.single_partition(b)
     lin = hl.minimal_linearisation(k, p, TOL)
-    assert lin.rank["all"] == 2
+    assert lin.spaces["all"].dim == 2
     v = np.hstack([lin.features["x1"], lin.features["x2"]])
     assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
 
@@ -37,7 +39,7 @@ def test_zero_kernel_rank_zero():
     k = kn.zero_kernel(b)
     p = kn.single_partition(b)
     lin = hl.minimal_linearisation(k, p, TOL)
-    assert lin.rank["all"] == 0
+    assert lin.spaces["all"].dim == 0
     assert lin.features["x1"].shape == (0, 1)
     for rec in hl.verify_factorization(lin, TOL):
         assert rec.passed
@@ -100,14 +102,11 @@ def test_unitary_equivalence_recovers_conjugation():
     k = circulant_kernel(2.0, 1.0)
     p = kn.single_partition(k.bundle)
     lin = hl.minimal_linearisation(k, p, TOL)
-    r = lin.rank["all"]
+    r = lin.spaces["all"].dim
     m = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
     q, _ = np.linalg.qr(m)
-    other = hl.HilbertLinearisation(
-        partition=lin.partition, gram=lin.gram, rank=dict(lin.rank),
-        factor={"all": q @ lin.factor["all"]},
-        features={x: q @ v for x, v in lin.features.items()},
-        tie_break=lin.tie_break)
+    other = dataclasses.replace(lin, wmap={"all": q @ lin.wmap["all"]},
+                                features={x: q @ v for x, v in lin.features.items()})
     res = hl.unitary_equivalence(lin, other, TOL)
     assert res.ok
     assert frob(res.unitaries["all"] - q) <= 1e-8
@@ -118,7 +117,7 @@ def test_unitary_equivalence_identity_and_tie_breaks():
     p = kn.single_partition(k.bundle)
     lin = hl.minimal_linearisation(k, p, TOL)
     res = hl.unitary_equivalence(lin, lin, TOL)
-    assert res.ok and frob(res.unitaries["all"] - np.eye(lin.rank["all"])) <= 1e-12
+    assert res.ok and frob(res.unitaries["all"] - np.eye(lin.spaces["all"].dim)) <= 1e-12
 
     other = hl.minimal_linearisation(k, p, TOL, tie_break="last")
     res2 = hl.unitary_equivalence(lin, other, TOL)

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (circulant_kernel, merge_monoid, scalar_bundle, scalar_kernel,
                      swap_gram_kernel, z2_swap)
+from kgl import generators
 from kgl import kernel as kn
 from kgl.bundle import HilbertBundle, delta_section
 from kgl.errors import NonFinite, OrbitBundleNotTrivial, ShapeMismatch, UnknownPoint
@@ -255,3 +256,16 @@ def test_partition_relative_ops_ignore_cross_part_blocks():
     conv = kn.conv_blocks(k, p)
     assert np.allclose(conv["s"], [[1.0]])
     assert np.allclose(conv["t"], [[1.0]])
+
+
+@pytest.mark.parametrize("family", ["pair_groupoid", "group_action", "partial_bijections",
+                                    "group_as_groupoid"])
+def test_psd_verdict_does_not_depend_on_the_kernel_scale(family):
+    # one verdict per kernel across 300 orders of magnitude, the one its mode builds
+    for mode in ("psd_invariant", "hermitian_invariant"):
+        for seed in range(4):
+            _, act, bundle, k = generators.generate_instance(family, seed=seed, mode=mode)
+            p = kn.partition_from_action(bundle, act)
+            verdicts = [kn.is_partially_psd(kn.kernel_lincomb([c], [k]), p, TOL)
+                        for c in (1e-150, 1e-12, 1.0, 1e12, 1e150)]
+            assert set(verdicts) == {mode == "psd_invariant"}, (mode, seed, verdicts)

@@ -154,7 +154,8 @@ def test_krein_linearisation_psd_matches_hilbert():
     lin = kl.krein_linearisation(k, p, TOL)
     assert lin.spaces["all"].signature == (2, 0)
     hlin = hl.minimal_linearisation(k, p, TOL)
-    assert np.allclose(lin.wmap["all"], hlin.factor["all"], atol=1e-12)
+    assert np.array_equal(lin.wmap["all"], hlin.wmap["all"])
+    assert (lin.family, hlin.family) == (kl.KREIN, hl.HILBERT)
 
 
 def test_krein_linearisation_zero_kernel():
@@ -347,9 +348,9 @@ def test_hilbert_is_the_definite_case_of_krein(family):
         lin, krep = kl.invariant_krein_representation(k, act, p, TOL)
         hrep = hl.invariant_representation(k, act, p, TOL)
         for label, space in lin.spaces.items():
-            assert space.signature == (hrep.lin.rank[label], 0)
+            assert space.signature == (hrep.lin.spaces[label].dim, 0)
             assert hrep.lin.spaces[label].jdiag == space.jdiag
-            assert np.array_equal(hrep.lin.factor[label], lin.wmap[label])
+            assert np.array_equal(hrep.lin.wmap[label], lin.wmap[label])
             parts += 1
         for a in sg.elements:
             assert np.array_equal(hrep.phi[a], krep.psi[a])

@@ -187,3 +187,33 @@ def test_tie_order_matches_the_sorting_reference():
             want = _order_ties_by_sorting(w, u, reverse)
             assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
             assert np.array_equal(got, want)
+
+
+def test_psd_is_a_signature_with_no_negative_direction():
+    # one spectral policy: PSD exactly when no eigenvalue lies below minus the cutoff
+    rng = np.random.Generator(np.random.Philox(71))
+    cases = [np.diag([1.0, -5e-10]).astype(complex)]
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        shift = rng.choice([0.0, 1e-11, 1e-9, 1.0]) * rng.choice([-1.0, 1.0])
+        g = m @ m.conj().T if rng.integers(2) else m + m.conj().T
+        cases.append(g + shift * np.eye(n) * np.linalg.norm(g, 2))
+    verdicts = set()
+    for a in cases:
+        s = numlin.spectrum(a, TOL)
+        assert s.is_psd == (s.signature[1] == 0)
+        assert numlin.psd_check(a, TOL) == s.is_psd
+        verdicts.add(s.is_psd)
+    assert verdicts == {True, False}
+    assert not numlin.spectrum(cases[0], TOL).is_psd
+
+
+def test_tiny_negative_matrix_is_not_psd():
+    # every eigenvalue lies far below minus the cutoff, whatever the matrix's scale
+    tiny = np.diag([-1e-10, -1e-10]).astype(complex)
+    assert not numlin.psd_check(tiny, TOL)
+    with pytest.raises(NegativeForSqrt):
+        numlin.herm_fn(tiny, "sqrt_psd", TOL)
+    with pytest.raises(NotPSD):
+        numlin.psd_root_factor(tiny, TOL)

@@ -5,6 +5,7 @@ import collections
 import contextlib
 import hashlib
 import importlib
+import json
 import sys
 
 import numpy as np
@@ -87,15 +88,16 @@ def count_calls(monkeypatch, names):
     return counts
 
 
-PREMISES = ("kernel.is_invariant", "krein_lin.krein_linearisation",
-            "hilbert_lin.minimal_linearisation")
+PREMISES = ("kernel.is_invariant", "krein_lin.krein_linearisation", "kernel.psd_records")
 
 
 @pytest.mark.parametrize("family, mode, argv, budget", [
-    ("pair_groupoid", "psd_invariant", ["report"], (1, 1, 1)),
+    ("pair_groupoid", "psd_invariant", ["report"], (1, 1, 0)),
     ("group_action", "hermitian_invariant", ["report"], (1, 1, 0)),
-    ("pair_groupoid", "psd_invariant", ["represent", "--hilbert"], (1, 0, 1)),
+    ("pair_groupoid", "psd_invariant", ["represent", "--hilbert"], (1, 1, 1)),
     ("pair_groupoid", "psd_invariant", ["represent", "--krein"], (1, 1, 0)),
+    ("pair_groupoid", "psd_invariant", ["linearize", "--hilbert"], (0, 1, 1)),
+    ("pair_groupoid", "psd_invariant", ["check", "bounded-shift"], (0, 0, 1)),
 ])
 def test_each_premise_is_decided_once_per_command(tmp_path, capsys, monkeypatch,
                                                   family, mode, argv, budget):
@@ -104,6 +106,25 @@ def test_each_premise_is_decided_once_per_command(tmp_path, capsys, monkeypatch,
     code, _, _ = run(capsys, argv + [path])
     assert code == 0
     assert tuple(counts[name] for name in PREMISES) == budget
+
+
+REPRESENTATION_WORK = ("krein_lin.rk_krein_space", "krein_lin.represented_shifts",
+                       "krein_lin.krein_representation_laws", "kernel.psd_records",
+                       "kernel._shift")
+
+
+def test_psd_report_builds_one_linearisation_and_one_representation(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the hilbert records of a PSD invariant report are its krein records, rekeyed;
+    # the shifts are built once for the representation and once for the constants
+    path = write_instance(tmp_path, "pair_groupoid", "psd_invariant", seed=0)
+    elements = len(formats.load(path).sg.elements)
+    counts = count_calls(monkeypatch, REPRESENTATION_WORK)
+    code, out, _ = run(capsys, ["report", path])
+    assert code == 0
+    tags = {r["tag"] for r in json.loads(out)["records"]}
+    assert {"hilbert/rkhs", "hilbert/representation", "hilbert/partial-isometry"} <= tags
+    assert tuple(counts[name] for name in REPRESENTATION_WORK) == (1, 1, 1, 0, 2 * elements)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

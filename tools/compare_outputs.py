@@ -9,9 +9,10 @@ in-process and with one BLAS thread:
 
 plus `generate` for every family and mode, and `represent --krein --dominant`,
 with and without `--reducibility`, on generated invariant dominant pairs. The
-output JSON maps each run to the SHA-256 of its (exit code, stdout, stderr),
-each corpus to its digest (of the file bytes), and each corpus instance to
-its `instance_digest` (of the content), so that a change of the file layout
+output JSON maps each run to the SHA-256 of its (exit code, stdout, stderr)
+and to the short hashes of its parts (see `parts`), each corpus to its
+digest (of the file bytes), and each corpus instance to its
+`instance_digest` (of the content), so that a change of the file layout
 reads as files differing with equal content. Run from the root of a checkout:
 
     python3 tools/compare_outputs.py --src OLD/src --out old.json
@@ -19,7 +20,9 @@ reads as files differing with equal content. Run from the root of a checkout:
     python3 tools/compare_outputs.py --diff old.json new.json
 
 `--diff` prints the keys whose fingerprints differ or that only one side has,
-then a count per section, and exits 1 if there are any.
+each output key with the parts that differ (a record field reads as its tag
+and field, such as `kernel/psd tolerance`), then a count per section and per
+differing part, and exits 1 if there are any.
 """
 
 import os
@@ -29,6 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -58,8 +62,40 @@ SECTIONS = ("corpus", "content", "outputs")  # file bytes, instance digests, com
 DOMINANT_SEEDS = range(6)
 
 
+def _short(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+
+
+def parts(code, out, err) -> dict:
+    """Short hashes of the parts of one output, keyed by part name.
+
+    The parts are the exit code, stderr and, when stdout is a report, each
+    top-level report field (`report <field>`), the sequence of record tags
+    (`tags`) and, per tag and record field, that field's values over the
+    tag's records in report order (`<tag> <field>`). Any other stdout is
+    one part.
+    """
+    found = {"exit": _short(code), "stderr": _short(err)}
+    try:
+        doc = json.loads(out)
+        records = doc.pop("records")
+    except (ValueError, KeyError, TypeError, AttributeError):
+        found["stdout"] = _short(out)
+        return found
+    found.update({f"report {key}": _short(value) for key, value in doc.items()})
+    found["tags"] = _short([r["tag"] for r in records])
+    fields = {}
+    for r in records:
+        for key, value in r.items():
+            if key != "tag":
+                fields.setdefault(f"{r['tag']} {key}", []).append(value)
+    found.update({name: _short(values) for name, values in fields.items()})
+    return found
+
+
 def run(argv, scratch):
-    """SHA-256 of one in-process `kgl` run; the scratch path is masked out."""
+    """Fingerprint of one in-process `kgl` run, with the scratch path masked
+    out: the SHA-256 of its (exit code, stdout, stderr) and its parts."""
     from kgl import cli
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -68,8 +104,10 @@ def run(argv, scratch):
         except Exception:  # an uncaught error is an output too: exit 1 and its traceback tail
             code = 1
             err.write(traceback.format_exc().strip().splitlines()[-1] + "\n")
-    text = json.dumps([code, out.getvalue(), err.getvalue()]).replace(scratch, "<scratch>")
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    out, err = (s.getvalue().replace(scratch, "<scratch>") for s in (out, err))
+    text = json.dumps([code, out, err])
+    return {"sha": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "parts": parts(code, out, err)}
 
 
 def corpus_outputs(scratch, result):
@@ -127,25 +165,40 @@ def fingerprint(src, out):
           f"{len(result['content'])} content digests -> {out}")
 
 
+def _differing_parts(va, vb) -> list:
+    """Names of the parts of two output fingerprints that differ or that one lacks."""
+    pa, pb = va["parts"], vb["parts"]
+    return sorted(name for name in set(pa) | set(pb) if pa.get(name) != pb.get(name))
+
+
 def diff(path_a, path_b) -> int:
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
-    counts = []
+    counts, by_part = [], collections.Counter()
     for section in SECTIONS:
         sa, sb = a.get(section, {}), b.get(section, {})
         keys = sorted(set(sa) | set(sb))
         differ = 0
         for key in keys:
             va, vb = sa.get(key), sb.get(key)
-            if va != vb:
-                differ += 1
-                side = "" if va and vb else f" (only in {path_a if va else path_b})"
-                print(f"{section}: {key}{side}")
+            if va == vb:
+                continue
+            differ += 1
+            if not (va and vb):
+                print(f"{section}: {key} (only in {path_a if va else path_b})")
+            elif section == "outputs":
+                names = _differing_parts(va, vb)
+                by_part.update(names)
+                print(f"{section}: {key}: {', '.join(names)}")
+            else:
+                print(f"{section}: {key}")
         counts.append((section, differ, len(keys)))
     for section, differ, total in counts:
         print(f"{section}: {differ} of {total} differ")
+    for name, n in sorted(by_part.items()):
+        print(f"part {name}: differs in {n} outputs")
     return 1 if any(differ for _, differ, _ in counts) else 0
 
 
