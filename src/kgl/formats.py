@@ -7,17 +7,25 @@ JSON type raises ParseError, as does a matrix entry that is not a JSON
 number: a JSON true or false, or a string such as "1.5" (numpy would read
 them as 1.0, 0.0 and 1.5). Omitted kernel entries are zero
 blocks. Serialization is canonical (sorted keys, sorted table rows, nonzero
-blocks only), so identical instances produce identical documents. The
-instance digest is the SHA-256 of the canonical document's canonical text:
-one line of JSON with sorted keys and no whitespace. save_instance writes a
-document's text in that form, and a newline, so a file saved from an
-Instance (as `kgl generate` does) hashes to its digest; a file in any other
-layout loads to the same digest.
+blocks only), so identical instances produce identical documents.
+save_instance writes a document's canonical text, one line of JSON with
+sorted keys and no whitespace, and a newline.
+
+The instance digest addresses content without re-encoding the kernel. It
+is the SHA-256 of three parts in order: the canonical text of the table
+documents with the kernel's entries left out (the instance document with
+"kernel" replaced by {"field": "complex"}); one newline; and the kernel's
+Gram as little-endian complex128 in C order, points in bundle order, with
+signed zeros cleared. Files in any layout that hold the same content load
+to the same digest.
 """
 
+import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,7 +37,6 @@ from .errors import (
     ParseError,
 )
 from .kernel import OpKernel, Partition, _from_gram, partition_from_action
-from .reports import digest_of
 from .sgpd import LeftAction, StarSemigroupoid, validate, validate_action
 
 __all__ = [
@@ -108,6 +115,24 @@ def _row(row, n, where):
     return row
 
 
+def _label_rows(rows, n) -> bool:
+    """Whether every row is an array of n labels, by whole-table type scans."""
+    return (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {n}
+            and set(map(type, chain.from_iterable(rows))) <= {str})
+
+
+def _element_rows(rows, n, known, where):
+    """rows, once every row is checked to be n labels of known elements; the
+    per-row loop runs only when a whole-table check fails, to name the first
+    faulty row."""
+    if not (_label_rows(rows, n) and known.issuperset(chain.from_iterable(rows))):
+        for row in rows:
+            for g in _row(row, n, where):
+                if g not in known:
+                    raise CrossRefError(f"{where} {row!r} references unknown element {g!r}")
+    return rows
+
+
 def _require_keys(doc, keys, where):
     _expect(doc, dict, where)
     for k in keys:
@@ -127,20 +152,10 @@ def semigroupoid_from_doc(doc) -> StarSemigroupoid:
         d[g] = _expect(row["d"], str, f"domain of {g!r}")
         c[g] = _expect(row["c"], str, f"codomain of {g!r}")
     known = set(ids)
-    compose = {}
-    for row in _expect(doc["compose"], list, "semigroupoid compose"):
-        a, b, ab = _row(row, 3, "compose row")
-        for g in (a, b, ab):
-            if g not in known:
-                raise CrossRefError(f"compose row {row!r} references unknown element {g!r}")
-        compose[(a, b)] = ab
-    star = {}
-    for row in _expect(doc["star"], list, "semigroupoid star"):
-        a, astar = _row(row, 2, "star row")
-        for g in (a, astar):
-            if g not in known:
-                raise CrossRefError(f"star row {row!r} references unknown element {g!r}")
-        star[a] = astar
+    rows = _expect(doc["compose"], list, "semigroupoid compose")
+    compose = {(a, b): ab for a, b, ab in _element_rows(rows, 3, known, "compose row")}
+    rows = _expect(doc["star"], list, "semigroupoid star")
+    star = dict(_element_rows(rows, 2, known, "star row"))
     units = doc.get("units")
     if units is not None:
         for s, e in _expect(units, dict, "semigroupoid units").items():
@@ -171,14 +186,16 @@ def action_from_doc(doc, sg: StarSemigroupoid) -> LeftAction:
     for x, s in anchor.items():
         if _expect(s, str, f"anchor of {x!r}") not in syms:
             raise CrossRefError(f"anchor of {x!r} names unknown symbol {s!r}")
-    table = {}
-    for row in _expect(doc["act"], list, "action act"):
-        g, x, y = _row(row, 3, "act row")
-        if g not in elts:
-            raise CrossRefError(f"act row {row!r} references unknown element {g!r}")
-        if x not in anchor or y not in anchor:
-            raise CrossRefError(f"act row {row!r} references a point without an anchor")
-        table[(g, x)] = y
+    rows = _expect(doc["act"], list, "action act")
+    if not (_label_rows(rows, 3) and elts.issuperset(map(itemgetter(0), rows))
+            and anchor.keys() >= set(chain.from_iterable(map(itemgetter(1, 2), rows)))):
+        for row in rows:  # name the first faulty row
+            g, x, y = _row(row, 3, "act row")
+            if g not in elts:
+                raise CrossRefError(f"act row {row!r} references unknown element {g!r}")
+            if x not in anchor or y not in anchor:
+                raise CrossRefError(f"act row {row!r} references a point without an anchor")
+    table = {(g, x): y for g, x, y in rows}
     try:
         return LeftAction(sg=sg, base=base, anchor=anchor, act=table)
     except MalformedTable as exc:
@@ -248,27 +265,41 @@ class Instance:
     bundle: HilbertBundle
     kernel: OpKernel
     partition: Partition
-    doc: dict  # canonical rebuilt document
     digest: str
 
+    @cached_property
+    def doc(self) -> dict:
+        """The canonical document, built on first use."""
+        return instance_to_doc(self.sg, self.action, self.bundle, self.kernel)
 
-def instance_to_doc(sg, action, bundle, kernel) -> dict:
+
+def _tables_doc(sg, action, bundle) -> dict:
     return {
         "semigroupoid": semigroupoid_to_doc(sg),
         "action": action_to_doc(action),
         "bundle": bundle_to_doc(bundle),
-        "kernel": kernel_to_doc(kernel),
     }
+
+
+def instance_to_doc(sg, action, bundle, kernel) -> dict:
+    return {**_tables_doc(sg, action, bundle), "kernel": kernel_to_doc(kernel)}
 
 
 def _canonical_text(doc) -> str:
     """The canonical JSON text of a document: sorted keys, no whitespace,
-    ASCII only. Saved files hold it and instance digests hash it."""
+    ASCII only. Saved files hold it."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def instance_digest(doc) -> str:
-    return digest_of(_canonical_text(doc))
+def instance_digest(sg, action, bundle, kernel) -> str:
+    """SHA-256 of the canonical text of the table documents with the
+    kernel's entries left out, a newline, and the Gram's bytes (see the
+    module docstring)."""
+    text = _canonical_text({**_tables_doc(sg, action, bundle), "kernel": {"field": "complex"}})
+    h = hashlib.sha256((text + "\n").encode("ascii"))
+    # adding 0.0 turns -0.0 into 0.0; astype is a no-op on little-endian hosts
+    h.update((kernel.gram + 0.0).astype("<c16", order="C", copy=False))
+    return h.hexdigest()
 
 
 def parse_instance(doc, strict: bool = True) -> Instance:
@@ -296,9 +327,8 @@ def parse_instance(doc, strict: bool = True) -> Instance:
             raise AxiomError(
                 f"action violates {first.axiom} at {first.witness!r}: {first.detail}")
     partition = partition_from_action(bundle, action)
-    canon = instance_to_doc(sg, action, bundle, kernel)
-    return Instance(sg=sg, action=action, bundle=bundle, kernel=kernel,
-                    partition=partition, doc=canon, digest=instance_digest(canon))
+    return Instance(sg=sg, action=action, bundle=bundle, kernel=kernel, partition=partition,
+                    digest=instance_digest(sg, action, bundle, kernel))
 
 
 def _unique_keys(pairs) -> dict:

@@ -362,10 +362,11 @@ def invariance_bounds(grams: dict, sg: StarSemigroupoid,
                       tol: Tolerances = DEFAULT_TOL) -> dict:
     """Per element, the bound its invariance residuals are compared against.
 
-    atol times the larger Frobenius scale, floored at 1, of the element's
-    domain and codomain parts, given the part Gram matrices.
+    atol times the larger Frobenius norm of the element's domain and
+    codomain part Gram matrices, so the verdict does not depend on the
+    kernel's scale; the bound is 0 only where both Grams are exactly 0.
     """
-    scale = {s: max(1.0, frob(g)) for s, g in grams.items()}
+    scale = {s: frob(g) for s, g in grams.items()}
     return {a: tol.atol * max(scale[sg.d[a]], scale[sg.c[a]]) for a in sg.elements}
 
 
@@ -463,14 +464,14 @@ def is_invariant(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
 def invariance_record(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> Record:
     """The kernel/invariant record of is_invariant.
 
-    A pass carries the bound atol * max(1, every part's Frobenius norm); a
+    A pass carries the bound atol * max(every part's Frobenius norm); a
     failure carries the witness (alpha, x, y), the residual of its block
     and the bound of alpha (see invariance_bounds).
     """
     ok, wit = is_invariant(k, act, tol)
     grams = conv_blocks(k, partition_from_action(k.bundle, act))
     if ok:
-        bound = tol.atol * max([1.0] + [frob(g) for g in grams.values()])
+        bound = tol.atol * max([frob(g) for g in grams.values()], default=0.0)
         return Record("kernel is invariant under the action", "kernel/invariant",
                       0.0, bound, True)
     alpha, x, y = wit

@@ -161,7 +161,8 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
         bp = numlin.pinv(b_l, tol)
         gh = bp.conj().T @ g_k @ bp
         gh = 0.5 * (gh + gh.conj().T)
-        norm = opnorm(gh)
+        s_gh = numlin.spectrum(gh, tol)
+        norm = float(np.max(np.abs(s_gh.eigenvalues), initial=0.0))  # ||ghat||, ghat Hermitian
         if norm > 1.0 + tol.atol:
             raise KernelNotDominated(
                 f"part {label!r}: Gram operator norm {norm:.12f} exceeds 1, "
@@ -174,7 +175,7 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
         factor[label] = b_l
         ranks[label] = r_l
         ghat[label] = gh
-        gaps[label] = numlin.gap_at_zero(gh, tol)
+        gaps[label] = s_gh.gaps
         contraction[label] = norm
         ident[label] = resid
     return GramData(p, factor, ranks, ghat, gaps, contraction, ident)

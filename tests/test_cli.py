@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +73,25 @@ def test_generate_prints_the_bytes_out_writes(tmp_path, capsysbinary):
     assert main(argv + ["--out", str(path)]) == 0
     assert main(argv) == 0
     assert capsysbinary.readouterr().out == path.read_bytes()
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+@pytest.mark.parametrize("family, mode", [("pair_groupoid", "arbitrary"),
+                                          ("partial_bijections", "hermitian_invariant")])
+def test_readme_digest_recipe_prints_the_report_digest(tmp_path, capsys, family, mode):
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+    recipe = next(b for b in blocks if "hashlib.sha256" in b)
+    path = str(tmp_path / "g.json")
+    assert main(["generate", "--family", family, "--seed", "3", "--mode", mode,
+                 "--out", path]) == 0
+    printed = subprocess.run([sys.executable, "-c", recipe, path], capture_output=True,
+                             text=True, check=True).stdout.strip()
+    code, rep = run_json(capsys, ["check", "hermitian", path])
+    assert code == 0
+    assert printed == rep["instance_digest"]
 
 
 def test_classify_reports_flags(circulant_instance, capsys):

@@ -12,9 +12,30 @@ from kgl.kernel import OpKernel
 from kgl.numlin import DEFAULT_TOL as TOL
 
 
-def sample_doc(seed=0):
-    sg, act, bundle, kernel = generators.generate_instance("pair_groupoid", seed=seed)
+def sample_doc(seed=0, family="pair_groupoid", **kwargs):
+    sg, act, bundle, kernel = generators.generate_instance(family, seed=seed, **kwargs)
     return formats.instance_to_doc(sg, act, bundle, kernel)
+
+
+def contract_digest(doc):
+    """The instance digest of a canonical document, from its three parts: the
+    table documents' text, a newline, the Gram's little-endian complex128 bytes."""
+    tables = dict(doc, kernel={"field": "complex"})
+    text = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+    dims = doc["bundle"]["dims"]
+    points = sorted(dims)
+    start = dict(zip(points, np.cumsum([0] + [dims[x] for x in points]).tolist()))
+    gram = np.zeros((sum(dims.values()),) * 2, dtype="<c16")
+    for e in doc["kernel"]["entries"]:
+        rows = slice(start[e["row"]], start[e["row"]] + dims[e["row"]])
+        cols = slice(start[e["col"]], start[e["col"]] + dims[e["col"]])
+        gram[rows, cols] = np.array(e["re"]) + 1j * np.array(e.get("im", 0.0))
+    return hashlib.sha256(text.encode() + b"\n" + (gram + 0.0).tobytes()).hexdigest()
+
+
+def canonical_document_digest(inst):
+    """The earlier digest formula: SHA-256 of the canonical document's text."""
+    return hashlib.sha256(formats._canonical_text(inst.doc).encode()).hexdigest()
 
 
 def test_roundtrip_through_files(tmp_path):
@@ -38,7 +59,7 @@ def test_saved_file_is_the_canonical_text_its_digest_hashes(tmp_path):
     data = path.read_bytes()
     assert data == (formats._canonical_text(doc) + "\n").encode("ascii")
     inst = formats.load(str(path))
-    assert hashlib.sha256(data[:-1]).hexdigest() == inst.digest
+    assert inst.digest == contract_digest(doc)
     # a file in the earlier indented layout holds the same content
     indented = tmp_path / "indented.json"
     indented.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -273,3 +294,118 @@ def test_digest_is_content_addressed():
     i2 = formats.loads(json.dumps(d2))
     assert i1.digest != i2.digest
     assert formats.loads(json.dumps(d1)).digest == i1.digest
+
+
+@pytest.mark.parametrize("family", ["pair_groupoid", "group_action", "partial_bijections",
+                                    "group_as_groupoid"])
+@pytest.mark.parametrize("mode", ["psd_invariant", "hermitian_invariant", "arbitrary"])
+def test_digest_hashes_the_table_text_and_the_gram_bytes(tmp_path, family, mode):
+    doc = sample_doc(seed=2, family=family, mode=mode)
+    path = tmp_path / "inst.json"
+    formats.save_instance(doc, path)
+    assert formats.load(str(path)).digest == contract_digest(doc)
+
+
+def _rename(value, old, new):
+    """value with every string (and object key) equal to old replaced by new."""
+    if isinstance(value, dict):
+        return {_rename(k, old, new): _rename(v, old, new) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rename(v, old, new) for v in value]
+    return new if value == old else value
+
+
+def test_digest_tells_content_apart_as_the_canonical_document_did(tmp_path):
+    doc = sample_doc(seed=1, mode="arbitrary")
+    entries, dims = doc["kernel"]["entries"], doc["bundle"]["dims"]
+    x, y = next((x, y) for x in dims for y in dims
+                if (x, y) not in {(e["row"], e["col"]) for e in entries})
+    zero_block = {"row": x, "col": y, "re": [[0.0] * dims[y]] * dims[x]}
+
+    def with_entries(new_entries, base=doc):
+        return json.dumps(dict(base, kernel={"field": "complex", "entries": new_entries}))
+
+    def edited(edit):
+        out = json.loads(json.dumps(doc))
+        edit(out)
+        return json.dumps(out)
+
+    def one_ulp(d):
+        d["kernel"]["entries"][0]["re"][0][0] = np.nextafter(entries[0]["re"][0][0], np.inf)
+
+    def one_compose_row(d):
+        row = d["semigroupoid"]["compose"][0]
+        row[2] = next(e["id"] for e in d["semigroupoid"]["elements"] if e["id"] != row[2])
+
+    def one_fiber_dim(d):
+        x = entries[0]["row"]
+        d["bundle"]["dims"][x] += 1
+        for e in d["kernel"]["entries"]:
+            for part in ("re", "im"):
+                if e["row"] == x:
+                    e[part] = e[part] + [[0.0] * len(e[part][0])]
+                if e["col"] == x:
+                    e[part] = [r + [0.0] for r in e[part]]
+
+    split = [tmp_path / "tables.json", tmp_path / "kernel.json"]
+    split[0].write_text(json.dumps({k: doc[k] for k in ("semigroupoid", "action")}))
+    split[1].write_text(json.dumps({k: doc[k] for k in ("bundle", "kernel")}))
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(doc, indent=2))
+    # a real kernel with integral entries, written as floats, as integers, without im
+    real = [dict(e, re=[[float(round(v)) for v in r] for r in e["re"]],
+                 im=[[0.0] * len(r) for r in e["re"]]) for e in entries]
+    integers = [dict(e, re=[[int(v) for v in r] for r in e["re"]]) for e in real]
+    no_im = [{k: v for k, v in e.items() if k != "im"} for e in integers]
+    groups = [
+        [formats.loads(json.dumps(doc)), formats.load(str(indented)),
+         formats.loads(with_entries(entries[::-1])),
+         formats.loads(with_entries(entries + [zero_block])),
+         formats.load([str(p) for p in split])],
+        [formats.loads(with_entries(real)), formats.loads(with_entries(integers)),
+         formats.loads(with_entries(no_im))],
+        [formats.loads(edited(one_ulp))],
+        [formats.loads(json.dumps(_rename(doc, "s1", "s9")))],
+        [formats.loads(edited(one_compose_row), strict=False)],
+        [formats.loads(edited(one_fiber_dim))],
+    ]
+    for digest in (lambda inst: inst.digest, canonical_document_digest):
+        assert [len({digest(inst) for inst in group}) for group in groups] == [1] * len(groups)
+        assert len({digest(group[0]) for group in groups}) == len(groups)
+
+
+def test_negative_zero_in_a_nonzero_block_hashes_like_zero():
+    # the one content the earlier digest told apart and this one does not
+    doc = sample_doc(seed=1, mode="arbitrary")
+    i = next(i for i, e in enumerate(doc["kernel"]["entries"]) if len(e["re"]) > 1)
+    texts = []
+    for zero in (0.0, -0.0):  # parsing keeps the sign of a zero only when re and im are both -0.0
+        edited = json.loads(json.dumps(doc))
+        entry = edited["kernel"]["entries"][i]
+        entry["re"][0][0] = entry["im"][0][0] = zero
+        texts.append(json.dumps(edited))
+    want, got = (formats.loads(text) for text in texts)
+    assert np.signbit(got.kernel.gram.real).any()
+    assert got.digest == want.digest
+    assert canonical_document_digest(got) != canonical_document_digest(want)
+
+
+@pytest.mark.parametrize("section, table", [("semigroupoid", "compose"),
+                                            ("semigroupoid", "star"), ("action", "act")])
+def test_table_faults_name_the_first_faulty_row(section, table):
+    doc = sample_doc()
+    faults = {
+        "not an array": lambda row: " ".join(row),
+        "short": lambda row: row[:-1],
+        "not a label": lambda row: row[:-1] + [7],
+        "unknown": lambda row: row[:-1] + ["ghost"],
+    }
+    for first, second in itertools.permutations(faults, 2):
+        bad = json.loads(json.dumps(doc))
+        rows = bad[section][table]
+        rows[1], rows[2] = faults[first](rows[1]), faults[second](rows[2])
+        kind, message = ((CrossRefError, "unknown element|without an anchor") if first == "unknown"
+                         else (ParseError, "is not a (pair|triple) of labels"))
+        with pytest.raises(kind, match=message) as exc:
+            formats.parse_instance(bad, strict=False)
+        assert f"row {rows[1]!r} " in str(exc.value)

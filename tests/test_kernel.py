@@ -269,3 +269,17 @@ def test_psd_verdict_does_not_depend_on_the_kernel_scale(family):
             verdicts = [kn.is_partially_psd(kn.kernel_lincomb([c], [k]), p, TOL)
                         for c in (1e-150, 1e-12, 1.0, 1e12, 1e150)]
             assert set(verdicts) == {mode == "psd_invariant"}, (mode, seed, verdicts)
+
+
+@pytest.mark.parametrize("family", ["pair_groupoid", "group_action", "partial_bijections",
+                                    "group_as_groupoid"])
+def test_invariance_verdict_does_not_depend_on_the_kernel_scale(family):
+    # the invariant modes read invariant, and an arbitrary kernel keeps its verdict
+    for mode in ("psd_invariant", "hermitian_invariant", "arbitrary"):
+        for seed in range(4):
+            _, act, _, k = generators.generate_instance(family, seed=seed, mode=mode)
+            verdicts = [kn.is_invariant(kn.kernel_lincomb([c], [k]), act, TOL)[0]
+                        for c in (1e-150, 1e-12, 1.0, 1e12, 1e150)]
+            assert len(set(verdicts)) == 1, (mode, seed, verdicts)
+            if mode != "arbitrary":
+                assert verdicts[0], (mode, seed)

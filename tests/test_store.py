@@ -198,3 +198,13 @@ def test_kernel_gram_and_part_grams_are_read_only():
     for (x, y), blk in rebuilt.blocks.items():
         assert np.array_equal(blk, k.block(x, y))
     assert not rebuilt.block("x1", "x2").any()
+
+
+def test_load_encodes_no_kernel_entry(tmp_path, monkeypatch):
+    # the digest hashes the Gram's bytes, so a load builds no kernel document
+    path = write_instance(tmp_path, "partial_bijections", "hermitian_invariant")
+    counts = count_calls(monkeypatch, ("formats.kernel_to_doc", "formats.matrix_to_doc"))
+    inst = formats.load(path)
+    assert counts == {}
+    formats.save_instance(inst, tmp_path / "again.json")
+    assert counts["formats.kernel_to_doc"] == 1 and counts["formats.matrix_to_doc"] > 0
