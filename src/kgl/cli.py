@@ -345,15 +345,17 @@ _COMMANDS = {
 }
 
 
+_PARSER = _build_parser()  # built once, at import
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.list_checks:
         for tag in sorted(TAGS):
             sys.stdout.write(f"{tag}: {TAGS[tag]}\n")
         return 0
     if args.command is None:
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         return 2
     try:
         tol = _tolerances(args)

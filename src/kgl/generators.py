@@ -23,10 +23,12 @@ from .errors import UnsupportedFamily
 from .kernel import (
     OpKernel,
     Partition,
+    _gather_index,
+    _require_orbit_trivial,
+    _shift_coordinates,
     kernel_from_part_grams,
     kernel_lincomb,
     partition_from_action,
-    shift_maps,
 )
 from .numlin import DEFAULT_TOL, Tolerances
 from .sgpd import LeftAction, classify
@@ -89,20 +91,21 @@ def _averaged_grams(act: LeftAction, bundle: HilbertBundle, p: Partition, seeds)
     """Fiber sums of shifted per-symbol seed matrices.
 
     For each part s the Gram matrix is the sum over elements with domain s
-    of (shift of the element)* seed-at-codomain (shift of the element).
-    Star-equals-inversion makes right multiplication by any element a
-    bijection between domain fibers, which is exactly what the invariance
-    identity needs.
+    of (shift of the element)* seed-at-codomain (shift of the element), a
+    gather of the seed. Star-equals-inversion makes right multiplication by
+    any element a bijection between domain fibers, which is exactly what
+    the invariance identity needs.
     """
     sg = act.sg
-    psis = shift_maps(act, bundle, p)
+    _require_orbit_trivial(act, bundle)
+    coords = _shift_coordinates(act, p)
     grams = {}
     for s in sg.symbols:
         n = p.index(s).total_dim
         g = np.zeros((n, n), dtype=np.complex128)
         for beta in sg.in_fiber(s):
-            psi = psis[beta]
-            g += psi.conj().T @ seeds[sg.c[beta]] @ psi
+            c = _gather_index(act, p, coords, beta)
+            g += seeds[sg.c[beta]][np.ix_(c, c)]
         grams[s] = g
     return grams
 

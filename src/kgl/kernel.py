@@ -6,12 +6,16 @@ the fiber at y to the fiber at x, is a read-only view into it. Definiteness
 and symmetry are partial: they read only the part Grams, the within-part
 blocks of a partition of the base (usually an action's anchor partition).
 Cross-part blocks may be stored but no partition-relative operation reads them.
+
+An element's shift, delta_x h -> delta_{alpha.x} h, relabels coordinates.
+_shift_coordinates says where it sends each one, and every reader gathers
+there: the invariance check, the bounded-shift constants and the
+represented shifts. Only shift_map and shift_maps build the dense 0/1
+matrices, for callers outside the library.
 """
 
-import math
-from collections import Counter
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     UnknownPoint,
 )
-from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm, psd_root_factor
+from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm
 from .reports import Record
 from .sgpd import LeftAction, StarSemigroupoid, orbit_trivial_bundle
 
@@ -315,6 +319,51 @@ def _require_orbit_trivial(act: LeftAction, bundle: HilbertBundle):
         raise OrbitBundleNotTrivial("fiber dimension is not constant on some orbit")
 
 
+def _shift_coordinates(act: LeftAction, p: Partition) -> dict:
+    """Per element alpha, the int array c over the stacked coordinates of
+    the part at its domain symbol: c[j] is the coordinate, in the part at its
+    codomain symbol, of the same fiber entry at alpha.x, or -1 where alpha.x
+    is undefined or lands outside that part. The shift matrix Psi has its
+    ones at (c[j], j), so W Psi = W[:, c] and Psi* G Psi = G[ix(c, c)]."""
+    index, anchor, A = act.code.index, act.code.anchor, act.code.A
+    offset = np.zeros(len(act.base), dtype=np.int64)
+    stacked = {}  # label -> (point number, offset in its fiber) per stacked coordinate
+    for label, idx in p.parts.items():
+        pts = np.array([index[x] for x in idx.part], dtype=np.int64)
+        dims = np.array([p.bundle.dim[x] for x in idx.part], dtype=np.int64)
+        starts = np.array([idx.offsets[x] for x in idx.part], dtype=np.int64)
+        offset[pts] = starts
+        stacked[label] = (np.repeat(pts, dims), np.arange(idx.total_dim) - np.repeat(starts, dims))
+    sg = act.sg
+    coords = {}
+    for i, alpha in enumerate(sg.elements):
+        pt, loc = stacked[sg.d[alpha]]
+        ax = A[i, pt]
+        ok = (ax >= 0) & (anchor[ax] == sg.code.c[i])
+        coords[alpha] = np.where(ok, offset[ax] + loc, -1)
+    return coords
+
+
+def _gather_index(act: LeftAction, p: Partition, coords: dict, alpha) -> np.ndarray:
+    """coords[alpha] of _shift_coordinates, raising InvalidSemigroupoid at
+    its first value, in point order, that is undefined or outside the part."""
+    c = coords[alpha]
+    j = _first_false(c >= 0)
+    if j is not None:
+        idx = p.index(act.sg.d[alpha])
+        x = next(x for x in reversed(idx.part) if idx.offsets[x] <= j)
+        _raise_unusable(act, alpha, x, act.sg.c[alpha])
+    return c
+
+
+def _shift_matrix(act: LeftAction, p: Partition, coords: dict, alpha) -> np.ndarray:
+    """The 0/1 shift matrix of alpha: a one at (c[j], j) for its coordinates c."""
+    c = _gather_index(act, p, coords, alpha)
+    out = np.zeros((p.index(act.sg.c[alpha]).total_dim, c.size), dtype=np.complex128)
+    out[c, np.arange(c.size)] = 1.0
+    return out
+
+
 def shift_map(act: LeftAction, bundle: HilbertBundle, alpha, p: Partition = None) -> np.ndarray:
     """Stacked matrix of the shift "delta_x h -> delta_{alpha.x} h".
 
@@ -324,38 +373,16 @@ def shift_map(act: LeftAction, bundle: HilbertBundle, alpha, p: Partition = None
     row block.
     """
     _require_orbit_trivial(act, bundle)
-    if p is None:
-        p = partition_from_action(bundle, act)
-    return _shift(act, bundle, alpha, p)
-
-
-def _shift(act: LeftAction, bundle: HilbertBundle, alpha, p: Partition) -> np.ndarray:
-    """shift_map for a bundle already known to be orbit-trivial."""
-    sg = act.sg
-    idx_d = p.index(sg.d[alpha])
-    idx_c = p.index(sg.c[alpha])
-    out = np.zeros((idx_c.total_dim, idx_d.total_dim), dtype=np.complex128)
-    for x in idx_d.part:
-        y = act.apply(alpha, x)
-        m = bundle.dim[x]
-        out[idx_c.slice_of(y), idx_d.slice_of(x)] = np.eye(m)
-    return out
-
-
-def _shift_norm(act: LeftAction, alpha, p: Partition) -> float:
-    """Operator norm of _shift, exactly. Its columns are unit vectors, so
-    Psi Psi* is diagonal, counting per row the domain points with that
-    image: the norm is the square root of the largest such count."""
-    images = Counter(act.apply(alpha, x) for x in p.index(act.sg.d[alpha]).part)
-    return math.sqrt(max(images.values(), default=0))
+    p = partition_from_action(bundle, act) if p is None else p
+    return _shift_matrix(act, p, _shift_coordinates(act, p), alpha)
 
 
 def shift_maps(act: LeftAction, bundle: HilbertBundle, p: Partition = None) -> dict:
     """All shift matrices, keyed by element; the orbit check runs once."""
     _require_orbit_trivial(act, bundle)
-    if p is None:
-        p = partition_from_action(bundle, act)
-    return {g: _shift(act, bundle, g, p) for g in act.sg.elements}
+    p = partition_from_action(bundle, act) if p is None else p
+    coords = _shift_coordinates(act, p)
+    return {g: _shift_matrix(act, p, coords, g) for g in act.sg.elements}
 
 
 def invariance_bounds(grams: dict, sg: StarSemigroupoid,
@@ -368,26 +395,6 @@ def invariance_bounds(grams: dict, sg: StarSemigroupoid,
     """
     scale = {s: frob(g) for s, g in grams.items()}
     return {a: tol.atol * max(scale[sg.d[a]], scale[sg.c[a]]) for a in sg.elements}
-
-
-def _part_layouts(p: Partition, act: LeftAction):
-    """Stacked coordinates of every part, in the action's point numbering.
-
-    Returns each point's offset inside its part and, per part label, the
-    part's points, their block starts, and for every stacked coordinate the
-    number of its point and its offset inside that point's fiber.
-    """
-    index = act.code.index
-    offset = np.zeros(len(act.base), dtype=np.int64)
-    layouts = {}
-    for label, idx in p.parts.items():
-        pts = np.array([index[x] for x in idx.part], dtype=np.int64)
-        dims = np.array([p.bundle.dim[x] for x in idx.part], dtype=np.int64)
-        starts = np.array([idx.offsets[x] for x in idx.part], dtype=np.int64)
-        offset[pts] = starts
-        layouts[label] = (idx.part, starts, np.repeat(pts, dims),
-                          np.arange(idx.total_dim) - np.repeat(starts, dims))
-    return offset, layouts
 
 
 def _first_false(mask):
@@ -420,31 +427,29 @@ def is_invariant(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
     grams = conv_blocks(k, p)
     sg = act.sg
     bounds = invariance_bounds(grams, sg, tol)
-    anchor, A = act.code.anchor, act.code.A
-    offset, layouts = _part_layouts(p, act)
-    for i, alpha in enumerate(sg.elements):
+    coords = _shift_coordinates(act, p)
+    starts = {label: np.array([idx.offsets[x] for x in idx.part], dtype=np.int64)
+              for label, idx in p.parts.items()}
+    for alpha in sg.elements:
         sd, sc = sg.d[alpha], sg.c[alpha]
         astar = sg.star[alpha]
-        xs, x_starts, x_pt, x_loc = layouts[sd]
-        ys, y_starts, y_pt, y_loc = layouts[sc]
+        xs, ys = p.index(sd).part, p.index(sc).part
         if not xs:
             continue
-        # per stacked coordinate: the point alpha.x, and the point alpha*.y
-        ax = A[i, x_pt]
-        ay = A[sg.code.index[astar], y_pt]
-        ax_ok = (ax >= 0) & (anchor[ax] == sg.code.c[i])
-        ay_ok = (ay >= 0) & (anchor[ay] == sg.code.d[i])
+        # per stacked coordinate: where alpha sends x, and where alpha* sends y;
+        # a star that does not swap the parts sends no y into the domain part
+        ax = coords[alpha]
+        swaps = (sg.d[astar], sg.c[astar]) == (sc, sd)
+        ay = coords[astar] if swaps else np.full(p.index(sc).total_dim, -1)
         bad = np.zeros((len(xs), len(ys)), dtype=bool)
         if ys:
-            rows = np.where(ax_ok, offset[ax] + x_loc, 0)
-            cols = np.where(ay_ok, offset[ay] + y_loc, 0)
-            diff = grams[sc][rows] - grams[sd][:, cols]
-            sq = np.add.reduceat(diff.real ** 2 + diff.imag ** 2, x_starts, axis=0)
-            bad = np.sqrt(np.add.reduceat(sq, y_starts, axis=1)) > bounds[alpha]
+            diff = grams[sc][np.maximum(ax, 0)] - grams[sd][:, np.maximum(ay, 0)]
+            sq = np.add.reduceat(diff.real ** 2 + diff.imag ** 2, starts[sd], axis=0)
+            bad = np.sqrt(np.add.reduceat(sq, starts[sc], axis=1)) > bounds[alpha]
         # in (alpha, x, y) order, alpha.x is needed from row x on and each
         # alpha*.y from the first row on: no block after an unusable value counts
-        u = _first_false(ax_ok[x_starts])
-        v = _first_false(ay_ok[y_starts]) if ys else None
+        u = _first_false(ax[starts[sd]] >= 0)
+        v = _first_false(ay[starts[sc]] >= 0) if ys else None
         if u is not None:
             bad[u:] = False
         if v is not None:
@@ -483,52 +488,6 @@ def invariance_record(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TO
                   witness={"element": alpha, "x": x, "y": y})
 
 
-class _PartForm:
-    """One part's Gram matrix of a partially PSD kernel, with what the shift
-    of any element from or into the part reads from it.
-
-    Each derived value is computed on first use, once per part rather than
-    once per element.
-    """
-
-    def __init__(self, gram: np.ndarray, tol: Tolerances):
-        self.gram = gram
-        self.tol = tol
-
-    @cached_property
-    def kernel_basis(self) -> np.ndarray:
-        """Orthonormal basis of the form kernel."""
-        return numlin.spectrum(self.gram, self.tol).kernel_basis
-
-    @cached_property
-    def norm(self) -> float:
-        return opnorm(self.gram)
-
-    @cached_property
-    def factor_pinv(self):
-        """Pseudo-inverse of the root factor B with G = B*B; None at rank 0."""
-        b, r = psd_root_factor(self.gram, self.tol)
-        return numlin.pinv(b, self.tol) if r else None
-
-    def leak(self, psi: np.ndarray, cod: "_PartForm"):
-        """(residual, bound) of the shift psi moving this part's form kernel
-        off the form kernel of the codomain part; None when the form kernel
-        is zero."""
-        if not self.kernel_basis.shape[1]:
-            return None
-        lead = psi @ self.kernel_basis
-        return (opnorm(lead.conj().T @ cod.gram @ lead),
-                self.tol.atol * max(1.0, cod.norm))
-
-    def compressed_norm(self, psi: np.ndarray, cod: "_PartForm") -> float:
-        """Largest eigenvalue of the shifted form compressed to the quotient."""
-        if self.factor_pinv is None:
-            return 0.0
-        comp = psi @ self.factor_pinv
-        w = numlin.spectrum(comp.conj().T @ cod.gram @ comp, self.tol).eigenvalues
-        return max(float(w[-1]), 0.0) if w.size else 0.0
-
-
 def _psd_grams(l: OpKernel, act: LeftAction, tol: Tolerances):
     """The action's partition and the part Grams of a partially PSD kernel on it."""
     _require_orbit_trivial(act, l.bundle)
@@ -541,15 +500,31 @@ def _psd_grams(l: OpKernel, act: LeftAction, tol: Tolerances):
 def _shift_constants(act: LeftAction, p: Partition, grams: dict, tol: Tolerances,
                      elements) -> dict:
     """The bounded-shift constant of each element, from the part Gram
-    matrices of a partially PSD kernel on the action's partition p."""
-    forms = {s: _PartForm(g, tol) for s, g in grams.items()}
+    matrices of a partially PSD kernel on the action's partition p.
+
+    The shifted form Psi* G_c Psi is a gather of the codomain part's Gram.
+    What it is compared with, per part, is computed once, on first use:
+    the form kernel's basis N, the Gram's norm, and the pseudo-inverse F of
+    its root factor.
+    """
+    basis = functools.cache(lambda s: numlin.spectrum(grams[s], tol).kernel_basis)
+    norm = functools.cache(lambda s: opnorm(grams[s]))
+    factor_pinv = functools.cache(lambda s: numlin.psd_root_pinv(grams[s], tol))
+    coords = _shift_coordinates(act, p)
     constants = {}
     for alpha in elements:
-        psi = _shift(act, p.bundle, alpha, p)
-        dom, cod = forms[act.sg.d[alpha]], forms[act.sg.c[alpha]]
-        leak = dom.leak(psi, cod)
-        undefined = leak is not None and leak[0] > leak[1]
-        constants[alpha] = None if undefined else dom.compressed_norm(psi, cod)
+        sd, sc = act.sg.d[alpha], act.sg.c[alpha]
+        c = _gather_index(act, p, coords, alpha)
+        shifted = grams[sc][np.ix_(c, c)]
+        n = basis(sd)
+        if n.shape[1] and opnorm(n.conj().T @ shifted @ n) > tol.atol * max(1.0, norm(sc)):
+            constants[alpha] = None  # the shift moves the form kernel off the codomain's
+        elif factor_pinv(sd).shape[1]:  # the top eigenvalue of the shifted form on the quotient
+            f = factor_pinv(sd)
+            w = numlin.spectrum(f.conj().T @ shifted @ f, tol).eigenvalues
+            constants[alpha] = max(float(w[-1]), 0.0)
+        else:
+            constants[alpha] = 0.0
     return constants
 
 

@@ -42,8 +42,8 @@ from .errors import (
 from .kernel import (
     OpKernel,
     Partition,
-    _shift,
-    _shift_norm,
+    _gather_index,
+    _shift_coordinates,
     conv_blocks,
     is_invariant,
     is_partially_hermitian,
@@ -158,7 +158,7 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
                 raise KernelNotDominated(
                     f"part {label!r}: kernel form does not vanish on the dominant's "
                     f"form kernel (residual {resid:.3e})")
-        bp = numlin.pinv(b_l, tol)
+        bp = numlin.psd_root_pinv(g_l, tol)
         gh = bp.conj().T @ g_k @ bp
         gh = 0.5 * (gh + gh.conj().T)
         s_gh = numlin.spectrum(gh, tol)
@@ -478,23 +478,25 @@ class KreinRepresentation:
 def represented_shifts(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
     """The represented shift W_c Psi W_d+ of every element, and its norm.
 
-    Invariance makes the shift respect the form kernels, so the compression
-    satisfies W_c Psi = Psi_rep W_d; that pairing identity is verified and
-    raised as PairingViolated on failure. Returns (psi, norms), keyed by
-    element.
+    W_c Psi is a column gather of W_c. Invariance makes the shift respect
+    the form kernels, so the compression satisfies W_c Psi = Psi_rep W_d;
+    that pairing identity is verified and raised as PairingViolated on
+    failure. Returns (psi, norms), keyed by element.
     """
     sg = act.sg
     p = lin.partition
+    coords = _shift_coordinates(act, p)
     wmap_pinv = functools.cache(lambda s: numlin.pinv(lin.wmap[s], tol))
     wmap_norm = functools.cache(lambda s: opnorm(lin.wmap[s]))
     psi, norms = {}, {}
     for alpha in sg.elements:
         sd, sc = sg.d[alpha], sg.c[alpha]
-        shift = _shift(act, p.bundle, alpha, p)
-        w_c, w_d = lin.wmap[sc], lin.wmap[sd]
-        t = w_c @ shift @ wmap_pinv(sd)
-        scale = max(1.0, wmap_norm(sc) * _shift_norm(act, alpha, p))
-        resid = frob(t @ w_d - w_c @ shift)
+        c = _gather_index(act, p, coords, alpha)
+        w_shift = lin.wmap[sc][:, c]
+        t = w_shift @ wmap_pinv(sd)
+        # ||Psi||^2 is the largest number of coordinates sent to one coordinate
+        scale = max(1.0, wmap_norm(sc) * np.sqrt(np.bincount(c, minlength=1).max()))
+        resid = frob(t @ lin.wmap[sd] - w_shift)
         if resid > tol.atol * scale:
             raise PairingViolated(
                 f"shift of {alpha!r} does not descend to the quotient "
@@ -534,11 +536,14 @@ def invariant_krein_representation(k: OpKernel, act: LeftAction, p: Partition,
 def krein_representation_laws(rep, tol: Tolerances = DEFAULT_TOL):
     """Records for multiplicativity, indefinite-adjoint compatibility and
     intertwining of a representation (with J = I, the adjoint is the
-    ordinary one)."""
+    ordinary one). The bounds are atol * max(1, largest squared norm of a
+    shift), and for intertwining also times the largest norm of a part's W,
+    which scales with the kernel's square root."""
     sg = rep.action.sg
     psi = rep.psi
     lin = rep.lin
     bound = tol.atol * max([1.0] + [n ** 2 for n in rep.norms.values()])
+    feature_scale = max((frob(w) for w in lin.wmap.values()), default=0.0)
 
     resid_mul, wit_mul = 0.0, None
     for (a, b), ab in sg.compose.items():
@@ -561,7 +566,7 @@ def krein_representation_laws(rep, tol: Tolerances = DEFAULT_TOL):
                 resid_int, wit_int = r, (a, x)
     return [_record(lin.family, "multiplicative", resid_mul, bound, wit_mul),
             _record(lin.family, "star", resid_sharp, bound, wit_sharp),
-            _record(lin.family, "intertwining", resid_int, bound, wit_int)]
+            _record(lin.family, "intertwining", resid_int, bound * feature_scale, wit_int)]
 
 
 def fundamental_reducibility_check(rep: KreinRepresentation, tol: Tolerances = DEFAULT_TOL):

@@ -11,7 +11,8 @@ Two thresholds decide, each in one place:
 
 - the eigenvalue cutoff ``rank_rel * max|eigenvalue|``: eigenvalues within
   it count as zero for rank, sign, spectral projections, kernel bases,
-  induced Krein spaces and the PSD root factor, and a Hermitian matrix is
+  induced Krein spaces and the PSD root factor with its pseudo-inverse
+  (``psd_root_pinv``, read from the spectrum), and a Hermitian matrix is
   PSD exactly when no eigenvalue lies below minus the cutoff (``psd_check``,
   ``herm_fn`` "sqrt_psd", ``psd_root_factor``), that is when its signature
   counts no negative direction. The cutoff scales with the matrix, so
@@ -55,6 +56,7 @@ __all__ = [
     "psd_check",
     "gap_at_zero",
     "psd_root_factor",
+    "psd_root_pinv",
 ]
 
 # pivot entries below this modulus never define an eigenvector phase;
@@ -391,6 +393,15 @@ def gap_at_zero(a, tol: Tolerances = DEFAULT_TOL):
     return spectrum(a, tol).gaps
 
 
+def _psd_retained(a, tol: Tolerances, tie_break: str):
+    """The eigenvalues above the cutoff of a PSD matrix and their
+    eigenvectors; NotPSD for an eigenvalue below minus the cutoff."""
+    s = spectrum(a, tol, tie_break=tie_break)
+    if not s.is_psd:
+        raise NotPSD(f"min eigenvalue {np.min(s.eigenvalues):.3e} is negative beyond tolerance")
+    return s.eigenvalues[s.positive], s.basis[:, s.positive]
+
+
 def psd_root_factor(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first"):
     """Factor a PSD matrix as G = B* B with B of full row rank.
 
@@ -399,10 +410,12 @@ def psd_root_factor(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first"):
     eigenvector block, the rows of induced_krein's canonical map. Negative
     eigenvalues within the cutoff count as zero; one below it raises NotPSD.
     """
-    s = spectrum(a, tol, tie_break=tie_break)
-    w, u = s.eigenvalues, s.basis
-    if not s.is_psd:
-        raise NotPSD(f"min eigenvalue {np.min(w):.3e} is negative beyond tolerance")
-    keep = s.positive
-    b = (np.sqrt(w[keep])[:, None]) * u[:, keep].conj().T
-    return b, int(np.count_nonzero(keep))
+    w, u = _psd_retained(a, tol, tie_break)
+    return np.sqrt(w)[:, None] * u.conj().T, w.size
+
+
+def psd_root_pinv(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The pseudo-inverse of psd_root_factor's B from the same spectrum, with
+    no SVD: the retained eigenvectors over the roots of their eigenvalues."""
+    w, u = _psd_retained(a, tol, "first")
+    return u / np.sqrt(w)

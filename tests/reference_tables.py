@@ -2,12 +2,16 @@
 
 These are the plain dict-walking versions of `sgpd.validate`,
 `sgpd.validate_action`, `sgpd.classify` (with its unit search),
-`sgpd.orbit_trivial_bundle` and `kernel.is_invariant`. The library runs
-array versions of the same checks; `test_reference_tables.py` asserts that
-both give identical results, witnesses, order and exceptions.
+`sgpd.orbit_trivial_bundle` and `kernel.is_invariant`, and the loop that
+builds a shift matrix (`kernel.shift_map`). The library runs array versions
+of the same checks and gathers at shift coordinates instead of building
+shift matrices; `test_reference_tables.py` asserts that both give identical
+results, witnesses, order and exceptions.
 """
 
 import itertools
+
+import numpy as np
 
 from kgl.errors import InvalidSemigroupoid, OrbitBundleNotTrivial
 from kgl.kernel import conv_blocks, partition_from_action
@@ -221,3 +225,16 @@ def is_invariant(k, act, tol=DEFAULT_TOL):
                 if frob(k.block(ax, y) - k.block(x, ay)) > bound:
                     return False, (alpha, x, y)
     return True, None
+
+
+def shift(act, bundle, alpha, p):
+    """The stacked shift matrix of alpha: an identity block at (alpha.x, x)
+    for every point x of the part at its domain symbol."""
+    sg = act.sg
+    idx_d = p.index(sg.d[alpha])
+    idx_c = p.index(sg.c[alpha])
+    out = np.zeros((idx_c.total_dim, idx_d.total_dim), dtype=np.complex128)
+    for x in idx_d.part:
+        y = act.apply(alpha, x)
+        out[idx_c.slice_of(y), idx_d.slice_of(x)] = np.eye(bundle.dim[x])
+    return out

@@ -9,6 +9,7 @@ import pytest
 
 from kgl import formats, generators
 from kgl.cli import main
+from kgl.kernel import kernel_lincomb
 from kgl.numlin import DEFAULT_TOL as TOL
 
 
@@ -474,3 +475,20 @@ def test_record_skeleton_of_report_and_linearize(circulant_instance, tmp_path, c
             == _per_part(parts, _HERMITIAN) + [_INVARIANT] + _KREIN_LAWS
             + [("represented shift commutes with the symmetry bundle",
                 "krein/reducibility", None)] * 9)
+
+
+@pytest.mark.parametrize("family", ["pair_groupoid", "group_action", "partial_bijections",
+                                    "group_as_groupoid"])
+@pytest.mark.parametrize("mode", ["psd_invariant", "hermitian_invariant"])
+def test_report_verdict_does_not_depend_on_the_kernel_scale(tmp_path, capsys, family, mode):
+    # one exit code and one set of failing tags across 300 orders of magnitude
+    sg, act, bundle, k = generators.generate_instance(family, seed=1, mode=mode)
+    verdicts = set()
+    for c in (1e-150, 1e-12, 1.0, 1e12, 1e150):
+        path = tmp_path / f"scaled-{c}.json"
+        formats.save_instance(
+            formats.instance_to_doc(sg, act, bundle, kernel_lincomb([c], [k])), path)
+        code, doc = run_json(capsys, ["report", str(path)])
+        failing = frozenset(r["tag"] for r in doc["records"] if not r["pass"])
+        verdicts.add((code, failing))
+    assert len(verdicts) == 1, verdicts

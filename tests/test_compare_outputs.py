@@ -1,4 +1,5 @@
-"""tools/compare_outputs.py names the record tag and field that differ."""
+"""tools/compare_outputs.py names the record tag and field that differ, and
+how far apart their numbers are."""
 
 import importlib.util
 import json
@@ -32,8 +33,10 @@ def test_diff_names_the_record_field_that_differs(tool, tmp_path, capsys):
     def fingerprint(name, out):
         path = tmp_path / name
         path.write_text(json.dumps({"outputs": {
-            "a check psd": {"sha": out, "parts": tool.parts(0, out, "")},
-            "generate": {"sha": "g", "parts": tool.parts(0, "{}\n", "")}}}))
+            "a check psd": {"sha": out, "parts": tool.parts(0, out, ""),
+                            "numbers": tool.part_numbers(0, out, "")},
+            "generate": {"sha": "g", "parts": tool.parts(0, "{}\n", ""),
+                         "numbers": tool.part_numbers(0, "{}\n", "")}}}))
         return str(path)
 
     old, new = fingerprint("old.json", report(1e-9)), fingerprint("new.json", report(2e-10))
@@ -44,3 +47,32 @@ def test_diff_names_the_record_field_that_differs(tool, tmp_path, capsys):
     assert "outputs: a check psd: kernel/psd tolerance" in out
     assert "outputs: 1 of 2 differ" in out
     assert "part kernel/psd tolerance: differs in 1 outputs" in out
+    assert "part kernel/psd tolerance: largest relative difference 0.8" in out
+
+
+def test_numbers_of_a_part_are_its_numeric_leaves_in_order(tool):
+    out = report(1e-9).replace('"witness": "s"}]', '"witness": {"x": 2, "ok": true, "y": [3.5]}}]')
+    numbers = tool.part_numbers(1, out, "")
+    assert numbers["exit"] == [1]
+    assert numbers["kernel/psd tolerance"] == [1e-9]
+    assert numbers["kernel/psd witness"] == [2, 3.5]  # booleans and strings are not numbers
+    assert "kernel/psd pass" not in numbers and "tags" not in numbers
+
+
+def test_relative_difference(tool):
+    assert tool.relative_difference([1.0, 0.0, -2.0], [1.0, 0.0, -1.0]) == 0.5
+    assert tool.relative_difference([0.0], [1e-300]) == 1.0
+    assert tool.relative_difference([1.0], [1.0, 2.0]) is None
+    assert tool.relative_difference([], []) == 0.0
+
+
+def test_diff_without_recorded_numbers_says_so(tool, tmp_path, capsys):
+    paths = []
+    for name, tolerance in (("old.json", 1e-9), ("new.json", 2e-10)):
+        out = report(tolerance)
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps({"outputs": {
+            "a check psd": {"sha": out, "parts": tool.parts(0, out, "")}}}))
+    assert tool.diff(*map(str, paths)) == 1
+    assert ("part kernel/psd tolerance: largest relative difference not comparable "
+            "(numbers differ in count or are not recorded)") in capsys.readouterr().out

@@ -3,10 +3,11 @@ import pytest
 
 from helpers import (circulant_kernel, merge_monoid, scalar_bundle, scalar_kernel,
                      swap_gram_kernel, z2_swap)
-from kgl import generators
+from kgl import generators, sgpd
 from kgl import kernel as kn
 from kgl.bundle import HilbertBundle, delta_section
-from kgl.errors import NonFinite, OrbitBundleNotTrivial, ShapeMismatch, UnknownPoint
+from kgl.errors import (InvalidSemigroupoid, NonFinite, OrbitBundleNotTrivial, ShapeMismatch,
+                        UnknownPoint)
 from kgl.kernel import OpKernel
 from kgl.numlin import DEFAULT_TOL as TOL
 
@@ -155,6 +156,22 @@ def test_shift_maps_check_the_orbits_once(monkeypatch):
     uneven = HilbertBundle(points=("x1", "x2"), dim={"x1": 1, "x2": 2})
     with pytest.raises(OrbitBundleNotTrivial):
         kn.shift_maps(z2_swap()[1], uneven)
+
+
+def test_shift_map_rejects_action_values_outside_the_part():
+    # the same table is refused by is_invariant; neither reads a coordinate of another part
+    sg, act = sgpd.pair_groupoid(("s0", "s1"))
+    table = dict(act.act)
+    table[("(s0,s1)", "(s1,s0)")] = "(s1,s0)"  # anchored at s1, not at the codomain s0
+    bad = sgpd.LeftAction(sg, act.base, act.anchor, table)
+    bundle = scalar_bundle(act.base)
+    with pytest.raises(InvalidSemigroupoid, match="outside the part 's0'"):
+        kn.shift_map(bad, bundle, "(s0,s1)")
+    with pytest.raises(InvalidSemigroupoid, match="outside the part 's0'"):
+        kn.shift_maps(bad, bundle)
+    with pytest.raises(InvalidSemigroupoid, match="outside the part 's0'"):
+        kn.is_invariant(kn.identity_kernel(bundle), bad, TOL)
+    assert kn.shift_map(bad, bundle, "(s1,s0)").shape == (2, 2)  # other elements still shift
 
 
 def test_is_invariant_frozen():

@@ -18,7 +18,8 @@ from helpers import merge_monoid, trivial_group, z2_swap
 from kgl import generators, sgpd
 from kgl.bundle import HilbertBundle
 from kgl.errors import InvalidSemigroupoid
-from kgl.kernel import OpKernel, is_invariant, partition_from_action
+from kgl.kernel import (OpKernel, _shift_coordinates, is_invariant, partition_from_action,
+                        shift_map, shift_maps)
 from kgl.numlin import Tolerances
 from kgl.sgpd import LeftAction, StarSemigroupoid
 
@@ -173,6 +174,42 @@ def test_orbit_triviality_matches_reference(name, sg, act):
     if len(act.base) > 1:
         short = HilbertBundle(points=act.base[1:], dim={x: 1 for x in act.base[1:]})
         assert_same(sgpd.orbit_trivial_bundle, ref.orbit_trivial_bundle, act, short)
+
+
+# ------------------------------------------------------------------
+# shifts
+
+
+def assert_shifts_match(act, bundle):
+    """The scatter of every element's shift coordinates is its loop-built shift matrix."""
+    p = partition_from_action(bundle, act)
+    want = {g: ref.shift(act, bundle, g, p) for g in act.sg.elements}
+    got = shift_maps(act, bundle)
+    assert list(got) == list(want)
+    coords = _shift_coordinates(act, p)
+    rng = np.random.default_rng(len(want))
+    for g, psi in want.items():
+        assert got[g].dtype == psi.dtype
+        assert np.array_equal(got[g], psi), g
+        assert np.array_equal(shift_map(act, bundle, g), psi), g
+        # what the library gathers in place of the products with psi
+        n, c = psi.shape[0], coords[g]
+        w = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        gram = w.conj().T @ w
+        assert np.array_equal(w @ psi, w[:, c]), g
+        assert np.array_equal(psi.conj().T @ gram @ psi, gram[np.ix_(c, c)]), g
+
+
+@pytest.mark.parametrize("name,sg,act", STRUCTURES, ids=IDS)
+def test_shift_matrices_match_reference(name, sg, act):
+    # every family, z2_swap, and merge_monoid, whose action is not injective
+    for dim in (1, 2):
+        assert_shifts_match(act, HilbertBundle(points=act.base, dim={x: dim for x in act.base}))
+
+
+def test_shift_matrices_match_reference_on_varying_fibers():
+    for name, act, k in INVARIANCE:
+        assert_shifts_match(act, k.bundle)
 
 
 # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ in-process and with one BLAS thread:
 plus `generate` for every family and mode, and `represent --krein --dominant`,
 with and without `--reducibility`, on generated invariant dominant pairs. The
 output JSON maps each run to the SHA-256 of its (exit code, stdout, stderr)
-and to the short hashes of its parts (see `parts`), each corpus to its
+and to the short hashes and the numbers of its parts (see `parts`), each corpus to its
 digest (of the file bytes), and each corpus instance to its
 `instance_digest` (of the content), so that a change of the file layout
 reads as files differing with equal content. Run from the root of a checkout:
@@ -22,7 +22,10 @@ reads as files differing with equal content. Run from the root of a checkout:
 `--diff` prints the keys whose fingerprints differ or that only one side has,
 each output key with the parts that differ (a record field reads as its tag
 and field, such as `kernel/psd tolerance`), then a count per section and per
-differing part, and exits 1 if there are any.
+differing part, and exits 1 if there are any. For each differing part it
+also prints the largest relative difference |x - y| / max(|x|, |y|) between
+the numbers of the two sides, which each fingerprint keeps per part (0 means
+only something other than a number differs).
 """
 
 import os
@@ -66,6 +69,24 @@ def _short(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
+def _values(code, out, err) -> dict:
+    """The parts of one output, keyed by part name (see `parts`)."""
+    found = {"exit": code, "stderr": err}
+    try:
+        doc = json.loads(out)
+        records = doc.pop("records")
+    except (ValueError, KeyError, TypeError, AttributeError):
+        found["stdout"] = out
+        return found
+    found.update({f"report {key}": value for key, value in doc.items()})
+    found["tags"] = [r["tag"] for r in records]
+    for r in records:
+        for key, value in r.items():
+            if key != "tag":
+                found.setdefault(f"{r['tag']} {key}", []).append(value)
+    return found
+
+
 def parts(code, out, err) -> dict:
     """Short hashes of the parts of one output, keyed by part name.
 
@@ -75,27 +96,32 @@ def parts(code, out, err) -> dict:
     tag's records in report order (`<tag> <field>`). Any other stdout is
     one part.
     """
-    found = {"exit": _short(code), "stderr": _short(err)}
-    try:
-        doc = json.loads(out)
-        records = doc.pop("records")
-    except (ValueError, KeyError, TypeError, AttributeError):
-        found["stdout"] = _short(out)
-        return found
-    found.update({f"report {key}": _short(value) for key, value in doc.items()})
-    found["tags"] = _short([r["tag"] for r in records])
-    fields = {}
-    for r in records:
-        for key, value in r.items():
-            if key != "tag":
-                fields.setdefault(f"{r['tag']} {key}", []).append(value)
-    found.update({name: _short(values) for name, values in fields.items()})
-    return found
+    return {name: _short(value) for name, value in _values(code, out, err).items()}
+
+
+def numbers(value) -> list:
+    """The numbers in a JSON value, in document order; booleans are not numbers."""
+    if isinstance(value, bool):
+        return []
+    if isinstance(value, (int, float)):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [n for item in value for n in numbers(item)]
+    return []
+
+
+def part_numbers(code, out, err) -> dict:
+    """The numbers of each part of one output that holds any, keyed by part name."""
+    found = {name: numbers(value) for name, value in _values(code, out, err).items()
+             if name != "stdout"}
+    return {name: ns for name, ns in found.items() if ns}
 
 
 def run(argv, scratch):
     """Fingerprint of one in-process `kgl` run, with the scratch path masked
-    out: the SHA-256 of its (exit code, stdout, stderr) and its parts."""
+    out: the SHA-256 of its (exit code, stdout, stderr), its parts and their numbers."""
     from kgl import cli
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -107,7 +133,7 @@ def run(argv, scratch):
     out, err = (s.getvalue().replace(scratch, "<scratch>") for s in (out, err))
     text = json.dumps([code, out, err])
     return {"sha": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "parts": parts(code, out, err)}
+            "parts": parts(code, out, err), "numbers": part_numbers(code, out, err)}
 
 
 def corpus_outputs(scratch, result):
@@ -171,12 +197,21 @@ def _differing_parts(va, vb) -> list:
     return sorted(name for name in set(pa) | set(pb) if pa.get(name) != pb.get(name))
 
 
+def relative_difference(xs, ys):
+    """Largest |x - y| / max(|x|, |y|) over two equally long lists of numbers
+    (0 where both are 0); None when the lists differ in length."""
+    if len(xs) != len(ys):
+        return None
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(xs, ys) if x != y),
+               default=0.0)
+
+
 def diff(path_a, path_b) -> int:
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
-    counts, by_part = [], collections.Counter()
+    counts, by_part, largest = [], collections.Counter(), {}
     for section in SECTIONS:
         sa, sb = a.get(section, {}), b.get(section, {})
         keys = sorted(set(sa) | set(sb))
@@ -192,6 +227,13 @@ def diff(path_a, path_b) -> int:
                 names = _differing_parts(va, vb)
                 by_part.update(names)
                 print(f"{section}: {key}: {', '.join(names)}")
+                for name in names:
+                    rel = None
+                    if "numbers" in va and "numbers" in vb:
+                        rel = relative_difference(va["numbers"].get(name, []),
+                                                  vb["numbers"].get(name, []))
+                    seen = largest.get(name, 0.0)
+                    largest[name] = None if rel is None or seen is None else max(seen, rel)
             else:
                 print(f"{section}: {key}")
         counts.append((section, differ, len(keys)))
@@ -199,6 +241,10 @@ def diff(path_a, path_b) -> int:
         print(f"{section}: {differ} of {total} differ")
     for name, n in sorted(by_part.items()):
         print(f"part {name}: differs in {n} outputs")
+        rel = largest[name]
+        print(f"part {name}: largest relative difference "
+              + ("not comparable (numbers differ in count or are not recorded)"
+                 if rel is None else f"{rel:.3g}"))
     return 1 if any(differ for _, differ, _ in counts) else 0
 
 
