@@ -13,7 +13,7 @@ consistency record, and the partial-isometry law of inverse semigroupoids.
 import dataclasses
 from dataclasses import dataclass, field
 
-from . import krein_lin
+from . import krein_lin, numlin
 from .errors import NotInvariant, NotPartiallyPSD
 from .kernel import OpKernel, Partition, _shift_constants, is_invariant, is_partially_psd
 from .numlin import DEFAULT_TOL, Tolerances, frob
@@ -97,7 +97,8 @@ def definite_representation(rep: krein_lin.KreinRepresentation,
     constant of every element and the record that each defined one equals
     the squared represented norm."""
     act, lin = rep.action, dataclasses.replace(rep.lin, family=HILBERT)
-    constants = _shift_constants(act, lin.partition, lin.gram, tol, act.sg.elements)
+    spectra = lin.spectra or {label: numlin.spectrum(g, tol) for label, g in lin.gram.items()}
+    constants = _shift_constants(act, lin.partition, lin.gram, spectra, tol, act.sg.elements)
     resid_bs, wit_bs = 0.0, None
     for a, m in constants.items():
         if m is None:

@@ -14,7 +14,6 @@ represented shifts. Only shift_map and shift_maps build the dense 0/1
 matrices, for callers outside the library.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +48,7 @@ __all__ = [
     "adjoint_kernel",
     "re_im",
     "conv_blocks",
+    "part_spectra",
     "hermitian_records",
     "psd_records",
     "is_partially_hermitian",
@@ -88,6 +88,8 @@ class OpKernel:
         self.bundle = index.bundle
         self._index = index
         self.gram = gram
+        self._parts = {}  # partition layout -> part Grams (conv_blocks)
+        self._spectra = {}  # (partition layout, tolerances) -> part spectra (part_spectra)
 
     def block(self, x, y) -> np.ndarray:
         """The block at (x, y): a read-only view into gram."""
@@ -204,11 +206,18 @@ def _coordinates(whole: PartIndex, idx: PartIndex) -> np.ndarray:
     return np.flatnonzero(np.repeat(inside, [whole.bundle.dim[x] for x in whole.part]))
 
 
+def _layout(p: Partition) -> tuple:
+    """What a partition's part Grams depend on: its labels and their points."""
+    return tuple((label, idx.part) for label, idx in p.parts.items())
+
+
 def kernel_from_part_grams(p: Partition, grams: dict) -> OpKernel:
     """The kernel whose within-part blocks are those of the given part Gram
-    matrices; cross-part blocks and parts not given are zero."""
+    matrices; cross-part blocks and parts not given are zero. When every
+    part is given, its part Grams on p are those matrices (see conv_blocks)."""
     whole = part_index(p.bundle, p.bundle.points)
     gram = np.zeros((whole.total_dim, whole.total_dim), dtype=np.complex128)
+    parts = {}
     for label, g in grams.items():
         idx = p.index(label)
         m = numlin.as_cmatrix(g)
@@ -216,14 +225,28 @@ def kernel_from_part_grams(p: Partition, grams: dict) -> OpKernel:
             raise ShapeMismatch(f"part {label!r}: matrix {m.shape} vs total dim {idx.total_dim}")
         c = _coordinates(whole, idx)
         gram[np.ix_(c, c)] = m
-    return _from_gram(whole, gram)
+        m.setflags(write=False)
+        parts[label] = m
+    k = _from_gram(whole, gram)
+    if parts.keys() == p.parts.keys():
+        k._parts[_layout(p)] = {label: parts[label] for label in p.parts}
+    return k
 
 
 def conv_blocks(k: OpKernel, p: Partition) -> dict:
     """Per part label, the part's Gram matrix: gram restricted to the part's
-    coordinates, in point order, read-only."""
+    coordinates, in point order, read-only. Each part Gram is gathered once
+    per kernel and partition layout; later calls return the same arrays."""
     if k.bundle != p.bundle:
         raise BundleMismatch("kernel and partition bundles differ")
+    key = _layout(p)
+    grams = k._parts.get(key)
+    if grams is None:
+        grams = k._parts[key] = _gather_part_grams(k, p)
+    return dict(grams)
+
+
+def _gather_part_grams(k: OpKernel, p: Partition) -> dict:
     grams = {}
     for label, idx in p.parts.items():
         c = _coordinates(k._index, idx)
@@ -231,6 +254,24 @@ def conv_blocks(k: OpKernel, p: Partition) -> dict:
         g.setflags(write=False)
         grams[label] = g
     return grams
+
+
+def part_spectra(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> dict:
+    """Per part label, the canonical Spectrum of the part's Gram matrix
+    (numlin.spectrum), computed once per kernel, partition layout and
+    tolerances; a kernel built from spectra carries them (_carry_spectra)."""
+    key = _layout(p), tol
+    spectra = k._spectra.get(key)
+    if spectra is None:
+        spectra = k._spectra[key] = {label: numlin.spectrum(g, tol)
+                                     for label, g in conv_blocks(k, p).items()}
+    return dict(spectra)
+
+
+def _carry_spectra(k: OpKernel, p: Partition, tol: Tolerances, spectra: dict):
+    """Let k carry the canonical spectra of its part Grams on p, made with
+    tol, so that part_spectra returns them instead of decomposing."""
+    k._spectra[_layout(p), tol] = dict(spectra)
 
 
 def hermitian_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> list:
@@ -488,40 +529,41 @@ def invariance_record(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TO
                   witness={"element": alpha, "x": x, "y": y})
 
 
-def _psd_grams(l: OpKernel, act: LeftAction, tol: Tolerances):
-    """The action's partition and the part Grams of a partially PSD kernel on it."""
+def _psd_parts(l: OpKernel, act: LeftAction, tol: Tolerances):
+    """The action's partition with the part Grams and part spectra of a
+    partially PSD kernel on it."""
     _require_orbit_trivial(act, l.bundle)
     p = partition_from_action(l.bundle, act)
     if not is_partially_psd(l, p, tol):
         raise NotPSD("bounded-shift constants are relative to a partially PSD kernel")
-    return p, conv_blocks(l, p)
+    return p, conv_blocks(l, p), part_spectra(l, p, tol)
 
 
-def _shift_constants(act: LeftAction, p: Partition, grams: dict, tol: Tolerances,
-                     elements) -> dict:
+def _shift_constants(act: LeftAction, p: Partition, grams: dict, spectra: dict,
+                     tol: Tolerances, elements) -> dict:
     """The bounded-shift constant of each element, from the part Gram
-    matrices of a partially PSD kernel on the action's partition p.
+    matrices of a partially PSD kernel on the action's partition p and
+    their canonical spectra.
 
     The shifted form Psi* G_c Psi is a gather of the codomain part's Gram.
-    What it is compared with, per part, is computed once, on first use:
-    the form kernel's basis N, the Gram's norm, and the pseudo-inverse F of
-    its root factor.
+    It is compared with what the spectra give: the form kernel's basis N,
+    the Gram's norm max|w| and the pseudo-inverse F of its root factor. The
+    shift moves the form kernel when ||N* G_c[ix(c, c)] N|| exceeds atol
+    times the codomain Gram's norm, a bound with no floor, so the verdict
+    does not depend on the kernel's scale.
     """
-    basis = functools.cache(lambda s: numlin.spectrum(grams[s], tol).kernel_basis)
-    norm = functools.cache(lambda s: opnorm(grams[s]))
-    factor_pinv = functools.cache(lambda s: numlin.psd_root_pinv(grams[s], tol))
     coords = _shift_coordinates(act, p)
     constants = {}
     for alpha in elements:
         sd, sc = act.sg.d[alpha], act.sg.c[alpha]
         c = _gather_index(act, p, coords, alpha)
         shifted = grams[sc][np.ix_(c, c)]
-        n = basis(sd)
-        if n.shape[1] and opnorm(n.conj().T @ shifted @ n) > tol.atol * max(1.0, norm(sc)):
+        n = spectra[sd].kernel_basis
+        f = spectra[sd].factor_pinv
+        if n.shape[1] and opnorm(n.conj().T @ shifted @ n) > tol.atol * spectra[sc].norm:
             constants[alpha] = None  # the shift moves the form kernel off the codomain's
-        elif factor_pinv(sd).shape[1]:  # the top eigenvalue of the shifted form on the quotient
-            f = factor_pinv(sd)
-            w = numlin.spectrum(f.conj().T @ shifted @ f, tol).eigenvalues
+        elif f.shape[1]:  # the top eigenvalue of the shifted form on the quotient
+            w = numlin.spectrum_values(f.conj().T @ shifted @ f, tol).eigenvalues
             constants[alpha] = max(float(w[-1]), 0.0)
         else:
             constants[alpha] = 0.0
@@ -539,7 +581,7 @@ def bounded_shift_constant(l: OpKernel, act: LeftAction, alpha,
     part into the form kernel at the codomain part, so no finite constant
     exists relative to the quotient.
     """
-    return _shift_constants(act, *_psd_grams(l, act, tol), tol, (alpha,))[alpha]
+    return _shift_constants(act, *_psd_parts(l, act, tol), tol, (alpha,))[alpha]
 
 
 def bounded_shift_constants(l: OpKernel, act: LeftAction,
@@ -549,7 +591,7 @@ def bounded_shift_constants(l: OpKernel, act: LeftAction,
     The PSD check, the Gram assembly and the per-part factors are done
     once for all elements.
     """
-    return _shift_constants(act, *_psd_grams(l, act, tol), tol, act.sg.elements)
+    return _shift_constants(act, *_psd_parts(l, act, tol), tol, act.sg.elements)
 
 
 def bounded_shift_records(l: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> list:
@@ -562,7 +604,8 @@ def bounded_shift_records(l: OpKernel, act: LeftAction, tol: Tolerances = DEFAUL
     if not all(r.passed for r in records):
         return records
     _require_orbit_trivial(act, l.bundle)
-    constants = _shift_constants(act, p, conv_blocks(l, p), tol, act.sg.elements)
+    constants = _shift_constants(act, p, conv_blocks(l, p), part_spectra(l, p, tol), tol,
+                                 act.sg.elements)
     return records + [Record("shifted form is boundedly dominated", "kernel/bounded-shift",
                              0.0 if m is not None else 1.0, 0.5, m is not None,
                              witness={"element": alpha, "constant": m})

@@ -25,8 +25,10 @@ __all__ = [
     "hilbert_space",
     "krein_adjoint",
     "induced_krein",
+    "induced_from_spectrum",
     "lift_operator",
     "gap_uniqueness",
+    "gaps_unique",
 ]
 
 
@@ -125,16 +127,15 @@ def induced_krein(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") ->
     to the form's kernel and are dropped. Rows of the canonical map are
     sqrt(|eigenvalue|) times the adjoint eigenvector, positives first.
     """
-    s = numlin.spectrum(a, tol, tie_break=tie_break)
-    w, u = s.eigenvalues, s.basis
-    pos = np.flatnonzero(s.positive)
-    neg = np.flatnonzero(s.negative)
-    keep = np.concatenate([pos, neg])
-    scalew = np.sqrt(np.abs(w[keep])) if keep.size else np.zeros(0)
-    pi = scalew[:, None] * u[:, keep].conj().T if keep.size else np.zeros(
-        (0, w.size), dtype=np.complex128)
-    space = KreinSpace((1,) * pos.size + (-1,) * neg.size)
-    return InducedKrein(source_dim=int(w.size), space=space, pi=pi)
+    return induced_from_spectrum(numlin.spectrum(a, tol, tie_break=tie_break))
+
+
+def induced_from_spectrum(s: numlin.Spectrum) -> InducedKrein:
+    """induced_krein of the matrix whose canonical spectrum is s: the map is
+    s.factor, its pseudo-inverse s.factor_pinv."""
+    p, n = s.signature
+    return InducedKrein(source_dim=int(s.eigenvalues.size), space=KreinSpace((1,) * p + (-1,) * n),
+                        pi=s.factor)
 
 
 @dataclass(eq=False)
@@ -199,6 +200,10 @@ def gap_uniqueness(a, tol: Tolerances = DEFAULT_TOL):
     of spectrum on at least one side of zero, so unique is always True
     here; infinite-dimensional forms can fail this.
     """
-    gap_neg, gap_pos = numlin.gap_at_zero(a, tol)
+    return gaps_unique(*numlin.gap_at_zero(a, tol))
+
+
+def gaps_unique(gap_neg, gap_pos):
+    """(unique, gap_neg, gap_pos) of gap_uniqueness from the two gaps."""
     unique = (gap_neg is None or gap_neg > 0.0) or (gap_pos is None or gap_pos > 0.0)
     return unique, gap_neg, gap_pos

@@ -30,26 +30,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numlin
-from .bundle import Section, unstack
+from .bundle import Section, stack, unstack
 from .errors import (
     KernelNotDominated,
     NotHermitian,
     NotInvariant,
-    NotPSD,
     PairingViolated,
     RankMismatch,
 )
 from .kernel import (
     OpKernel,
     Partition,
+    _carry_spectra,
     _gather_index,
     _shift_coordinates,
     conv_blocks,
     is_invariant,
     is_partially_hermitian,
     kernel_from_part_grams,
+    part_spectra,
 )
-from .krein_core import gap_uniqueness, induced_krein, krein_adjoint
+from .krein_core import gaps_unique, induced_from_spectrum, induced_krein, krein_adjoint
 from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm
 from .reports import Record
 from .sgpd import LeftAction
@@ -109,19 +110,27 @@ def rekey(records, source: dict, target: dict) -> list:
 
 
 def canonical_dominant(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
-    """The dominating PSD kernel whose part Gram matrices are |G_s|.
+    """The dominating PSD kernel whose part Gram matrices are |G_s| = U|w|U*.
 
-    Satisfies -L <= K <= L partwise. Taking spectral absolute values does
-    not always preserve invariance, so is_invariant decides it per instance.
+    Built from each part Gram's canonical spectrum (w, U), it carries the
+    spectra of the |G_s| read from those (numlin.abs_spectrum), so its root
+    factors, their pseudo-inverses and its form kernels cost no
+    decomposition. Satisfies -L <= K <= L partwise. Taking spectral
+    absolute values does not always preserve invariance, so is_invariant
+    decides it per instance.
     """
-    grams = {label: numlin.herm_fn(g, "abs", tol) for label, g in conv_blocks(k, p).items()}
-    return kernel_from_part_grams(p, grams)
+    spectra = part_spectra(k, p, tol)
+    l = kernel_from_part_grams(p, {label: (s.basis * np.abs(s.eigenvalues)) @ s.basis.conj().T
+                                   for label, s in spectra.items()})
+    _carry_spectra(l, p, tol, {label: numlin.abs_spectrum(s) for label, s in spectra.items()})
+    return l
 
 
 @dataclass(eq=False)
 class GramData:
     """Per part: the dominant's factor, the kernel's Gram operator on the
-    quotient, its gaps at zero and contraction norm."""
+    quotient, its gaps at zero and contraction norm (both read from its
+    eigenvalues)."""
 
     partition: Partition
     dominant_factor: dict  # label -> B_L, shape (r_L, total_dim)
@@ -139,30 +148,32 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
     The result per part is the unique Hermitian matrix with
     B_L* Ghat B_L = G_K; it is a contraction exactly when -L <= K <= L.
     Raises KernelNotDominated when L's form kernel is not contained in K's
-    (the quotient is then undefined) or the contraction bound fails.
+    (the quotient is then undefined) or the contraction bound fails. The
+    dominant's factor, its pseudo-inverse and its form kernel come from its
+    part spectra (part_spectra: the canonical dominant carries them); the
+    norm and gaps of the Gram operator from its eigenvalues alone.
     """
     if not is_partially_hermitian(k, p, tol):
         raise NotHermitian("Gram operator needs a partially Hermitian kernel")
     grams_k = conv_blocks(k, p)
     factor, ranks, ghat, gaps, contraction, ident = {}, {}, {}, {}, {}, {}
-    for label, g_l in conv_blocks(l, p).items():
+    for label, s_l in part_spectra(l, p, tol).items():
         g_k = grams_k[label]
-        try:
-            b_l, r_l = numlin.psd_root_factor(g_l, tol)
-        except NotPSD:
+        if not s_l.is_psd:
             raise KernelNotDominated(f"part {label!r}: the dominant is not PSD")
-        nl = numlin.spectrum(g_l, tol).kernel_basis
+        b_l, r_l = s_l.factor, s_l.rank
+        nl = s_l.kernel_basis
         if nl.shape[1]:
             resid = frob(g_k @ nl)
             if resid > tol.atol * max(1.0, frob(g_k)):
                 raise KernelNotDominated(
                     f"part {label!r}: kernel form does not vanish on the dominant's "
                     f"form kernel (residual {resid:.3e})")
-        bp = numlin.psd_root_pinv(g_l, tol)
+        bp = s_l.factor_pinv
         gh = bp.conj().T @ g_k @ bp
         gh = 0.5 * (gh + gh.conj().T)
-        s_gh = numlin.spectrum(gh, tol)
-        norm = float(np.max(np.abs(s_gh.eigenvalues), initial=0.0))  # ||ghat||, ghat Hermitian
+        s_gh = numlin.spectrum_values(gh, tol)
+        norm = s_gh.norm  # ||ghat||, ghat Hermitian
         if norm > 1.0 + tol.atol:
             raise KernelNotDominated(
                 f"part {label!r}: Gram operator norm {norm:.12f} exceeds 1, "
@@ -190,8 +201,7 @@ def jordan_split(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
     disjointness of the decomposition.
     """
     plus, minus, cert = {}, {}, {}
-    for label, g in conv_blocks(k, p).items():
-        s = numlin.spectrum(g, tol)
+    for label, s in part_spectra(k, p, tol).items():
         w, u = s.eigenvalues, s.basis
         g_plus = (u * np.clip(w, 0.0, None)) @ u.conj().T
         g_minus = (u * np.clip(-w, 0.0, None)) @ u.conj().T
@@ -200,7 +210,7 @@ def jordan_split(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
         # ranks counted at the scale of the whole Gram matrix; a side that
         # is pure rounding noise must count as zero, not as its own scale
         r_plus, r_minus = s.signature
-        r_sum = numlin.rank_tol(g_plus + g_minus, tol)
+        r_sum = numlin.spectrum_values(g_plus + g_minus, tol).rank
         cert[label] = {
             "rank_plus": r_plus,
             "rank_minus": r_minus,
@@ -237,8 +247,10 @@ class KreinLinearisation:
 
     features[x] is the column slice of W at x, so K(x, y) = V_x* J V_y
     within each part. provenance records which construction route built
-    the object; the dominant kernel is kept when that route was used.
-    family names the records of its checks: KREIN, or HILBERT when J = I.
+    the object; the dominant kernel is kept when that route was used, and
+    the part Grams' canonical spectra, whose canonical maps are the W, when
+    the direct route was. family names the records of its checks: KREIN, or
+    HILBERT when J = I.
     """
 
     partition: Partition
@@ -250,9 +262,27 @@ class KreinLinearisation:
     dominant: OpKernel = None
     tie_break: str = "first"
     family: dict = field(default_factory=lambda: KREIN)
+    spectra: dict = None  # label -> Spectrum of G_K with W its factor (direct route)
 
     def part_label(self, x):
         return self.partition.part_of[x]
+
+    def _spectrum(self, label):
+        """The spectrum whose canonical map W is, or None (dominant route,
+        or a W replaced since)."""
+        s = (self.spectra or {}).get(label)
+        return s if s is not None and s.factor is self.wmap[label] else None
+
+    def pinv(self, label, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """W+ of a part: U_k / sqrt|w_k| from its spectrum on the direct
+        route, numlin.pinv (an SVD) where W has no spectrum."""
+        s = self._spectrum(label)
+        return numlin.pinv(self.wmap[label], tol) if s is None else s.factor_pinv
+
+    def norm(self, label) -> float:
+        """||W|| of a part: sqrt(max|w|) from its spectrum, else an SVD."""
+        s = self._spectrum(label)
+        return opnorm(self.wmap[label]) if s is None else float(np.sqrt(s.norm))
 
 
 def feature_maps(p: Partition, wmap: dict) -> dict:
@@ -273,10 +303,12 @@ def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL
     """
     grams = conv_blocks(k, p)
     spaces, wmap = {}, {}
-    used_dominant = None
+    used_dominant = spectra = None
     if via == "direct":
-        for label, g in grams.items():
-            ik = induced_krein(g, tol, tie_break=tie_break)
+        spectra = part_spectra(k, p, tol) if tie_break == "first" else {
+            label: numlin.spectrum(g, tol, tie_break=tie_break) for label, g in grams.items()}
+        for label, s in spectra.items():
+            ik = induced_from_spectrum(s)
             spaces[label] = ik.space
             wmap[label] = ik.pi
     elif via == "dominant":
@@ -289,7 +321,8 @@ def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL
     else:
         raise ValueError(f"unknown construction route {via!r}")
     return KreinLinearisation(p, grams, spaces, wmap, feature_maps(p, wmap),
-                              provenance=via, dominant=used_dominant, tie_break=tie_break)
+                              provenance=via, dominant=used_dominant, tie_break=tie_break,
+                              spectra=spectra)
 
 
 def verify_krein_factorization(lin, tol: Tolerances = DEFAULT_TOL):
@@ -346,10 +379,11 @@ def verify_reproducing(view: RkKreinView, tol: Tolerances = DEFAULT_TOL):
 
     Per part: kernel columns are members (the member represented by V_x h
     stacks to the Gram column at x), and the reproducing identity holds on
-    a deterministic batch of three members.
+    a deterministic batch of three members: each member, read at every
+    stacked coordinate (x, h), against the pairing [V_x h, f]_J of the
+    feature column with f, summed coordinate by coordinate.
     """
     lin = view.lin
-    dims = lin.partition.bundle.dim
     rng = np.random.Generator(np.random.Philox(67890))
     records = []
     for label, idx in lin.partition.parts.items():
@@ -366,15 +400,11 @@ def verify_reproducing(view: RkKreinView, tol: Tolerances = DEFAULT_TOL):
         m = lin.spaces[label].dim
         jdiag = np.asarray(lin.spaces[label].jdiag, dtype=np.float64)
         trials = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(3)] if m else []
+        columns = np.hstack([lin.features[x] for x in idx.part]) if idx.part else w
         for f in trials:
-            sec = view.member(label, f)
-            for x in idx.part:
-                for i in range(dims[x]):
-                    h = np.zeros(dims[x], dtype=np.complex128)
-                    h[i] = 1.0
-                    lhs = complex(np.vdot(h, sec.at(x)))
-                    rhs = complex(np.vdot(lin.features[x] @ h, jdiag * f))
-                    rep_resid = max(rep_resid, abs(lhs - rhs))
+            lhs = stack(view.member(label, f), idx)
+            rhs = np.sum(columns.conj() * (jdiag * f)[:, None], axis=0)
+            rep_resid = max(rep_resid, float(np.max(np.abs(lhs - rhs), initial=0.0)))
         records.append(_record(lin.family, "reproducing", rep_resid, bound, label))
     return records
 
@@ -401,8 +431,8 @@ def uniqueness_report(k: OpKernel, l: OpKernel, p: Partition,
     """
     gd = gram_operator(k, l, p, tol)
     records = []
-    for label, gh in gd.ghat.items():
-        unique, gap_neg, gap_pos = gap_uniqueness(gh, tol)
+    for label, gaps in gd.gaps.items():
+        unique, gap_neg, gap_pos = gaps_unique(*gaps)
         finite_gaps = [g for g in (gap_neg, gap_pos) if g is not None]
         eps = min(finite_gaps) if finite_gaps else 1.0
         note = ("finite-dimensional collapse: the Gram operator has finitely many "
@@ -449,8 +479,7 @@ def j_unitary_equivalence(lin_a, lin_b, tol: Tolerances = DEFAULT_TOL) -> Equiva
         if sa.signature != sb.signature:
             raise RankMismatch(
                 f"part {label!r}: signatures {sa.signature} vs {sb.signature}")
-        wa, wb = lin_a.wmap[label], lin_b.wmap[label]
-        u = wb @ numlin.pinv(wa, tol)
+        u = lin_b.wmap[label] @ lin_a.pinv(label, tol)
         maps[label] = u
         bound = tol.atol * max(1.0, frob(lin_a.gram[label]))
         usharp = krein_adjoint(u, sa, sb)
@@ -478,24 +507,27 @@ class KreinRepresentation:
 def represented_shifts(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
     """The represented shift W_c Psi W_d+ of every element, and its norm.
 
-    W_c Psi is a column gather of W_c. Invariance makes the shift respect
-    the form kernels, so the compression satisfies W_c Psi = Psi_rep W_d;
-    that pairing identity is verified and raised as PairingViolated on
+    W_c Psi is a column gather of W_c; W_d+ and ||W_c|| are read from the
+    part spectra on the direct route (KreinLinearisation.pinv and .norm).
+    Invariance makes the shift respect the form kernels, so the compression
+    satisfies W_c Psi = Psi_rep W_d; that pairing identity is verified, with
+    a bound that scales with the kernel, and raised as PairingViolated on
     failure. Returns (psi, norms), keyed by element.
     """
     sg = act.sg
     p = lin.partition
     coords = _shift_coordinates(act, p)
-    wmap_pinv = functools.cache(lambda s: numlin.pinv(lin.wmap[s], tol))
-    wmap_norm = functools.cache(lambda s: opnorm(lin.wmap[s]))
+    wmap_pinv = functools.cache(lambda s: lin.pinv(s, tol))
+    wmap_norm = functools.cache(lin.norm)
     psi, norms = {}, {}
     for alpha in sg.elements:
         sd, sc = sg.d[alpha], sg.c[alpha]
         c = _gather_index(act, p, coords, alpha)
         w_shift = lin.wmap[sc][:, c]
         t = w_shift @ wmap_pinv(sd)
-        # ||Psi||^2 is the largest number of coordinates sent to one coordinate
-        scale = max(1.0, wmap_norm(sc) * np.sqrt(np.bincount(c, minlength=1).max()))
+        # ||Psi||^2 is the largest number of coordinates sent to one coordinate;
+        # the bound scales with ||W_c Psi||, as the residual does, with no floor
+        scale = wmap_norm(sc) * np.sqrt(np.bincount(c, minlength=1).max())
         resid = frob(t @ lin.wmap[sd] - w_shift)
         if resid > tol.atol * scale:
             raise PairingViolated(

@@ -11,21 +11,28 @@ Two thresholds decide, each in one place:
 
 - the eigenvalue cutoff ``rank_rel * max|eigenvalue|``: eigenvalues within
   it count as zero for rank, sign, spectral projections, kernel bases,
-  induced Krein spaces and the PSD root factor with its pseudo-inverse
-  (``psd_root_pinv``, read from the spectrum), and a Hermitian matrix is
-  PSD exactly when no eigenvalue lies below minus the cutoff (``psd_check``,
-  ``herm_fn`` "sqrt_psd", ``psd_root_factor``), that is when its signature
-  counts no negative direction. The cutoff scales with the matrix, so
-  neither decision depends on the matrix's overall scale;
+  induced Krein spaces and the canonical map ``Spectrum.factor`` with its
+  pseudo-inverse ``Spectrum.factor_pinv`` (for a PSD matrix, the root
+  factor), and a Hermitian matrix is PSD exactly when no eigenvalue lies
+  below minus the cutoff (``psd_check``, ``herm_fn`` "sqrt_psd",
+  ``psd_root_factor``), that is when its signature counts no negative
+  direction. The cutoff scales with the matrix, so neither decision
+  depends on the matrix's overall scale;
 - the singular-value cutoff ``rank_rel * largest singular value``, which
   applies only to ``pinv`` and to the minimality records that count
   singular values the same way.
 
 A :class:`Spectrum` carries one canonical decomposition with the cutoff's
-decisions read from it. Inside a :func:`decomposition_store` scope (every
-``kgl`` command runs in one) each distinct matrix is decomposed, and each
-pseudo-inverse computed, once: results are looked up by a digest of the
-matrix content. Outside a scope every call computes afresh.
+decisions read from it, and everything that is a spectral function of the
+matrix is read from it rather than decomposed again: its norm max|w|, its
+canonical map and that map's pseudo-inverse U_k / sqrt|w_k| (no SVD), and
+the canonical spectrum of |G| = U|w|U* (``abs_spectrum``). A check that
+reads only the eigenvalues of a matrix of its own uses ``spectrum_values``
+(``np.linalg.eigvalsh``, no eigenvectors). Inside a
+:func:`decomposition_store` scope (every ``kgl`` command runs in one) each
+distinct matrix is decomposed, and each pseudo-inverse computed, once:
+results are looked up by a digest of the matrix content. Outside a scope
+every call computes afresh.
 """
 
 import contextlib
@@ -56,7 +63,8 @@ __all__ = [
     "psd_check",
     "gap_at_zero",
     "psd_root_factor",
-    "psd_root_pinv",
+    "spectrum_values",
+    "abs_spectrum",
 ]
 
 # pivot entries below this modulus never define an eigenvector phase;
@@ -136,20 +144,19 @@ def _normalize_phases(u: np.ndarray, pivot: str) -> np.ndarray:
 
     pivot "first" uses the first coordinate of modulus above the floor,
     pivot "last" the last one. Zero columns (cannot happen for unitary
-    input) are left alone.
+    input) are left alone. The moduli are np.hypot's, the modulus of a
+    complex scalar, so every column gets the bytes of a column-by-column loop.
     """
-    u = u.copy()
-    n = u.shape[0]
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        idx = range(n) if pivot == "first" else range(n - 1, -1, -1)
-        for i in idx:
-            z = col[i]
-            r = abs(z)
-            if r > _PHASE_FLOOR:
-                u[:, j] = col * (z.conjugate() / r)
-                break
-    return u
+    big = np.hypot(u.real, u.imag) > _PHASE_FLOOR
+    first = big if pivot == "first" else big[::-1]
+    rows = first.argmax(axis=0)
+    if pivot != "first":
+        rows = u.shape[0] - 1 - rows
+    cols = np.flatnonzero(big.any(axis=0))
+    z = u[rows[cols], cols]
+    out = u.copy()
+    out[:, cols] = u[:, cols] * (z.conj() / np.hypot(z.real, z.imag))
+    return out
 
 
 def _order_ties(w: np.ndarray, u: np.ndarray, reverse: bool):
@@ -196,9 +203,9 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") -> Herm
 class Spectrum:
     """A canonical eigendecomposition with the decisions read from it.
 
-    eigenvalues and basis are those of herm_eig, read-only. cutoff is the
-    eigenvalue cutoff rank_rel * max|eigenvalue| of the tolerances it was
-    made with.
+    eigenvalues and basis are those of herm_eig, read-only; basis is None
+    for the eigenvalues alone (spectrum_values). cutoff is the eigenvalue
+    cutoff rank_rel * max|eigenvalue| of the tolerances it was made with.
     """
 
     eigenvalues: np.ndarray
@@ -218,6 +225,30 @@ class Spectrum:
     @property
     def rank(self) -> int:
         return int(np.count_nonzero(np.abs(self.eigenvalues) > self.cutoff))
+
+    @property
+    def norm(self) -> float:
+        """max|eigenvalue|, the operator norm of the Hermitian matrix."""
+        return float(np.max(np.abs(self.eigenvalues), initial=0.0))
+
+    @cached_property
+    def retained(self) -> np.ndarray:
+        """Indices of the eigenvalues beyond the cutoff, positives first, read-only."""
+        return _frozen(np.concatenate([np.flatnonzero(self.positive),
+                                       np.flatnonzero(self.negative)]))
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """The canonical map sqrt|w_k| U_k* over the retained eigenpairs k,
+        read-only: induced_krein's map, and a PSD matrix's root factor."""
+        k = self.retained
+        return _frozen(np.sqrt(np.abs(self.eigenvalues[k]))[:, None] * self.basis[:, k].conj().T)
+
+    @cached_property
+    def factor_pinv(self) -> np.ndarray:
+        """The pseudo-inverse U_k / sqrt|w_k| of factor, with no SVD, read-only."""
+        k = self.retained
+        return _frozen(self.basis[:, k] / np.sqrt(np.abs(self.eigenvalues[k])))
 
     @property
     def signature(self):
@@ -296,21 +327,56 @@ def spectrum(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") -> Spec
     matrix is stored, so every later call on the same content, tolerances
     and tie_break returns it without calling herm_eig.
     """
+    m = _require_hermitian(a, tol)
+
+    def decompose():
+        eig = herm_eig(m, tol, tie_break)
+        return _spectrum_of(eig.eigenvalues, eig.basis, tol)
+    return _stored(("spectrum", tol, tie_break), m, decompose)
+
+
+def spectrum_values(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+    """The eigenvalues of a Hermitian matrix (np.linalg.eigvalsh, no
+    eigenvectors) with the cutoff's decisions: a Spectrum whose basis is
+    None, for a check that reads eigenvalues only. Stored like spectrum's,
+    apart from them."""
+    m = _require_hermitian(a, tol)
+    return _stored(("values", tol), m, lambda: _spectrum_of(
+        np.linalg.eigvalsh(m) if m.shape[0] else np.zeros(0), None, tol))
+
+
+def _spectrum_of(w: np.ndarray, basis, tol: Tolerances) -> Spectrum:
+    w = _frozen(w)
+    top = float(np.max(np.abs(w), initial=0.0))
+    return Spectrum(w, None if basis is None else _frozen(basis), tol.rank_rel * top)
+
+
+def _stored(kind: tuple, m: np.ndarray, compute):
+    """compute(); inside a decomposition_store scope, the result stored under
+    kind and m's content, computed on the first call only."""
     store = _STORE.get()
     if store is None:
-        return _spectrum_of(herm_eig(a, tol, tie_break), tol)
-    m = _require_hermitian(a, tol)
-    key = ("spectrum", tol, tie_break) + _content_key(m)
+        return compute()
+    key = kind + _content_key(m)
     found = store.get(key)
     if found is None:
-        found = store[key] = _spectrum_of(herm_eig(m, tol, tie_break), tol)
+        found = store[key] = compute()
     return found
 
 
-def _spectrum_of(eig: HermEig, tol: Tolerances) -> Spectrum:
-    w = _frozen(eig.eigenvalues)
-    top = float(np.max(np.abs(w), initial=0.0))
-    return Spectrum(w, _frozen(eig.basis), tol.rank_rel * top)
+def abs_spectrum(s: Spectrum) -> Spectrum:
+    """The canonical spectrum of |G| = U |w| U*, read from the canonical
+    spectrum (w, U) of G (tie_break "first"), with no decomposition.
+
+    The eigenvalues |w| are sorted ascending with their eigenvectors, whose
+    phases are already pinned; eigenvalues that become exactly equal (a
+    pair +-lambda, say) are ordered as herm_eig orders ties. The cutoff,
+    rank_rel * max|w|, is G's.
+    """
+    a = np.abs(s.eigenvalues)
+    order = np.argsort(a, kind="stable")
+    w, u = _order_ties(a[order], s.basis[:, order], reverse=True)
+    return Spectrum(_frozen(w), _frozen(u), s.cutoff)
 
 
 def herm_fn(a, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -360,18 +426,12 @@ def pinv(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Inside a decomposition_store scope the result is stored by content.
     """
     m = as_cmatrix(a)
-    store = _STORE.get()
-    key = None if store is None else ("pinv", tol.rank_rel) + _content_key(m)
-    if key is not None and key in store:
-        return store[key]
-    if m.size == 0:
-        p = np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    else:
-        p = np.linalg.pinv(m, rcond=tol.rank_rel)
-    p = _frozen(p)
-    if key is not None:
-        store[key] = p
-    return p
+
+    def invert():
+        if m.size == 0:
+            return _frozen(np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128))
+        return _frozen(np.linalg.pinv(m, rcond=tol.rank_rel))
+    return _stored(("pinv", tol.rank_rel), m, invert)
 
 
 def rank_tol(a, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -393,29 +453,18 @@ def gap_at_zero(a, tol: Tolerances = DEFAULT_TOL):
     return spectrum(a, tol).gaps
 
 
-def _psd_retained(a, tol: Tolerances, tie_break: str):
-    """The eigenvalues above the cutoff of a PSD matrix and their
-    eigenvectors; NotPSD for an eigenvalue below minus the cutoff."""
-    s = spectrum(a, tol, tie_break=tie_break)
-    if not s.is_psd:
-        raise NotPSD(f"min eigenvalue {np.min(s.eigenvalues):.3e} is negative beyond tolerance")
-    return s.eigenvalues[s.positive], s.basis[:, s.positive]
-
 
 def psd_root_factor(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first"):
     """Factor a PSD matrix as G = B* B with B of full row rank.
 
     Returns (B, r) where r counts the eigenvalues above the cutoff and B
     has shape (r, n), built as sqrt(retained eigenvalues) times the adjoint
-    eigenvector block, the rows of induced_krein's canonical map. Negative
-    eigenvalues within the cutoff count as zero; one below it raises NotPSD.
+    eigenvector block, the rows of induced_krein's canonical map
+    (Spectrum.factor, whose pseudo-inverse is Spectrum.factor_pinv).
+    Negative eigenvalues within the cutoff count as zero; one below it
+    raises NotPSD.
     """
-    w, u = _psd_retained(a, tol, tie_break)
-    return np.sqrt(w)[:, None] * u.conj().T, w.size
-
-
-def psd_root_pinv(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """The pseudo-inverse of psd_root_factor's B from the same spectrum, with
-    no SVD: the retained eigenvectors over the roots of their eigenvalues."""
-    w, u = _psd_retained(a, tol, "first")
-    return u / np.sqrt(w)
+    s = spectrum(a, tol, tie_break=tie_break)
+    if not s.is_psd:
+        raise NotPSD(f"min eigenvalue {np.min(s.eigenvalues):.3e} is negative beyond tolerance")
+    return s.factor, s.rank

@@ -492,3 +492,23 @@ def test_report_verdict_does_not_depend_on_the_kernel_scale(tmp_path, capsys, fa
         failing = frozenset(r["tag"] for r in doc["records"] if not r["pass"])
         verdicts.add((code, failing))
     assert len(verdicts) == 1, verdicts
+
+
+@pytest.mark.parametrize("family", ["pair_groupoid", "group_as_groupoid", "partial_bijections"])
+def test_check_bounded_shift_does_not_depend_on_the_kernel_scale(tmp_path, capsys, family):
+    # one exit code and one set of undefined elements across 300 orders of magnitude
+    from kgl.kernel import partition_from_action
+
+    sg, act, bundle, _ = generators.generate_instance(family, seed=1)
+    l = generators.random_psd_kernel(bundle, partition_from_action(bundle, act), seed=1)
+    verdicts = set()
+    for c in (1e-150, 1e-12, 1.0, 1e12, 1e150):
+        path = tmp_path / f"scaled-{c}.json"
+        formats.save_instance(
+            formats.instance_to_doc(sg, act, bundle, kernel_lincomb([c], [l])), path)
+        code, doc = run_json(capsys, ["check", "bounded-shift", str(path)])
+        undefined = frozenset(json.dumps(r["witness"]["element"]) for r in doc["records"]
+                              if r["tag"] == "kernel/bounded-shift" and not r["pass"])
+        verdicts.add((code, undefined))
+    assert len(verdicts) == 1, verdicts
+    assert verdicts.pop()[0] == 1

@@ -300,3 +300,17 @@ def test_invariance_verdict_does_not_depend_on_the_kernel_scale(family):
             assert len(set(verdicts)) == 1, (mode, seed, verdicts)
             if mode != "arbitrary":
                 assert verdicts[0], (mode, seed)
+
+
+@pytest.mark.parametrize("family", ["pair_groupoid", "group_as_groupoid", "partial_bijections"])
+def test_bounded_shift_verdicts_do_not_depend_on_the_kernel_scale(family):
+    # a random PSD kernel is not invariant: some shifts move its form kernel,
+    # and they read undefined at every scale, not only at scales of 1 and above
+    _, act, bundle, _ = generators.generate_instance(family, seed=1)
+    p = kn.partition_from_action(bundle, act)
+    l = generators.random_psd_kernel(bundle, p, seed=1)
+    undefined = [sorted(map(str, (a for a, m in kn.bounded_shift_constants(
+        kn.kernel_lincomb([c], [l]), act, TOL).items() if m is None)))
+        for c in (1e-150, 1e-12, 1.0, 1e12, 1e150)]
+    assert undefined[0]
+    assert all(u == undefined[0] for u in undefined), undefined

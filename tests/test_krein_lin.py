@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -358,3 +360,81 @@ def test_hilbert_is_the_definite_case_of_krein(family):
         assert [r.residual for r in laws] == [r.residual for r in krep.records]
         assert [r.tolerance for r in laws] == [r.tolerance for r in krep.records]
     assert parts >= 6
+
+
+def test_canonical_dominant_carries_the_spectra_of_its_part_grams():
+    # gram_operator reads the dominant's factors from the spectra it carries;
+    # the same Gram matrices decomposed afresh give the same data to rounding
+    rng = np.random.Generator(np.random.Philox(58))
+    for _ in range(5):
+        k, p = random_hermitian_instance(rng, n_points=4)
+        l = kl.canonical_dominant(k, p, TOL)
+        carried = kn.part_spectra(l, p, TOL)
+        fresh_l = kn.kernel_from_part_grams(p, kn.conv_blocks(l, p))
+        for label, s in carried.items():
+            fresh = kn.part_spectra(fresh_l, p, TOL)[label]
+            assert s is not fresh
+            assert np.allclose(s.eigenvalues, fresh.eigenvalues, atol=1e-12 * fresh.norm)
+        data, again = kl.gram_operator(k, l, p, TOL), kl.gram_operator(k, fresh_l, p, TOL)
+        for label in p.parts:
+            assert data.dominant_rank[label] == again.dominant_rank[label]
+            assert np.allclose(np.sort(np.linalg.eigvalsh(data.ghat[label])),
+                               np.sort(np.linalg.eigvalsh(again.ghat[label])), atol=1e-8)
+            assert data.contraction[label] == pytest.approx(again.contraction[label], abs=1e-8)
+
+
+def test_direct_linearisation_reads_its_pseudo_inverses_from_its_spectra():
+    rng = np.random.Generator(np.random.Philox(59))
+    k, p = random_hermitian_instance(rng, n_points=4)
+    lin = kl.krein_linearisation(k, p, TOL)
+    dom = kl.krein_linearisation(k, p, TOL, via="dominant")
+    for label, w in lin.wmap.items():
+        assert lin.pinv(label, TOL) is lin.spectra[label].factor_pinv
+        assert np.allclose(lin.pinv(label, TOL), np.linalg.pinv(w), atol=1e-10)
+        assert lin.norm(label) == pytest.approx(opnorm(w), rel=1e-12)
+        assert dom.spectra is None
+        assert np.allclose(dom.pinv(label, TOL), np.linalg.pinv(dom.wmap[label]), atol=1e-10)
+    # a map replaced after construction has no spectrum: its pseudo-inverse is an SVD's
+    label = next(iter(lin.wmap))
+    r = lin.spaces[label].dim
+    q = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))[0]
+    moved = dataclasses.replace(lin, wmap={label: q @ lin.wmap[label]})
+    assert np.allclose(moved.pinv(label, TOL), lin.pinv(label, TOL) @ q.conj().T, atol=1e-10)
+    assert moved.norm(label) == pytest.approx(lin.norm(label), rel=1e-12)
+
+
+def _reproducing_residual_loop(lin, label, f):
+    """The reproducing residual of one member, coordinate by coordinate: the
+    reference of verify_reproducing's vectorised residual."""
+    idx, dims = lin.partition.index(label), lin.partition.bundle.dim
+    sec = kl.RkKreinView(lin).member(label, f)
+    jdiag = np.asarray(lin.spaces[label].jdiag, dtype=np.float64)
+    resid = 0.0
+    for x in idx.part:
+        for i in range(dims[x]):
+            h = np.zeros(dims[x], dtype=np.complex128)
+            h[i] = 1.0
+            lhs = complex(np.vdot(h, sec.at(x)))
+            rhs = complex(np.vdot(lin.features[x] @ h, jdiag * f))
+            resid = max(resid, abs(lhs - rhs))
+    return resid
+
+
+def test_reproducing_residual_matches_the_coordinate_loop():
+    # the sums run in another order, so the residuals agree to rounding; a
+    # feature map that disagrees with W shows in both
+    rng = np.random.Generator(np.random.Philox(60))
+    for broken in (False, True):
+        k, p = random_hermitian_instance(rng, n_points=4)
+        lin = kl.krein_linearisation(k, p, TOL)
+        if broken:
+            x = next(iter(lin.features))
+            lin.features = dict(lin.features, **{x: 2.0 * lin.features[x]})
+        trials = np.random.Generator(np.random.Philox(67890))
+        m = lin.spaces["all"].dim
+        fs = [trials.standard_normal(m) + 1j * trials.standard_normal(m) for _ in range(3)]
+        expected = max(_reproducing_residual_loop(lin, "all", f) for f in fs)
+        record = kl.verify_reproducing(kl.RkKreinView(lin), TOL)[1]
+        scale = max(1.0, frob(lin.gram["all"]))
+        assert abs(record.residual - expected) <= 1e-13 * scale
+        assert record.passed != broken

@@ -217,3 +217,102 @@ def test_tiny_negative_matrix_is_not_psd():
         numlin.herm_fn(tiny, "sqrt_psd", TOL)
     with pytest.raises(NotPSD):
         numlin.psd_root_factor(tiny, TOL)
+
+
+def _normalize_phases_loop(u, pivot):
+    """The column-by-column phase normalization, the oracle of the vectorised one."""
+    u = u.copy()
+    n = u.shape[0]
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        idx = range(n) if pivot == "first" else range(n - 1, -1, -1)
+        for i in idx:
+            z = col[i]
+            r = abs(z)
+            if r > numlin._PHASE_FLOOR:
+                u[:, j] = col * (z.conjugate() / r)
+                break
+    return u
+
+
+@pytest.mark.parametrize("pivot", ["first", "last"])
+def test_normalize_phases_gives_the_bytes_of_the_column_loop(pivot):
+    rng = np.random.Generator(np.random.Philox(11))
+    for trial in range(60):
+        n = int(rng.integers(1, 90))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a *= 10.0 ** int(rng.integers(-150, 150))
+        u = np.linalg.eigh(a + a.conj().T)[1]
+        if trial % 3 == 0:
+            u[: n // 2] = 1e-13  # pivots below the floor are skipped
+        if trial % 5 == 0:
+            u[:, 0] = 0.0  # a zero column is left alone
+        assert numlin._normalize_phases(u, pivot).tobytes() == _normalize_phases_loop(
+            u, pivot).tobytes()
+
+
+def _projector(basis):
+    return basis @ basis.conj().T
+
+
+def test_abs_spectrum_matches_a_fresh_decomposition():
+    rng = np.random.Generator(np.random.Philox(12))
+    for rank in (7, 4):  # full rank, and a form kernel of dimension 3
+        x = rng.standard_normal((7, rank)) + 1j * rng.standard_normal((7, rank))
+        g = (x * rng.choice([-1.0, 1.0], rank) * rng.uniform(0.5, 3.0, rank)) @ x.conj().T
+        g = 0.5 * (g + g.conj().T)
+        derived = numlin.abs_spectrum(numlin.spectrum(g, TOL))
+        fresh = numlin.spectrum(numlin.herm_fn(g, "abs", TOL), TOL)
+        scale = fresh.norm
+        assert np.allclose(derived.eigenvalues, fresh.eigenvalues, rtol=0, atol=1e-12 * scale)
+        assert np.isclose(derived.cutoff, fresh.cutoff, rtol=1e-12, atol=0)
+        assert derived.rank == fresh.rank == rank and derived.is_psd
+        # the eigenvectors of the nonzero eigenvalues are unique up to a phase, which is pinned
+        keep = derived.retained
+        assert np.array_equal(keep, fresh.retained)
+        assert np.allclose(derived.basis[:, keep], fresh.basis[:, keep], atol=1e-10)
+        assert np.allclose(derived.factor, fresh.factor, atol=1e-10 * np.sqrt(scale))
+        assert np.allclose(derived.factor_pinv, fresh.factor_pinv, atol=1e-10 / np.sqrt(scale))
+        assert np.allclose(_projector(derived.kernel_basis), _projector(fresh.kernel_basis),
+                           atol=1e-10)
+
+
+def test_abs_spectrum_orders_the_ties_of_plus_minus_pairs_canonically():
+    # exact pairs +-lambda become exact ties of |G|; a permutation with phases
+    # keeps the eigenvectors exact, so the two spectra agree bit for bit
+    rng = np.random.Generator(np.random.Philox(13))
+    d = np.array([2.0, -2.0, 1.0, -1.0, 3.0, 0.0, 0.0, -3.0, 1.0])
+    for _ in range(5):
+        u = np.eye(d.size)[rng.permutation(d.size)] * np.exp(1j * rng.uniform(0, 6, d.size))
+        g = (u * d) @ u.conj().T
+        derived = numlin.abs_spectrum(numlin.spectrum(g, TOL))
+        fresh = numlin.spectrum(numlin.herm_fn(g, "abs", TOL), TOL)
+        for name in ("eigenvalues", "basis", "factor", "factor_pinv", "kernel_basis"):
+            assert np.array_equal(getattr(derived, name), getattr(fresh, name)), name
+
+
+def test_spectrum_values_decide_as_the_full_spectrum():
+    rng = np.random.Generator(np.random.Philox(14))
+    x = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    g = (x * np.array([3.0, 1.0, -2.0, 0.5])) @ x.conj().T
+    g = 0.5 * (g + g.conj().T)
+    full, values = numlin.spectrum(g, TOL), numlin.spectrum_values(g, TOL)
+    assert values.basis is None
+    assert np.allclose(values.eigenvalues, full.eigenvalues, atol=1e-12 * full.norm)
+    assert (values.rank, values.signature, values.is_psd) == (full.rank, full.signature,
+                                                              full.is_psd) == (4, (3, 1), False)
+    assert np.allclose(values.gaps, full.gaps) and np.isclose(values.norm, full.norm)
+    assert numlin.spectrum_values(np.zeros((0, 0)), TOL).rank == 0
+    with pytest.raises(NotHermitian):
+        numlin.spectrum_values(np.array([[0.0, 1.0], [0.0, 0.0]]), TOL)
+
+
+def test_factor_pinv_is_the_pseudo_inverse_of_the_canonical_map():
+    # the induced map of an indefinite matrix, positives first, and its SVD pseudo-inverse
+    rng = np.random.Generator(np.random.Philox(15))
+    x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    g = (x * np.array([2.0, -1.0, 0.5])) @ x.conj().T
+    s = numlin.spectrum(0.5 * (g + g.conj().T), TOL)
+    assert s.factor.shape == (3, 5)
+    assert np.allclose(s.factor_pinv, numlin.pinv(s.factor, TOL), atol=1e-12)
+    assert np.isclose(np.sqrt(s.norm), numlin.opnorm(s.factor), rtol=1e-12)

@@ -38,35 +38,94 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def _content(a):
+    m = np.ascontiguousarray(a)
+    return m.shape, hashlib.blake2b(m.tobytes(), digest_size=16).digest()
+
+
 def count_decompositions(monkeypatch):
-    """Record a content hash of every np.linalg.eigh input, and count herm_eig calls."""
-    inputs, herm = [], []
-    eigh, herm_eig = np.linalg.eigh, numlin.herm_eig
+    """Record a content hash of every np.linalg.eigh input and of every
+    np.linalg.eigvalsh input, and count herm_eig calls."""
+    inputs, herm, values = [], [], []
+    eigh, eigvalsh, herm_eig = np.linalg.eigh, np.linalg.eigvalsh, numlin.herm_eig
 
     def counted_eigh(a, *args, **kwargs):
-        m = np.ascontiguousarray(a)
-        inputs.append((m.shape, hashlib.blake2b(m.tobytes(), digest_size=16).digest()))
+        inputs.append(_content(a))
         return eigh(a, *args, **kwargs)
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        values.append(_content(a))
+        return eigvalsh(a, *args, **kwargs)
 
     def counted_herm_eig(*args, **kwargs):
         herm.append(1)
         return herm_eig(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(numlin, "herm_eig", counted_herm_eig)
-    return inputs, herm
+    return inputs, herm, values
 
 
 @pytest.mark.parametrize("family, mode", [("pair_groupoid", "psd_invariant"),
                                           ("group_action", "hermitian_invariant")])
 def test_report_decomposes_each_matrix_once(tmp_path, capsys, monkeypatch, family, mode):
     path = write_instance(tmp_path, family, mode)
-    inputs, herm = count_decompositions(monkeypatch)
+    inputs, herm, values = count_decompositions(monkeypatch)
     code, _, _ = run(capsys, ["report", path])
     assert code == 0
     assert inputs
     assert len(inputs) == len(set(inputs))
     assert len(herm) == len(inputs)
+    # the eigenvalue-only checks (split ranks, Gram operator) decompose matrices of their own
+    assert values
+    assert len(inputs + values) == len(set(inputs + values))
+
+
+def count_linalg(monkeypatch):
+    """Count np.linalg's eigh, eigvalsh, pinv and svd calls, the SVDs with
+    and without vectors apart, also where numpy calls them itself (the SVDs
+    of np.linalg.norm and np.linalg.pinv)."""
+    counts = collections.Counter()
+    impl = getattr(np.linalg, "_linalg", np.linalg)  # where numpy's own calls look them up
+    for name in ("eigh", "eigvalsh", "pinv", "svd"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            vectors = _name == "svd" and kwargs.get("compute_uv", args[2] if len(args) > 2 else True)
+            counts[_name + (" with vectors" if vectors else "")] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(impl, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("mode, budget", [
+    # eigh: the part Gram; eigvalsh: the split's sum, the Gram operator and, for a
+    # PSD kernel, the compressions whose top eigenvalues are the bounded-shift
+    # constants (3 elements; the unit's compression equals the Gram operator);
+    # SVD values: the minimality record and each represented shift's norm
+    ("hermitian_invariant", {"eigh": 1, "eigvalsh": 2, "svd": 4}),
+    ("psd_invariant", {"eigh": 1, "eigvalsh": 4, "svd": 4}),
+])
+def test_report_decomposes_the_part_gram_once(tmp_path, capsys, monkeypatch, mode, budget):
+    path = write_instance(tmp_path, "group_action", mode)
+    assert len(formats.load(path).partition.parts) == 1
+    counts = count_linalg(monkeypatch)
+    code, _, _ = run(capsys, ["report", path])
+    assert code == 0
+    assert dict(counts) == budget  # no pinv, no SVD with vectors
+
+
+def test_report_calls_no_unique(tmp_path, capsys, monkeypatch):
+    # np.unique's first call in a fresh process costs more than a decomposition
+    path = write_instance(tmp_path, "group_action", "psd_invariant")
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    assert run(capsys, ["report", path])[0] == 0
+    assert calls == []
 
 
 def count_calls(monkeypatch, names):
@@ -113,6 +172,27 @@ REPRESENTATION_WORK = ("krein_lin.rk_krein_space", "krein_lin.represented_shifts
                        "kernel.shift_map", "kernel.shift_maps")
 
 
+@pytest.mark.parametrize("family, mode, argv", [
+    ("pair_groupoid", "psd_invariant", ["report"]),
+    ("group_action", "hermitian_invariant", ["report"]),
+    ("pair_groupoid", "hermitian_invariant", ["split"]),
+    ("pair_groupoid", "psd_invariant", ["represent", "--hilbert"]),
+    ("pair_groupoid", "psd_invariant", ["represent", "--krein"]),
+    ("pair_groupoid", "psd_invariant", ["linearize", "--krein"]),
+    ("pair_groupoid", "psd_invariant", ["check", "bounded-shift"]),
+])
+def test_each_part_gram_is_gathered_once_per_command(tmp_path, capsys, monkeypatch,
+                                                     family, mode, argv):
+    # the instance kernel's part Grams are gathered once; the kernels built from
+    # part Grams (the split's sides, the canonical dominant) keep the ones given
+    path = write_instance(tmp_path, family, mode)
+    counts = count_calls(monkeypatch, ("kernel._gather_part_grams", "kernel.conv_blocks"))
+    code, _, _ = run(capsys, argv + [path])
+    assert code == 0
+    assert counts["kernel.conv_blocks"] > 1
+    assert counts["kernel._gather_part_grams"] == 1
+
+
 def test_psd_report_builds_one_linearisation_and_one_representation(tmp_path, capsys,
                                                                     monkeypatch):
     # the hilbert records of a PSD invariant report are its krein records, rekeyed;
@@ -152,7 +232,7 @@ def test_store_is_emptied_when_the_command_returns(tmp_path, capsys, monkeypatch
     assert sizes[0] > 0
     assert stores[0] == {}
     # outside the command every call decomposes afresh
-    inputs, _ = count_decompositions(monkeypatch)
+    inputs, _, _ = count_decompositions(monkeypatch)
     g = np.diag([2.0, 1.0]).astype(complex)
     numlin.spectrum(g, TOL)
     numlin.spectrum(g, TOL)
@@ -166,7 +246,8 @@ def test_stored_arrays_are_read_only():
         assert numlin.spectrum(g.copy(), TOL) is s
         p = numlin.pinv(g, TOL)
         assert numlin.pinv(g.copy(), TOL) is p
-        for a in (s.eigenvalues, s.basis, s.kernel_basis, s.positive, s.negative, p):
+        for a in (s.eigenvalues, s.basis, s.kernel_basis, s.positive, s.negative, s.retained,
+                  s.factor, s.factor_pinv, p):
             with pytest.raises(ValueError):
                 a[...] = 0
 
