@@ -229,17 +229,71 @@ def kernel_to_doc(k: OpKernel) -> dict:
 
 
 def kernel_from_doc(doc, bundle: HilbertBundle) -> OpKernel:
-    """The kernel whose entries doc lists. Each block is checked and written
-    into the Gram as it is read, so the first faulty entry in document order
-    raises; a NaN or Inf raises once every entry has been read."""
+    """The kernel whose entries doc lists. The entries are parsed per fiber
+    shape (_scatter_groups); when a scan of that fails, each block is
+    checked and written into the Gram as it is read, so the first faulty
+    entry in document order raises. A NaN or Inf raises once every entry
+    has been read."""
     _require_keys(doc, ("field", "entries"), "kernel")
     if doc["field"] != "complex":
         raise ParseError(f"kernel field must be 'complex', got {doc['field']!r}")
-    pts = set(bundle.points)
+    entries = _expect(doc["entries"], list, "kernel entries")
     index = part_index(bundle, bundle.points)
+    gram = _scatter_groups(entries, bundle, index)
+    if gram is None:
+        gram = _scatter_entries(entries, bundle, index)
+    return _from_gram(index, gram)
+
+
+def _scatter_groups(entries: list, bundle: HilbertBundle, index):
+    """The Gram of the entries, or None when a whole-table scan fails.
+
+    The labels, keys and duplicates are checked by scans over all entries;
+    then each group of entries whose blocks share a fiber shape is read with
+    one np.array call over its (re, im) pairs, checked by one shape test and
+    one type scan, and scattered into the Gram.
+    """
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        rows = [e["row"] for e in entries]
+        cols = [e["col"] for e in entries]
+        res = [e["re"] for e in entries]
+    except KeyError:
+        return None
+    dim, offset = bundle.dim, index.offsets
+    if not (set(map(type, rows)) | set(map(type, cols)) <= {str}
+            and dim.keys() >= set(rows).union(cols)
+            and len(set(zip(rows, cols))) == len(entries)):
+        return None
+    groups = {}
+    for i, (x, y) in enumerate(zip(rows, cols)):
+        groups.setdefault((dim[x], dim[y]), []).append(i)
+    gram = np.zeros((index.total_dim, index.total_dim), dtype=np.complex128)
+    for (p, q), members in groups.items():
+        zero = [[0] * q] * p
+        pairs = [(res[i], entries[i].get("im", zero)) for i in members]
+        try:
+            a = np.array(pairs, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        # numpy would read a JSON true or false as 1.0 or 0.0, and "1.5" as 1.5
+        if a.shape != (len(members), 2, p, q) or not set(map(type, chain.from_iterable(
+                chain.from_iterable(chain.from_iterable(pairs))))) <= {int, float}:
+            return None
+        r = np.array([offset[rows[i]] for i in members])[:, None, None] + np.arange(p)[:, None]
+        c = np.array([offset[cols[i]] for i in members])[:, None, None] + np.arange(q)
+        gram[r, c] = a[:, 0] + 1j * a[:, 1]
+    return gram
+
+
+def _scatter_entries(entries: list, bundle: HilbertBundle, index):
+    """The Gram of the entries, read one entry at a time; the first faulty
+    entry in document order raises."""
+    pts = set(bundle.points)
     gram = np.zeros((index.total_dim, index.total_dim), dtype=np.complex128)
     seen = set()
-    for entry in _expect(doc["entries"], list, "kernel entries"):
+    for entry in entries:
         _require_keys(entry, ("row", "col", "re"), "kernel entry")
         x = _expect(entry["row"], str, "kernel entry row")
         y = _expect(entry["col"], str, "kernel entry col")
@@ -253,7 +307,7 @@ def kernel_from_doc(doc, bundle: HilbertBundle) -> OpKernel:
         if block.shape != want:
             raise CrossRefError(f"block ({x!r},{y!r}) has shape {block.shape}, expected {want}")
         gram[index.slice_of(x), index.slice_of(y)] = block
-    return _from_gram(index, gram)
+    return gram
 
 
 @dataclass(eq=False)

@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     UnknownPoint,
 )
-from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm
+from .numlin import DEFAULT_TOL, Tolerances, frob
 from .reports import Record
 from .sgpd import LeftAction, StarSemigroupoid, orbit_trivial_bundle
 
@@ -90,6 +90,7 @@ class OpKernel:
         self.gram = gram
         self._parts = {}  # partition layout -> part Grams (conv_blocks)
         self._spectra = {}  # (partition layout, tolerances) -> part spectra (part_spectra)
+        self._hermitian = {}  # (partition layout, tolerances) -> hermitian_records
 
     def block(self, x, y) -> np.ndarray:
         """The block at (x, y): a read-only view into gram."""
@@ -276,13 +277,23 @@ def _carry_spectra(k: OpKernel, p: Partition, tol: Tolerances, spectra: dict):
 
 def hermitian_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> list:
     """One kernel/hermitian record per part: the Hermitian residual of its
-    Gram matrix against atol * max(1, its Frobenius norm)."""
-    records = []
-    for label, g in conv_blocks(k, p).items():
-        resid = frob(g - g.conj().T)
-        bound = tol.atol * max(1.0, frob(g))
-        records.append(Record("kernel is Hermitian on the part", "kernel/hermitian",
-                              resid, bound, resid <= bound, witness=label))
+    Gram matrix against atol times its Frobenius norm, with no floor, so the
+    verdict does not depend on the kernel's scale. Decided once per kernel,
+    partition layout and tolerances (is_partially_hermitian reads the same)."""
+    return list(_hermitian_parts(k, p, tol))
+
+
+def _hermitian_parts(k: OpKernel, p: Partition, tol: Tolerances) -> tuple:
+    key = _layout(p), tol
+    records = k._hermitian.get(key)
+    if records is None:
+        records = []
+        for label, g in conv_blocks(k, p).items():
+            resid = frob(g - g.conj().T)
+            bound = tol.atol * frob(g)
+            records.append(Record("kernel is Hermitian on the part", "kernel/hermitian",
+                                  resid, bound, resid <= bound, witness=label))
+        records = k._hermitian[key] = tuple(records)
     return records
 
 
@@ -304,7 +315,7 @@ def psd_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> lis
 
 
 def is_partially_hermitian(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return all(r.passed for r in hermitian_records(k, p, tol))
+    return all(r.passed for r in _hermitian_parts(k, p, tol))
 
 
 def is_partially_psd(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -365,7 +376,17 @@ def _shift_coordinates(act: LeftAction, p: Partition) -> dict:
     the part at its domain symbol: c[j] is the coordinate, in the part at its
     codomain symbol, of the same fiber entry at alpha.x, or -1 where alpha.x
     is undefined or lands outside that part. The shift matrix Psi has its
-    ones at (c[j], j), so W Psi = W[:, c] and Psi* G Psi = G[ix(c, c)]."""
+    ones at (c[j], j), so W Psi = W[:, c] and Psi* G Psi = G[ix(c, c)].
+    Computed once per action and block layout of p; the arrays are read-only."""
+    key = tuple((label, tuple(idx.offsets.items()), idx.total_dim)
+                for label, idx in p.parts.items())
+    coords = act._shift_coords.get(key)
+    if coords is None:
+        coords = act._shift_coords[key] = _coordinate_maps(act, p)
+    return coords
+
+
+def _coordinate_maps(act: LeftAction, p: Partition) -> dict:
     index, anchor, A = act.code.index, act.code.anchor, act.code.A
     offset = np.zeros(len(act.base), dtype=np.int64)
     stacked = {}  # label -> (point number, offset in its fiber) per stacked coordinate
@@ -382,6 +403,7 @@ def _shift_coordinates(act: LeftAction, p: Partition) -> dict:
         ax = A[i, pt]
         ok = (ax >= 0) & (anchor[ax] == sg.code.c[i])
         coords[alpha] = np.where(ok, offset[ax] + loc, -1)
+        coords[alpha].setflags(write=False)
     return coords
 
 
@@ -395,6 +417,28 @@ def _gather_index(act: LeftAction, p: Partition, coords: dict, alpha) -> np.ndar
         x = next(x for x in reversed(idx.part) if idx.offsets[x] <= j)
         _raise_unusable(act, alpha, x, act.sg.c[alpha])
     return c
+
+
+# the stacked temporaries of one batch of elements hold about this many bytes
+# at most, so batching costs little memory however many elements share a pair
+_CHUNK_BYTES = 1 << 17
+
+
+def _part_pairs(sg: StarSemigroupoid, elements) -> dict:
+    """The elements grouped by (domain, codomain) symbol, each group in the
+    order of elements."""
+    groups = {}
+    for a in elements:
+        groups.setdefault((sg.d[a], sg.c[a]), []).append(a)
+    return groups
+
+
+def _batches(items: list, item_bytes: int):
+    """Consecutive runs of items whose stacked temporaries, item_bytes per
+    item, fit in _CHUNK_BYTES (at least one item per run)."""
+    step = max(1, _CHUNK_BYTES // max(1, item_bytes))
+    for lo in range(0, len(items), step):
+        yield items[lo:lo + step]
 
 
 def _shift_matrix(act: LeftAction, p: Partition, coords: dict, alpha) -> np.ndarray:
@@ -550,24 +594,34 @@ def _shift_constants(act: LeftAction, p: Partition, grams: dict, spectra: dict,
     the Gram's norm max|w| and the pseudo-inverse F of its root factor. The
     shift moves the form kernel when ||N* G_c[ix(c, c)] N|| exceeds atol
     times the codomain Gram's norm, a bound with no floor, so the verdict
-    does not depend on the kernel's scale.
+    does not depend on the kernel's scale. The elements of one part pair
+    are stacked: one gather, batched products and batched values-only
+    decompositions (stack_eigenvalues) per batch. An unusable action value raises
+    InvalidSemigroupoid at the first element, in order, that has one.
     """
     coords = _shift_coordinates(act, p)
-    constants = {}
     for alpha in elements:
-        sd, sc = act.sg.d[alpha], act.sg.c[alpha]
-        c = _gather_index(act, p, coords, alpha)
-        shifted = grams[sc][np.ix_(c, c)]
-        n = spectra[sd].kernel_basis
-        f = spectra[sd].factor_pinv
-        if n.shape[1] and opnorm(n.conj().T @ shifted @ n) > tol.atol * spectra[sc].norm:
-            constants[alpha] = None  # the shift moves the form kernel off the codomain's
-        elif f.shape[1]:  # the top eigenvalue of the shifted form on the quotient
-            w = numlin.spectrum_values(f.conj().T @ shifted @ f, tol).eigenvalues
-            constants[alpha] = max(float(w[-1]), 0.0)
-        else:
-            constants[alpha] = 0.0
-    return constants
+        _gather_index(act, p, coords, alpha)
+    constants = {}
+    for (sd, sc), group in _part_pairs(act.sg, elements).items():
+        n, f = spectra[sd].kernel_basis, spectra[sd].factor_pinv
+        dim = p.index(sd).total_dim
+        for batch in _batches(group, 16 * dim * dim):
+            c = np.stack([coords[a] for a in batch])
+            shifted = grams[sc][c[:, :, None], c[:, None, :]]
+            moved = np.zeros(len(batch), dtype=bool)
+            if n.shape[1]:  # the Hermitian compressions' norms, max|eigenvalue|
+                w = numlin.stack_eigenvalues(n.conj().T @ shifted @ n)
+                moved = np.maximum(-w[:, 0], w[:, -1]) > tol.atol * spectra[sc].norm
+            top = np.zeros(len(batch))
+            if f.shape[1] and not moved.all():
+                w = numlin.stack_eigenvalues(f.conj().T @ shifted[~moved] @ f)
+                top[~moved] = np.maximum(w[:, -1], 0.0)
+            for a, m, t in zip(batch, moved.tolist(), top.tolist()):
+                # None: the shift moves the form kernel off the codomain's;
+                # else the top eigenvalue of the shifted form on the quotient
+                constants[a] = None if m else t
+    return {a: constants[a] for a in elements}
 
 
 def bounded_shift_constant(l: OpKernel, act: LeftAction, alpha,

@@ -32,6 +32,7 @@ import numpy as np
 from . import numlin
 from .bundle import Section, stack, unstack
 from .errors import (
+    InvalidSemigroupoid,
     KernelNotDominated,
     NotHermitian,
     NotInvariant,
@@ -41,8 +42,10 @@ from .errors import (
 from .kernel import (
     OpKernel,
     Partition,
+    _batches,
     _carry_spectra,
     _gather_index,
+    _part_pairs,
     _shift_coordinates,
     conv_blocks,
     is_invariant,
@@ -51,7 +54,7 @@ from .kernel import (
     part_spectra,
 )
 from .krein_core import gaps_unique, induced_from_spectrum, induced_krein, krein_adjoint
-from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm
+from .numlin import DEFAULT_TOL, Tolerances, adjoints, frob, frobs, opnorm
 from .reports import Record
 from .sgpd import LeftAction
 
@@ -284,6 +287,17 @@ class KreinLinearisation:
         s = self._spectrum(label)
         return opnorm(self.wmap[label]) if s is None else float(np.sqrt(s.norm))
 
+    def sigma_min(self, label) -> float:
+        """The smallest singular value of a part's W, positive since a minimal
+        W has full row rank (0.0 for a part of dimension 0): sqrt(min|w_k|)
+        over the retained eigenvalues of its spectrum, else a values-only SVD."""
+        s = self._spectrum(label)
+        if s is not None:
+            w = np.abs(s.eigenvalues[s.retained])
+            return float(np.sqrt(w.min())) if w.size else 0.0
+        w = self.wmap[label]
+        return float(np.linalg.svd(w, compute_uv=False)[-1]) if w.size else 0.0
+
 
 def feature_maps(p: Partition, wmap: dict) -> dict:
     """Per point x, the column slice V_x of its part's stacked map W."""
@@ -512,30 +526,47 @@ def represented_shifts(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
     Invariance makes the shift respect the form kernels, so the compression
     satisfies W_c Psi = Psi_rep W_d; that pairing identity is verified, with
     a bound that scales with the kernel, and raised as PairingViolated on
-    failure. Returns (psi, norms), keyed by element.
+    failure. The elements of one (domain, codomain) part pair are stacked:
+    one gather, two batched products and one batched values-only SVD per
+    batch. The first element, in order, whose gather or pairing fails
+    raises. Returns (psi, norms), keyed by element.
     """
     sg = act.sg
     p = lin.partition
     coords = _shift_coordinates(act, p)
     wmap_pinv = functools.cache(lambda s: lin.pinv(s, tol))
     wmap_norm = functools.cache(lin.norm)
-    psi, norms = {}, {}
+    usable = [a for a in sg.elements if coords[a].size == 0 or coords[a].min() >= 0]
+    shift, resid, scale, norms = {}, {}, {}, {}
+    for (sd, sc), group in _part_pairs(sg, usable).items():
+        w_c, w_d, w_pinv = lin.wmap[sc], lin.wmap[sd], wmap_pinv(sd)
+        (r_c, n_c), (r_d, n_d) = w_c.shape, w_d.shape
+        for batch in _batches(group, 16 * r_c * (2 * n_d + r_d)):
+            c = np.stack([coords[a] for a in batch])
+            w_shift = w_c[:, c].transpose(1, 0, 2)
+            t = w_shift @ w_pinv
+            e = frobs(t @ w_d - w_shift)
+            # ||Psi||^2 is the largest number of coordinates sent to one coordinate;
+            # the bound scales with ||W_c Psi||, as the residual does, with no floor
+            width = max(n_c, 1)
+            hits = np.bincount((c + width * np.arange(len(batch))[:, None]).ravel(),
+                               minlength=width * len(batch))
+            mult = np.sqrt(hits.reshape(len(batch), width).max(axis=1))
+            top = (np.linalg.svd(t, compute_uv=False)[:, 0] if r_c and r_d
+                   else np.zeros(len(batch)))
+            for i, a in enumerate(batch):
+                shift[a], resid[a], norms[a] = t[i], float(e[i]), float(top[i])
+                scale[a] = wmap_norm(sc) * mult[i]
+    psi = {}
     for alpha in sg.elements:
-        sd, sc = sg.d[alpha], sg.c[alpha]
-        c = _gather_index(act, p, coords, alpha)
-        w_shift = lin.wmap[sc][:, c]
-        t = w_shift @ wmap_pinv(sd)
-        # ||Psi||^2 is the largest number of coordinates sent to one coordinate;
-        # the bound scales with ||W_c Psi||, as the residual does, with no floor
-        scale = wmap_norm(sc) * np.sqrt(np.bincount(c, minlength=1).max())
-        resid = frob(t @ lin.wmap[sd] - w_shift)
-        if resid > tol.atol * scale:
+        if alpha not in shift:
+            _gather_index(act, p, coords, alpha)
+        if resid[alpha] > tol.atol * scale[alpha]:
             raise PairingViolated(
                 f"shift of {alpha!r} does not descend to the quotient "
-                f"(residual {resid:.3e})")
-        psi[alpha] = t
-        norms[alpha] = opnorm(t)
-    return psi, norms
+                f"(residual {resid[alpha]:.3e})")
+        psi[alpha] = shift[alpha]
+    return psi, {a: norms[a] for a in sg.elements}
 
 
 def represent(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> KreinRepresentation:
@@ -570,35 +601,130 @@ def krein_representation_laws(rep, tol: Tolerances = DEFAULT_TOL):
     intertwining of a representation (with J = I, the adjoint is the
     ordinary one). The bounds are atol * max(1, largest squared norm of a
     shift), and for intertwining also times the largest norm of a part's W,
-    which scales with the kernel's square root."""
-    sg = rep.action.sg
-    psi = rep.psi
-    lin = rep.lin
+    which scales with the kernel's square root.
+
+    Every law is read from the pairing residuals E_a = psi(a) W_d - W_c[:, c_a],
+    recomputed from rep.psi per (domain, codomain) part pair, with no loop
+    over pairs of elements. Intertwining is the largest Frobenius norm of a
+    point's column block of some E_a (witness (a, x)); star is the largest
+    ||psi(a*) - J_d psi(a)* J_c|| (witness (a,)). Multiplicativity is
+    derived: psi(a)psi(b) W_d = W_c[:, c_a[c_b]] + E_a[:, c_b] + psi(a) E_b and
+    psi(ab) W_d = W_c[:, c_ab] + E_ab, and a minimal W_d has full row rank,
+    so on every composable pair
+
+        ||psi(a)psi(b) - psi(ab)|| <= (||W_c[:, c_a[c_b]] - W_c[:, c_ab]||
+                                       + ||E_a[:, c_b]|| + ||psi(a)|| ||E_b||
+                                       + ||E_ab||) / sigma_min(W_d),
+
+    Frobenius norms but for the operator norm ||psi(a)||. The first term is 0
+    wherever the integer identity c_a[c_b] == c_ab holds (action axiom A3 on
+    coordinates), and is computed only where it fails. The record's residual
+    is the largest such bound, a certified upper bound of the exhaustive
+    residual, with witness ((a, b), sigma_min(W_d)); ties go to the first
+    element or pair in table order.
+    """
+    act, lin, psi = rep.action, rep.lin, rep.psi
+    sg, p = act.sg, lin.partition
+    coords = _shift_coordinates(act, p)
+    for a in sg.elements:
+        _gather_index(act, p, coords, a)
     bound = tol.atol * max([1.0] + [n ** 2 for n in rep.norms.values()])
     feature_scale = max((frob(w) for w in lin.wmap.values()), default=0.0)
+    starts = {label: np.array([idx.offsets[x] for x in idx.part], dtype=np.int64)
+              for label, idx in p.parts.items()}
 
-    resid_mul, wit_mul = 0.0, None
-    for (a, b), ab in sg.compose.items():
-        r = frob(psi[ab] - psi[a] @ psi[b])
-        if r > resid_mul:
-            resid_mul, wit_mul = r, (a, b)
-
-    resid_sharp, wit_sharp = 0.0, None
-    for a in sg.elements:
-        sharp = krein_adjoint(psi[a], lin.spaces[sg.d[a]], lin.spaces[sg.c[a]])
-        r = frob(psi[sg.star[a]] - sharp)
-        if r > resid_sharp:
-            resid_sharp, wit_sharp = r, (a,)
+    cols, star, point = {}, {}, {}  # per element: |E_a|^2 per column; star residual; per point
+    for (sd, sc), group in _part_pairs(sg, sg.elements).items():
+        w_c, w_d = lin.wmap[sc], lin.wmap[sd]
+        jd = np.asarray(lin.spaces[sd].jdiag, dtype=np.float64)
+        jc = np.asarray(lin.spaces[sc].jdiag, dtype=np.float64)
+        r_c, (r_d, n_d) = w_c.shape[0], w_d.shape
+        for batch in _batches(group, 16 * (r_c * (2 * n_d + r_d) + 2 * r_c * r_d)):
+            t = np.stack([psi[a] for a in batch])
+            e = t @ w_d - w_c[:, np.stack([coords[a] for a in batch])].transpose(1, 0, 2)
+            sq = (e.real ** 2 + e.imag ** 2).sum(axis=1)
+            sharp = jd[:, None] * adjoints(t) * jc[None, :]
+            r_star = frobs(np.stack([psi[sg.star[a]] for a in batch]) - sharp)
+            per_point = (np.sqrt(np.add.reduceat(sq, starts[sd], axis=1)) if starts[sd].size
+                         else np.zeros((len(batch), 0)))
+            for i, a in enumerate(batch):
+                cols[a], star[a], point[a] = sq[i], float(r_star[i]), per_point[i]
 
     resid_int, wit_int = 0.0, None
     for a in sg.elements:
-        for x in lin.partition.index(sg.d[a]).part:
-            r = frob(psi[a] @ lin.features[x] - lin.features[rep.action.apply(a, x)])
-            if r > resid_int:
-                resid_int, wit_int = r, (a, x)
+        if point[a].size:
+            j = int(np.argmax(point[a]))
+            if point[a][j] > resid_int:
+                resid_int, wit_int = float(point[a][j]), (a, p.index(sg.d[a]).part[j])
+    resid_sharp, wit_sharp = 0.0, None
+    for a in sg.elements:
+        if star[a] > resid_sharp:
+            resid_sharp, wit_sharp = star[a], (a,)
+    resid_mul, wit_mul = _derived_multiplicativity(rep, coords, cols)
     return [_record(lin.family, "multiplicative", resid_mul, bound, wit_mul),
             _record(lin.family, "star", resid_sharp, bound, wit_sharp),
             _record(lin.family, "intertwining", resid_int, bound * feature_scale, wit_int)]
+
+
+def _derived_multiplicativity(rep, coords: dict, cols: dict):
+    """(residual, witness) of the derived multiplicativity bound (see
+    krein_representation_laws), from each element's squared column norms
+    cols[a] of E_a. Pairs are taken per (middle, domain) symbol in batches."""
+    act, lin = rep.action, rep.lin
+    sg, code = act.sg, act.sg.code
+    n_sym = len(sg.symbols)
+    ka, kb = code.pairs[:, 0].astype(np.int64), code.pairs[:, 1].astype(np.int64)
+    kab = code.T[ka, kb].astype(np.int64)
+    bad = np.flatnonzero((code.d[ka] != code.c[kb]) | (code.d[kab] != code.d[kb])
+                         | (code.c[kab] != code.c[ka]))
+    if bad.size:
+        a, b = code.pairs[bad[0]]
+        raise InvalidSemigroupoid(
+            f"product of the composable pair ({sg.elements[a]!r}, {sg.elements[b]!r}) "
+            "has the wrong domain or codomain")
+    # per domain symbol, the stacked coordinates and squared column norms of its
+    # elements; row[i] is element i's row in its symbol's stacks
+    row = np.zeros(len(sg.elements), dtype=np.int64)
+    stacks = {}
+    by_domain = {}
+    for a in sg.elements:
+        by_domain.setdefault(sg.d[a], []).append(a)
+    for s, members in by_domain.items():
+        row[[code.index[a] for a in members]] = np.arange(len(members))
+        stacks[s] = (np.stack([coords[a] for a in members]),
+                     np.stack([cols[a] for a in members]))
+    norm = np.array([rep.norms[a] for a in sg.elements])
+    eres = np.array([float(np.sqrt(cols[a].sum())) for a in sg.elements])
+    sigma = functools.cache(lin.sigma_min)
+    resid = np.zeros(len(ka))
+    margin = np.zeros(len(ka))
+    key = code.c[kb].astype(np.int64) * n_sym + code.d[kb]
+    for k in np.flatnonzero(np.bincount(key, minlength=1)).tolist():
+        mid, dom = sg.symbols[k // n_sym], sg.symbols[k % n_sym]
+        if not lin.spaces[dom].dim:
+            continue  # psi(a)psi(b) - psi(ab) has no columns
+        c_mid, q_mid = stacks[mid]
+        c_dom = stacks[dom][0]
+        s_min = sigma(dom)
+        sel = np.flatnonzero(key == k)
+        for batch in _batches(sel, 8 * (2 * c_mid.shape[1] + 3 * c_dom.shape[1])):
+            a, b, ab = ka[batch], kb[batch], kab[batch]
+            c_b = c_dom[row[b]]
+            composed = np.take_along_axis(c_mid[row[a]], c_b, axis=1)
+            gathered = np.sqrt(np.take_along_axis(q_mid[row[a]], c_b, axis=1).sum(axis=1))
+            total = gathered + norm[a] * eres[b] + eres[ab]
+            for i in np.flatnonzero((composed != c_dom[row[ab]]).any(axis=1)).tolist():
+                w = lin.wmap[sg.c[sg.elements[a[i]]]]
+                total[i] += frob(w[:, composed[i]] - w[:, c_dom[row[ab[i]]]])
+            resid[batch] = total / s_min
+            margin[batch] = s_min
+    if not resid.size:
+        return 0.0, None
+    i = int(np.argmax(resid))
+    if not resid[i] > 0.0:
+        return 0.0, None
+    a, b = code.pairs[i]
+    return float(resid[i]), ((sg.elements[a], sg.elements[b]), float(margin[i]))
 
 
 def fundamental_reducibility_check(rep: KreinRepresentation, tol: Tolerances = DEFAULT_TOL):

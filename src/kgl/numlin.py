@@ -28,7 +28,8 @@ matrix is read from it rather than decomposed again: its norm max|w|, its
 canonical map and that map's pseudo-inverse U_k / sqrt|w_k| (no SVD), and
 the canonical spectrum of |G| = U|w|U* (``abs_spectrum``). A check that
 reads only the eigenvalues of a matrix of its own uses ``spectrum_values``
-(``np.linalg.eigvalsh``, no eigenvectors). Inside a
+(``np.linalg.eigvalsh``, no eigenvectors), or ``stack_eigenvalues`` for a
+stack of them. Inside a
 :func:`decomposition_store` scope (every ``kgl`` command runs in one) each
 distinct matrix is decomposed, and each pseudo-inverse computed, once:
 results are looked up by a digest of the matrix content. Outside a scope
@@ -52,6 +53,8 @@ __all__ = [
     "Spectrum",
     "as_cmatrix",
     "frob",
+    "frobs",
+    "adjoints",
     "opnorm",
     "herm_eig",
     "spectrum",
@@ -64,6 +67,7 @@ __all__ = [
     "gap_at_zero",
     "psd_root_factor",
     "spectrum_values",
+    "stack_eigenvalues",
     "abs_spectrum",
 ]
 
@@ -76,9 +80,9 @@ _PHASE_FLOOR = 1e-12
 class Tolerances:
     """Residual acceptance threshold and relative rank cutoff.
 
-    atol bounds accepted residuals, usually scaled by max(1, norm of the
-    data). rank_rel is the relative eigenvalue cutoff below which spectrum
-    is treated as zero.
+    atol bounds accepted residuals, scaled by a norm of the data they
+    compare (some bounds still floor that norm at 1). rank_rel is the
+    relative eigenvalue cutoff below which spectrum is treated as zero.
     """
 
     atol: float = 1e-9
@@ -120,6 +124,17 @@ def frob(a) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
+def frobs(a) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack (over the last two axes)."""
+    a = np.asarray(a)
+    return np.sqrt((a.real ** 2 + a.imag ** 2).sum(axis=(-2, -1)))
+
+
+def adjoints(a) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack (over the last two axes)."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
+
+
 def opnorm(a) -> float:
     """Operator (spectral) norm; 0.0 for empty matrices."""
     a = np.asarray(a)
@@ -134,7 +149,7 @@ def _require_hermitian(a, tol: Tolerances) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise NotHermitian(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
     resid = frob(m - m.conj().T)
-    if resid > tol.atol * max(1.0, frob(m)):
+    if resid > tol.atol * frob(m):
         raise NotHermitian(f"Hermitian residual {resid:.3e} above tolerance")
     return 0.5 * (m + m.conj().T)
 
@@ -343,6 +358,17 @@ def spectrum_values(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     m = _require_hermitian(a, tol)
     return _stored(("values", tol), m, lambda: _spectrum_of(
         np.linalg.eigvalsh(m) if m.shape[0] else np.zeros(0), None, tol))
+
+
+def stack_eigenvalues(a) -> np.ndarray:
+    """The ascending eigenvalues of each matrix of a stack of Hermitian
+    matrices, symmetrized first: one batched np.linalg.eigvalsh, read-only,
+    stored like spectrum_values's. The matrices are not checked to be
+    Hermitian."""
+    m = np.asarray(a, dtype=np.complex128)
+    m = 0.5 * (m + adjoints(m))
+    return _stored(("stack values",), m, lambda: _frozen(
+        np.linalg.eigvalsh(m) if m.shape[-1] else np.zeros(m.shape[:-1])))
 
 
 def _spectrum_of(w: np.ndarray, basis, tol: Tolerances) -> Spectrum:

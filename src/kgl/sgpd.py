@@ -161,6 +161,8 @@ class LeftAction:
     anchor: dict  # point -> symbol
     act: dict  # (element, point) -> point
     code: _ActionCode = field(init=False, repr=False)
+    # partition block layout -> shift coordinates (kernel._shift_coordinates)
+    _shift_coords: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(self.base))

@@ -7,15 +7,25 @@ builds a shift matrix (`kernel.shift_map`). The library runs array versions
 of the same checks and gathers at shift coordinates instead of building
 shift matrices; `test_reference_tables.py` asserts that both give identical
 results, witnesses, order and exceptions.
+
+The representation layer has its element-by-element and pair-by-pair
+versions here too: the represented shifts with their pairing residuals and
+norms, the bounded-shift constants, the partial-isometry residuals, and the
+exhaustive law checks, multiplicativity on every composable pair included.
+The library stacks the elements of each part pair and derives
+multiplicativity from the pairing residuals; its residuals agree with these
+to rounding, and its multiplicativity residual bounds the exhaustive one.
 """
 
 import itertools
 
 import numpy as np
 
-from kgl.errors import InvalidSemigroupoid, OrbitBundleNotTrivial
+from kgl import numlin
+from kgl.errors import InvalidSemigroupoid, OrbitBundleNotTrivial, PairingViolated
 from kgl.kernel import conv_blocks, partition_from_action
-from kgl.numlin import DEFAULT_TOL, frob
+from kgl.krein_core import krein_adjoint
+from kgl.numlin import DEFAULT_TOL, frob, opnorm
 from kgl.sgpd import Classification, ValidationReport, orbit
 
 
@@ -237,4 +247,85 @@ def shift(act, bundle, alpha, p):
     for x in idx_d.part:
         y = act.apply(alpha, x)
         out[idx_c.slice_of(y), idx_d.slice_of(x)] = np.eye(bundle.dim[x])
+    return out
+
+
+# ------------------------------------------------------------------
+# represented shifts and their laws
+
+
+def represented_shifts(lin, act, tol=DEFAULT_TOL):
+    """(psi, norms, pairing residuals) of every element, one at a time, with
+    the dense shift matrices and SVD pseudo-inverses and norms; the first
+    element whose pairing fails raises PairingViolated."""
+    p = lin.partition
+    psi, norms, resid = {}, {}, {}
+    for a in act.sg.elements:
+        sd, sc = act.sg.d[a], act.sg.c[a]
+        w_shift = lin.wmap[sc] @ shift(act, p.bundle, a, p)
+        t = w_shift @ numlin.pinv(lin.wmap[sd], tol)
+        resid[a] = frob(t @ lin.wmap[sd] - w_shift)
+        if resid[a] > tol.atol * opnorm(lin.wmap[sc]) * opnorm(shift(act, p.bundle, a, p)):
+            raise PairingViolated(f"shift of {a!r} does not descend to the quotient")
+        psi[a], norms[a] = t, opnorm(t)
+    return psi, norms, resid
+
+
+def shift_constants(l, act, tol=DEFAULT_TOL):
+    """The bounded-shift constant of every element of a partially PSD kernel,
+    from the dense shifted form Psi* G_c Psi of each."""
+    p = partition_from_action(l.bundle, act)
+    grams = conv_blocks(l, p)
+    spectra = {s: numlin.spectrum(g, tol) for s, g in grams.items()}
+    out = {}
+    for a in act.sg.elements:
+        sd, sc = act.sg.d[a], act.sg.c[a]
+        m = shift(act, l.bundle, a, p)
+        shifted = m.conj().T @ grams[sc] @ m
+        n, f = spectra[sd].kernel_basis, spectra[sd].factor_pinv
+        if n.shape[1] and opnorm(n.conj().T @ shifted @ n) > tol.atol * spectra[sc].norm:
+            out[a] = None
+        elif f.shape[1]:
+            out[a] = max(float(np.linalg.eigvalsh(f.conj().T @ shifted @ f)[-1]), 0.0)
+        else:
+            out[a] = 0.0
+    return out
+
+
+def partial_isometry_residuals(psi):
+    """max(||m m* m - m||, ||p p - p||) with p = m* m, per element."""
+    out = {}
+    for a, m in psi.items():
+        q = m.conj().T @ m
+        out[a] = max(frob(m @ m.conj().T @ m - m), frob(q @ q - q))
+    return out
+
+
+def representation_laws(rep):
+    """The exhaustive residuals and witnesses of the representation laws:
+    multiplicativity on every composable pair, the star against the
+    indefinite adjoint on every element, intertwining on every (element,
+    point). Ties go to the first in table order."""
+    sg, psi, lin = rep.action.sg, rep.psi, rep.lin
+    out = {}
+    resid, wit = 0.0, None
+    for (a, b), ab in sg.compose.items():
+        r = frob(psi[ab] - psi[a] @ psi[b])
+        if r > resid:
+            resid, wit = r, (a, b)
+    out["multiplicative"] = (resid, wit)
+    resid, wit = 0.0, None
+    for a in sg.elements:
+        sharp = krein_adjoint(psi[a], lin.spaces[sg.d[a]], lin.spaces[sg.c[a]])
+        r = frob(psi[sg.star[a]] - sharp)
+        if r > resid:
+            resid, wit = r, (a,)
+    out["star"] = (resid, wit)
+    resid, wit = 0.0, None
+    for a in sg.elements:
+        for x in lin.partition.index(sg.d[a]).part:
+            r = frob(psi[a] @ lin.features[x] - lin.features[rep.action.apply(a, x)])
+            if r > resid:
+                resid, wit = r, (a, x)
+    out["intertwining"] = (resid, wit)
     return out

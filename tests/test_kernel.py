@@ -314,3 +314,38 @@ def test_bounded_shift_verdicts_do_not_depend_on_the_kernel_scale(family):
         for c in (1e-150, 1e-12, 1.0, 1e12, 1e150)]
     assert undefined[0]
     assert all(u == undefined[0] for u in undefined), undefined
+
+
+def perturbed_off_diagonal(k, p, rng):
+    """k with one off-diagonal block inside a part moved by 1e-5 of the largest
+    part Gram's norm, its mirror block left alone; and that part's label."""
+    size = 1e-5 * max([1.0] + [np.linalg.norm(g) for g in kn.conv_blocks(k, p).values()])
+    label, idx = next((s, idx) for s, idx in p.parts.items() if len(idx.part) > 1)
+    x, y = idx.part[0], idx.part[1 + int(rng.integers(len(idx.part) - 1))]
+    shape = (k.bundle.dim[x], k.bundle.dim[y])
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    blocks = dict(k.blocks)
+    blocks[(x, y)] = k.block(x, y) + size * z / np.linalg.norm(z)
+    return kn.OpKernel(k.bundle, blocks), label
+
+
+@pytest.mark.parametrize("family, params", [
+    ("pair_groupoid", {"symbols": ("a", "b", "c", "d")}),
+    ("group_as_groupoid", {"table": sgpd.cyclic_group_table(16)}),
+    ("partial_bijections", {"fiber_sizes": (2, 2)})])
+def test_hermitian_verdict_does_not_depend_on_the_kernel_scale(family, params):
+    # an invariant kernel reads Hermitian on every part at every scale; with one
+    # block pushed off its mirror it reads non-Hermitian on that part at every
+    # scale, also below 1, where an absolute floor in the bound would hide it
+    rng = np.random.default_rng(5)
+    for mode in ("psd_invariant", "hermitian_invariant"):
+        for seed in range(3):
+            _, act, bundle, k = generators.generate_instance(family, seed=seed, mode=mode,
+                                                             **params)
+            p = kn.partition_from_action(bundle, act)
+            bad, label = perturbed_off_diagonal(k, p, rng)
+            for c in (1e-150, 1e-12, 1.0, 1e12, 1e150):
+                assert kn.is_partially_hermitian(kn.kernel_lincomb([c], [k]), p, TOL), (mode, c)
+                failing = [r.witness for r in kn.hermitian_records(kn.kernel_lincomb([c], [bad]),
+                                                                   p, TOL) if not r.passed]
+                assert failing == [label], (mode, seed, c)

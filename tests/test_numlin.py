@@ -41,6 +41,17 @@ def test_herm_eig_rejects_bad_input():
         numlin.herm_eig(np.array([[np.nan]], dtype=complex), TOL)
 
 
+def test_hermitian_check_does_not_depend_on_the_scale():
+    # the Hermitian residual is compared with atol times the matrix's own norm
+    bad = np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex)
+    good = np.array([[1.0, 1j], [-1j, 2.0]])
+    for c in (1e-150, 1e-12, 1.0, 1e12, 1e150):
+        with pytest.raises(NotHermitian):
+            numlin.spectrum(c * bad, TOL)
+        assert numlin.spectrum(c * good, TOL).rank == 2
+    assert numlin.spectrum(np.zeros((2, 2)), TOL).rank == 0
+
+
 def test_herm_eig_deterministic_under_column_sign_noise():
     # phase canonicalisation: the decomposition of the same matrix is bitwise stable
     rng = np.random.Generator(np.random.Philox(99))

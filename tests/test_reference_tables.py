@@ -1,26 +1,30 @@
-"""The array checks of sgpd and kernel agree with the loop oracle.
+"""The array checks of sgpd, kernel and the representation layer agree with the loop oracle.
 
 Every generator family at small sizes, hand-built tables, and seeded
 corruptions of each (compose, star, unit and action entries, kernel blocks
 pushed off invariance) go through the library and through
 `reference_tables`. Reports must match entry for entry and in order,
 classifications field for field, invariance results witness for witness,
-and raised exceptions in type and message.
+and raised exceptions in type and message. The stacked representation
+layer agrees with the element-by-element one to rounding, and its derived
+multiplicativity residual bounds the exhaustive one.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 import reference_tables as ref
 from helpers import merge_monoid, trivial_group, z2_swap
-from kgl import generators, sgpd
+from kgl import generators, hilbert_lin, sgpd
+from kgl import krein_lin as kl
 from kgl.bundle import HilbertBundle
-from kgl.errors import InvalidSemigroupoid
-from kgl.kernel import (OpKernel, _shift_coordinates, is_invariant, partition_from_action,
-                        shift_map, shift_maps)
-from kgl.numlin import Tolerances
+from kgl.errors import InvalidSemigroupoid, PairingViolated
+from kgl.kernel import (OpKernel, _shift_coordinates, bounded_shift_constants, is_invariant,
+                        partition_from_action, shift_map, shift_maps)
+from kgl.numlin import DEFAULT_TOL, Tolerances
 from kgl.sgpd import LeftAction, StarSemigroupoid
 
 
@@ -336,3 +340,155 @@ def test_invariance_rejects_action_values_outside_the_part():
     bad_act = LeftAction(act.sg, act.base, act.anchor, table)
     with pytest.raises(InvalidSemigroupoid, match="outside the part"):
         is_invariant(k, bad_act)
+
+
+# ------------------------------------------------------------------
+# represented shifts and their laws
+
+
+SMALL_FAMILIES = (("pair_groupoid", {"symbols": ("a", "b", "c")}),
+                  ("group_as_groupoid", {"table": sgpd.cyclic_group_table(4)}),
+                  ("group_action", {}),
+                  ("partial_bijections", {"fiber_sizes": (2, 1)}),
+                  ("partial_bijections", {"fiber_sizes": (2,)}))
+
+
+def representation_cases():
+    """(name, linearisation, action) on small instances of every generator
+    family: PSD and indefinite kernels on the direct route, and indefinite
+    kernels through an invariant dominant."""
+    cases = []
+    for family, params in SMALL_FAMILIES:
+        for seed, mode in ((1, "psd_invariant"), (2, "hermitian_invariant")):
+            sg, act, bundle, k = generators.generate_instance(family, seed=seed, mode=mode,
+                                                              **params)
+            p = partition_from_action(bundle, act)
+            cases.append((f"{family}{len(sg.elements)}-{mode}", kl.krein_linearisation(k, p), act))
+        sg, act = generators.generate_structure(family, 3, **params)
+        bundle = HilbertBundle(points=act.base, dim={x: 2 for x in act.base})
+        k, l = generators.invariant_dominant_pair(act, bundle, seed=3)
+        p = partition_from_action(bundle, act)
+        cases.append((f"{family}{len(sg.elements)}-dominant",
+                      kl.krein_linearisation(k, p, via="dominant", dominant=l), act))
+    return cases
+
+
+REPRESENTATIONS = representation_cases()
+REP_IDS = [c[0] for c in REPRESENTATIONS]
+
+
+def close(got, want, scale):
+    """Equal up to rounding at the given scale."""
+    return abs(got - want) <= 1e-9 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("name,lin,act", REPRESENTATIONS, ids=REP_IDS)
+def test_represented_shifts_match_reference(name, lin, act):
+    psi, norms = kl.represented_shifts(lin, act)
+    want_psi, want_norms, _ = ref.represented_shifts(lin, act)
+    assert list(psi) == list(want_psi) == list(act.sg.elements)
+    assert list(norms) == list(want_norms)
+    for a in psi:
+        assert psi[a].shape == want_psi[a].shape
+        assert np.allclose(psi[a], want_psi[a], rtol=0, atol=1e-9 * max(1.0, want_norms[a]))
+        assert close(norms[a], want_norms[a], want_norms[a]), a
+
+
+@pytest.mark.parametrize("name,lin,act", REPRESENTATIONS, ids=REP_IDS)
+def test_derived_laws_bound_the_exhaustive_laws(name, lin, act):
+    # the derived multiplicativity residual is at least the exhaustive one and
+    # within the bound; star and intertwining are the exhaustive residuals
+    rep = kl.represent(lin, act)
+    got = {check: r for check, r in zip(("multiplicative", "star", "intertwining"), rep.records)}
+    want = ref.representation_laws(rep)
+    assert all(r.passed for r in rep.records), name
+    mul = got["multiplicative"]
+    assert want["multiplicative"][0] <= mul.residual <= mul.tolerance
+    if mul.witness is not None:
+        (a, b), sigma = mul.witness
+        assert (a, b) in act.sg.compose
+        assert sigma == lin.sigma_min(act.sg.d[b]) > 0.0
+    for check in ("star", "intertwining"):
+        assert abs(got[check].residual - want[check][0]) <= 1e-3 * got[check].tolerance, check
+
+
+@pytest.mark.parametrize("name,lin,act", REPRESENTATIONS, ids=REP_IDS)
+def test_a_corrupted_shift_fails_multiplicativity_and_intertwining(name, lin, act):
+    rep = kl.represent(lin, act)
+    a = next(a for a in act.sg.elements if rep.psi[a].size)
+    rep.psi[a] = rep.psi[a].copy()
+    rep.psi[a][0, 0] += max(1.0, rep.norms[a])
+    mul, _, inter = kl.krein_representation_laws(rep)
+    assert not mul.passed and not inter.passed
+    # the derived residual still bounds the exhaustive one
+    assert mul.residual >= ref.representation_laws(rep)["multiplicative"][0]
+
+
+def test_a_broken_coordinate_identity_fails_multiplicativity():
+    # the unit swaps the points as g does: every pair breaks c_a[c_b] == c_ab,
+    # while each shift alone still pairs and intertwines exactly
+    sg, act = z2_swap()
+    bad = LeftAction(sg, act.base, act.anchor, {**act.act, ("e", "x1"): "x2", ("e", "x2"): "x1"})
+    k = OpKernel(HilbertBundle(points=act.base, dim={"x1": 1, "x2": 1}),
+                 {("x1", "x1"): [[2.0]], ("x2", "x2"): [[2.0]], ("x1", "x2"): [[1.0]],
+                  ("x2", "x1"): [[1.0]]})
+    lin = kl.krein_linearisation(k, partition_from_action(k.bundle, bad))
+    rep = kl.represent(lin, bad)
+    mul, star, inter = rep.records
+    assert not mul.passed and mul.witness[0] == ("e", "e")
+    assert star.passed and inter.passed
+    assert mul.residual >= ref.representation_laws(rep)["multiplicative"][0] > mul.tolerance
+
+
+@pytest.mark.parametrize("name,lin,act", REPRESENTATIONS, ids=REP_IDS)
+def test_partial_isometry_residuals_match_reference(name, lin, act):
+    rep = hilbert_lin.HilbertRepresentation(act, lin, *kl.represented_shifts(lin, act))
+    cls = sgpd.classify(act.sg)
+    want = ref.partial_isometry_residuals(rep.psi)
+    records = hilbert_lin.partial_isometry_report(rep, cls)
+    assert [r.witness[0] for r in records] == list(want)
+    for r in records:
+        assert close(r.residual, want[r.witness[0]], rep.norms[r.witness[0]] ** 3)
+
+
+@pytest.mark.parametrize("family,params", SMALL_FAMILIES, ids=[f for f, _ in SMALL_FAMILIES])
+def test_shift_constants_match_reference(family, params):
+    # invariant PSD kernels (every constant defined) and random PSD ones (some undefined)
+    sg, act, bundle, k = generators.generate_instance(family, seed=1, **params)
+    p = partition_from_action(bundle, act)
+    for l in (k, generators.random_psd_kernel(bundle, p, seed=1),
+              generators.random_psd_kernel(bundle, p, seed=2, full_rank=True)):
+        got, want = bounded_shift_constants(l, act), ref.shift_constants(l, act)
+        assert list(got) == list(want)
+        assert [m is None for m in got.values()] == [m is None for m in want.values()]
+        for a, m in got.items():
+            if m is not None:
+                assert close(m, want[a], want[a]), a
+
+
+def test_the_first_element_that_fails_its_gather_or_pairing_raises():
+    # a random PSD kernel of deficient rank is not invariant: some shifts do not
+    # descend. Removing an action value of an earlier or a later element decides
+    # which of the two raises, as in the element-by-element loop.
+    sg, act, bundle, _ = generators.generate_instance("pair_groupoid", seed=1,
+                                                      symbols=("a", "b", "c"))
+    p = partition_from_action(bundle, act)
+    lin = kl.krein_linearisation(generators.random_psd_kernel(bundle, p, seed=1), p)
+    with pytest.raises(PairingViolated) as exc:
+        ref.represented_shifts(lin, act)
+    failing = next(a for a in sg.elements if repr(a) in str(exc.value))
+    with pytest.raises(PairingViolated, match=re.escape(f"shift of {failing!r} does not")):
+        kl.represented_shifts(lin, act)
+    position = sg.elements.index(failing)
+    assert 0 < position < len(sg.elements) - 1
+    for other, kind in ((sg.elements[position - 1], InvalidSemigroupoid),
+                        (sg.elements[-1], PairingViolated)):
+        x = next(x for x in act.base if (other, x) in act.act)
+        table = {key: y for key, y in act.act.items() if key != (other, x)}
+        bad = LeftAction(sg, act.base, act.anchor, table)
+        got = outcome(kl.represented_shifts, lin, bad)
+        assert got[:2] == outcome(ref.represented_shifts, lin, bad)[:2] == ("raised", kind)
+        if kind is InvalidSemigroupoid:
+            assert got[2] == f"action of {other!r} on {x!r} is not defined"
+        else:
+            assert got[2].startswith(f"shift of {failing!r} does not descend")

@@ -6,6 +6,8 @@ import contextlib
 import hashlib
 import importlib
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -103,11 +105,11 @@ def count_linalg(monkeypatch):
 
 @pytest.mark.parametrize("mode, budget", [
     # eigh: the part Gram; eigvalsh: the split's sum, the Gram operator and, for a
-    # PSD kernel, the compressions whose top eigenvalues are the bounded-shift
-    # constants (3 elements; the unit's compression equals the Gram operator);
-    # SVD values: the minimality record and each represented shift's norm
-    ("hermitian_invariant", {"eigh": 1, "eigvalsh": 2, "svd": 4}),
-    ("psd_invariant", {"eigh": 1, "eigvalsh": 4, "svd": 4}),
+    # PSD kernel, one batched call for the compressions whose top eigenvalues are
+    # the bounded-shift constants (3 elements, one part pair); SVD values: the
+    # minimality record and one batched call for the represented shifts' norms
+    ("hermitian_invariant", {"eigh": 1, "eigvalsh": 2, "svd": 2}),
+    ("psd_invariant", {"eigh": 1, "eigvalsh": 3, "svd": 2}),
 ])
 def test_report_decomposes_the_part_gram_once(tmp_path, capsys, monkeypatch, mode, budget):
     path = write_instance(tmp_path, "group_action", mode)
@@ -126,6 +128,43 @@ def test_report_calls_no_unique(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
     assert run(capsys, ["report", path])[0] == 0
     assert calls == []
+
+
+def spectral_shaped_instance(tmp_path):
+    """Z2 shifting 6 points with fiber 8: trivial tables and one part of dimension 48."""
+    from kgl import sgpd
+    from kgl.bundle import HilbertBundle
+    base = tuple(f"x{k}" for k in range(6))
+    amap = {(f"g{i}", f"x{k}"): f"x{(k + 3 * i) % 6}" for i in range(2) for k in range(6)}
+    sg, act = sgpd.generate("group_action", table=sgpd.cyclic_group_table(2), base=base,
+                            action_map=amap)
+    bundle = HilbertBundle(points=base, dim={x: 8 for x in base})
+    kernel = generators.generate_kernel(act, bundle, "hermitian_invariant", seed=1)
+    path = tmp_path / "spectral.json"
+    formats.save_instance(formats.instance_to_doc(sg, act, bundle, kernel), path)
+    return str(path)
+
+
+def test_report_loads_no_module_the_cli_import_did_not(tmp_path):
+    # a report forked from a process that imported kgl.cli pays for every module
+    # it imports itself (np.unique, for one, imports numpy.ma on first use)
+    sg, act, bundle, kernel = generators.generate_instance(
+        "partial_bijections", seed=1, fiber_sizes=(2, 2))
+    tables = tmp_path / "tables.json"
+    formats.save_instance(formats.instance_to_doc(sg, act, bundle, kernel), tables)
+    script = ("import contextlib, io, sys\n"
+              "import kgl.cli\n"
+              "before = set(sys.modules)\n"
+              "for path in sys.argv[1:]:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert kgl.cli.main(['report', path]) == 0\n"
+              "print(sorted(set(sys.modules) - before))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script, str(tables),
+                          spectral_shaped_instance(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def count_calls(monkeypatch, names):
@@ -147,16 +186,17 @@ def count_calls(monkeypatch, names):
     return counts
 
 
-PREMISES = ("kernel.is_invariant", "krein_lin.krein_linearisation", "kernel.psd_records")
+PREMISES = ("kernel.is_invariant", "krein_lin.krein_linearisation", "kernel.psd_records",
+            "kernel.hermitian_records")
 
 
 @pytest.mark.parametrize("family, mode, argv, budget", [
-    ("pair_groupoid", "psd_invariant", ["report"], (1, 1, 0)),
-    ("group_action", "hermitian_invariant", ["report"], (1, 1, 0)),
-    ("pair_groupoid", "psd_invariant", ["represent", "--hilbert"], (1, 1, 1)),
-    ("pair_groupoid", "psd_invariant", ["represent", "--krein"], (1, 1, 0)),
-    ("pair_groupoid", "psd_invariant", ["linearize", "--hilbert"], (0, 1, 1)),
-    ("pair_groupoid", "psd_invariant", ["check", "bounded-shift"], (0, 0, 1)),
+    ("pair_groupoid", "psd_invariant", ["report"], (1, 1, 0, 1)),
+    ("group_action", "hermitian_invariant", ["report"], (1, 1, 0, 1)),
+    ("pair_groupoid", "psd_invariant", ["represent", "--hilbert"], (1, 1, 1, 1)),
+    ("pair_groupoid", "psd_invariant", ["represent", "--krein"], (1, 1, 0, 1)),
+    ("pair_groupoid", "psd_invariant", ["linearize", "--hilbert"], (0, 1, 1, 1)),
+    ("pair_groupoid", "psd_invariant", ["check", "bounded-shift"], (0, 0, 1, 1)),
 ])
 def test_each_premise_is_decided_once_per_command(tmp_path, capsys, monkeypatch,
                                                   family, mode, argv, budget):
