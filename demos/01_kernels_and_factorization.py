@@ -11,15 +11,15 @@ import numpy as np
 from kgl import (
     HilbertBundle,
     OpKernel,
+    RkKreinView,
     conv_blocks,
     is_partially_hermitian,
     is_partially_psd,
+    j_unitary_equivalence,
     minimal_linearisation,
     partition_from_anchor,
-    rkhs,
-    unitary_equivalence,
-    verify_reproducing,
 )
+from kgl.krein_lin import verify_reproducing
 from kgl.numlin import frob
 
 # Two points with a 1-dimensional and a 2-dimensional fiber.
@@ -56,14 +56,14 @@ print(f"reconstruction residual max ||V_x* V_y - K(x,y)||_F = {worst:.2e}")
 # The factorization doubles as a reproducing-kernel space of sections:
 # members are sections x -> V_x* f, and pairing against a kernel column
 # at x evaluates the member at x.
-view = rkhs(lin)
+view = RkKreinView(lin)
 for record in verify_reproducing(view):
     print(f"  [{'ok' if record.passed else 'FAIL'}] {record.name}: residual {record.residual:.2e}")
 
 # Two deterministic eigen conventions give two factorizations of the same
 # kernel; the canonical map between them is certified unitary.
 other = minimal_linearisation(k, p, tie_break="last")
-eq = unitary_equivalence(lin, other)
+eq = j_unitary_equivalence(lin, other)
 print("\ntie-break conventions agree up to a unitary:", eq.ok)
 for record in eq.records:
     print(f"  {record.name}: residual {record.residual:.2e}")

@@ -12,13 +12,12 @@ import numpy as np
 from kgl import (
     HilbertBundle,
     OpKernel,
-    bounded_shift_constant,
+    bounded_shift_constants,
     classify,
     invariant_representation,
     is_invariant,
     partial_isometry_report,
     partition_from_action,
-    representation_laws,
 )
 from kgl.numlin import opnorm
 from kgl.sgpd import group_action
@@ -45,19 +44,18 @@ ok_bad, witness = is_invariant(bad, act)
 print("asymmetric diagonal invariant:", ok_bad, " witness (element, x, y):", witness)
 
 p = partition_from_action(bundle, act)
-for g in sg.elements:
-    m = bounded_shift_constant(k, act, g)
+for g, m in bounded_shift_constants(k, act).items():
     print(f"bounded-shift constant of {g!r}: {m}")
 
 rep = invariant_representation(k, act, p)
 print("\nrepresented flip on the factor space:")
-print(np.array_str(rep.phi["g"].real, precision=6, suppress_small=True))
-for record in representation_laws(rep):
+print(np.array_str(rep.psi["g"].real, precision=6, suppress_small=True))
+for record in rep.records:
     print(f"  [{'ok' if record.passed else 'FAIL'}] {record.name}: residual {record.residual:.2e}")
 
 # Shift constants are squared represented norms.
 for g in sg.elements:
-    print(f"  ||phi({g})||^2 = {opnorm(rep.phi[g]) ** 2:.6f}"
+    print(f"  ||phi({g})||^2 = {opnorm(rep.psi[g]) ** 2:.6f}"
           f"  vs constant {rep.shift_constants[g]:.6f}")
 
 # The group is inverse with star equal to inversion, so every represented

@@ -18,21 +18,14 @@ from .bundle import (
 )
 from .hilbert_lin import (
     HilbertRepresentation,
-    RkhsView,
     invariant_representation,
     minimal_linearisation,
     partial_isometry_report,
-    representation_laws,
-    rkhs,
-    unitary_equivalence,
-    verify_factorization,
-    verify_reproducing,
 )
 from .kernel import (
     OpKernel,
     Partition,
     adjoint_kernel,
-    bounded_shift_constant,
     bounded_shift_constants,
     conv_blocks,
     dominates,
@@ -48,15 +41,12 @@ from .kernel import (
     partition_from_action,
     partition_from_anchor,
     psd_records,
-    shift_map,
-    shift_maps,
     single_partition,
     zero_kernel,
 )
 from .krein_core import (
     InducedKrein,
     KreinSpace,
-    gap_uniqueness,
     hilbert_space,
     induced_krein,
     krein_adjoint,
@@ -105,18 +95,16 @@ __all__ = [
     "HilbertBundle", "PartIndex", "Section",
     "delta_section", "part_index", "section_from_dict",
     "OpKernel", "Partition",
-    "adjoint_kernel", "bounded_shift_constant", "bounded_shift_constants",
+    "adjoint_kernel", "bounded_shift_constants",
     "conv_blocks", "dominates", "hermitian_records",
     "identity_kernel", "invariance_record", "is_invariant", "is_partially_hermitian",
     "is_partially_psd", "kernel_from_part_grams", "kernel_inner",
     "kernel_lincomb", "partition_from_action", "partition_from_anchor",
-    "psd_records", "shift_map", "shift_maps", "single_partition", "zero_kernel",
-    "HilbertRepresentation", "RkhsView",
-    "invariant_representation", "minimal_linearisation",
-    "partial_isometry_report", "representation_laws", "rkhs",
-    "unitary_equivalence", "verify_factorization", "verify_reproducing",
+    "psd_records", "single_partition", "zero_kernel",
+    "HilbertRepresentation",
+    "invariant_representation", "minimal_linearisation", "partial_isometry_report",
     "InducedKrein", "KreinSpace",
-    "gap_uniqueness", "hilbert_space", "induced_krein", "krein_adjoint",
+    "hilbert_space", "induced_krein", "krein_adjoint",
     "krein_space", "lift_operator",
     "KreinLinearisation", "KreinRepresentation", "RkKreinView",
     "canonical_dominant", "fundamental_reducibility_check", "gram_operator",

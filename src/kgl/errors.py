@@ -22,10 +22,6 @@ class NotHermitian(KglError):
     """Hermitian input required; residual above tolerance."""
 
 
-class NegativeForSqrt(KglError):
-    """Matrix square root requested for a matrix with negative eigenvalues."""
-
-
 # ---------------------------------------------------------------- bundle
 
 class UnknownPoint(KglError):
@@ -97,8 +93,7 @@ class KernelNotDominated(KglError):
 
 
 class PairingViolated(KglError):
-    """A map does not respect the forms: a lift's compatibility pairing fails,
-    or a shift does not descend to the quotient of a linearisation."""
+    """A shift does not descend to the quotient of a linearisation."""
 
 
 # ---------------------------------------------------------------- cli_io

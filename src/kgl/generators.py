@@ -283,10 +283,10 @@ def random_lift_quadruple(n: int, m: int, seed: int, tol: Tolerances = DEFAULT_T
     a = random_hermitian(rng, n)
     b = random_hermitian(rng, m)
     if n and int(rng.integers(0, 2)):
-        drop = numlin.herm_eig(a, tol)
+        w, u = numlin.herm_eig(a, tol)
         keep = np.ones(n, dtype=bool)
         keep[int(rng.integers(0, n))] = False
-        a = (drop.basis[:, keep] * drop.eigenvalues[keep]) @ drop.basis[:, keep].conj().T
+        a = (u[:, keep] * w[keep]) @ u[:, keep].conj().T
     t0 = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     e_minus, _, e_plus = numlin.spectral_projections(a, tol)
     p_ran = e_minus + e_plus

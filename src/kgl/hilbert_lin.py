@@ -5,7 +5,8 @@ direct Krein linearisation has signature (r, 0) on every part, so each
 part's stacked map B has G = B* B and full row rank, and its columns at x
 form the feature map V_x with K(x, y) = V_x* V_y. minimal_linearisation is
 that KreinLinearisation with the hilbert family below, so the checks of
-krein_lin certify it under the hilbert names and tags. Only what has no
+krein_lin (verify_krein_factorization, rk_krein_space, j_unitary_equivalence)
+certify it under the hilbert names and tags. Only what has no
 indefinite counterpart lives here: the bounded-shift constants with their
 consistency record, and the partial-isometry law of inverse semigroupoids.
 """
@@ -32,19 +33,12 @@ from .sgpd import Classification, LeftAction
 
 __all__ = [
     "HILBERT",
-    "RkhsView",
     "HilbertRepresentation",
     "minimal_linearisation",
     "is_definite",
-    "verify_factorization",
-    "rkhs",
-    "verify_reproducing",
-    "unitary_equivalence",
-    "EquivalenceResult",
     "definite_representation",
     "represent",
     "invariant_representation",
-    "representation_laws",
     "partial_isometry_report",
 ]
 
@@ -61,13 +55,6 @@ HILBERT = {
     "intertwining": ("intertwines the feature maps", "hilbert/representation"),
     "well-defined": ("represented shifts are well defined", "hilbert/representation"),
 }
-
-# The views and checks are those of the Krein pipeline.
-RkhsView = rkhs = krein_lin.RkKreinView  # sections x -> V_x* f
-EquivalenceResult = krein_lin.EquivalenceResult
-verify_factorization = krein_lin.verify_krein_factorization
-verify_reproducing = krein_lin.verify_reproducing
-unitary_equivalence = krein_lin.j_unitary_equivalence
 
 
 def minimal_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL,
@@ -94,10 +81,6 @@ class HilbertRepresentation(krein_lin.KreinRepresentation):
     """Represented shifts on the factor spaces, with bounded-shift constants."""
 
     shift_constants: dict = field(default_factory=dict)  # element -> float or None
-
-    @property
-    def phi(self) -> dict:
-        return self.psi
 
 
 def definite_representation(rep: krein_lin.KreinRepresentation,
@@ -140,12 +123,6 @@ def invariant_representation(k: OpKernel, act: LeftAction, p: Partition,
     return represent(lin, act, tol)
 
 
-def representation_laws(rep: HilbertRepresentation, tol: Tolerances = DEFAULT_TOL):
-    """The laws of krein_representation_laws, then the bounded-shift
-    consistency: the records rep was built with (tol is not read)."""
-    return list(rep.records)
-
-
 def partial_isometry_report(rep: HilbertRepresentation, cls: Classification,
                             tol: Tolerances = DEFAULT_TOL):
     """Partial-isometry residuals of every represented shift.
@@ -156,17 +133,17 @@ def partial_isometry_report(rep: HilbertRepresentation, cls: Classification,
     one (domain, codomain) part pair are checked as one stack per batch.
     """
     required = bool(cls.is_inverse and cls.star_matches_inverse)
-    sg, phi = rep.action.sg, rep.phi
+    sg, psi = rep.action.sg, rep.psi
     resid = {}
-    for group in _part_pairs(sg, phi).values():
-        r_c, r_d = phi[group[0]].shape
+    for group in _part_pairs(sg, psi).values():
+        r_c, r_d = psi[group[0]].shape
         for batch in _batches(group, 16 * 4 * (r_c * r_d + r_d * r_d)):
-            m = np.stack([phi[a] for a in batch])
+            m = np.stack([psi[a] for a in batch])
             p = adjoints(m) @ m
             r = np.maximum(frobs(m @ adjoints(m) @ m - m), frobs(p @ p - p))
             resid.update(zip(batch, r.tolist()))
     records = []
-    for a in phi:
+    for a in psi:
         bound = tol.atol * max(1.0, rep.norms[a] ** 3)
         passed = (resid[a] <= bound) if required else True
         records.append(Record("partial isometry law", "hilbert/partial-isometry",

@@ -10,8 +10,7 @@ Cross-part blocks may be stored but no partition-relative operation reads them.
 An element's shift, delta_x h -> delta_{alpha.x} h, relabels coordinates.
 _shift_coordinates says where it sends each one, and every reader gathers
 there: the invariance check, the bounded-shift constants and the
-represented shifts. Only shift_map and shift_maps build the dense 0/1
-matrices, for callers outside the library.
+represented shifts. No dense 0/1 shift matrix is built.
 """
 
 from dataclasses import dataclass
@@ -55,12 +54,9 @@ __all__ = [
     "is_partially_psd",
     "kernel_inner",
     "dominates",
-    "shift_map",
-    "shift_maps",
     "invariance_bounds",
     "is_invariant",
     "invariance_record",
-    "bounded_shift_constant",
     "bounded_shift_constants",
     "bounded_shift_records",
 ]
@@ -441,35 +437,6 @@ def _batches(items: list, item_bytes: int):
         yield items[lo:lo + step]
 
 
-def _shift_matrix(act: LeftAction, p: Partition, coords: dict, alpha) -> np.ndarray:
-    """The 0/1 shift matrix of alpha: a one at (c[j], j) for its coordinates c."""
-    c = _gather_index(act, p, coords, alpha)
-    out = np.zeros((p.index(act.sg.c[alpha]).total_dim, c.size), dtype=np.complex128)
-    out[c, np.arange(c.size)] = 1.0
-    return out
-
-
-def shift_map(act: LeftAction, bundle: HilbertBundle, alpha, p: Partition = None) -> np.ndarray:
-    """Stacked matrix of the shift "delta_x h -> delta_{alpha.x} h".
-
-    Maps the part at the element's domain symbol into the part at its
-    codomain symbol. Columns are identity blocks placed at the image
-    point's offset; a non-injective action makes several columns share a
-    row block.
-    """
-    _require_orbit_trivial(act, bundle)
-    p = partition_from_action(bundle, act) if p is None else p
-    return _shift_matrix(act, p, _shift_coordinates(act, p), alpha)
-
-
-def shift_maps(act: LeftAction, bundle: HilbertBundle, p: Partition = None) -> dict:
-    """All shift matrices, keyed by element; the orbit check runs once."""
-    _require_orbit_trivial(act, bundle)
-    p = partition_from_action(bundle, act) if p is None else p
-    coords = _shift_coordinates(act, p)
-    return {g: _shift_matrix(act, p, coords, g) for g in act.sg.elements}
-
-
 def invariance_bounds(grams: dict, sg: StarSemigroupoid,
                       tol: Tolerances = DEFAULT_TOL) -> dict:
     """Per element, the bound its invariance residuals are compared against.
@@ -624,26 +591,18 @@ def _shift_constants(act: LeftAction, p: Partition, grams: dict, spectra: dict,
     return {a: constants[a] for a in elements}
 
 
-def bounded_shift_constant(l: OpKernel, act: LeftAction, alpha,
-                           tol: Tolerances = DEFAULT_TOL):
-    """Least constant bounding the shifted form by the original form.
+def bounded_shift_constants(l: OpKernel, act: LeftAction,
+                            tol: Tolerances = DEFAULT_TOL) -> dict:
+    """The least constant bounding each element's shifted form by the
+    original form, keyed by element.
 
     For a partially PSD kernel, this is the squared norm of the quotient
     shift operator: the largest eigenvalue of the compression of the
-    shifted Gram matrix onto the quotient coordinates. Returns None
+    shifted Gram matrix onto the quotient coordinates. It is None
     (undefined) when the shift does not map the form kernel at the domain
     part into the form kernel at the codomain part, so no finite constant
-    exists relative to the quotient.
-    """
-    return _shift_constants(act, *_psd_parts(l, act, tol), tol, (alpha,))[alpha]
-
-
-def bounded_shift_constants(l: OpKernel, act: LeftAction,
-                            tol: Tolerances = DEFAULT_TOL) -> dict:
-    """bounded_shift_constant of every element, keyed by element.
-
-    The PSD check, the Gram assembly and the per-part factors are done
-    once for all elements.
+    exists relative to the quotient. The PSD check, the Gram assembly and
+    the per-part factors are done once for all elements.
     """
     return _shift_constants(act, *_psd_parts(l, act, tol), tol, act.sg.elements)
 
@@ -651,7 +610,7 @@ def bounded_shift_constants(l: OpKernel, act: LeftAction,
 def bounded_shift_records(l: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> list:
     """The kernel/psd records of l on the action's partition and, when they
     all pass, one kernel/bounded-shift record per element: whether its
-    bounded_shift_constant is defined. The PSD premise is decided once, by
+    bounded-shift constant is defined. The PSD premise is decided once, by
     those records."""
     p = partition_from_action(l.bundle, act)
     records = psd_records(l, p, tol)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .errors import PairingViolated, ShapeMismatch
+from .errors import ShapeMismatch
 from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm
+from .reports import Record
 
 __all__ = [
     "KreinSpace",
@@ -27,7 +28,6 @@ __all__ = [
     "induced_krein",
     "induced_from_spectrum",
     "lift_operator",
-    "gap_uniqueness",
     "gaps_unique",
 ]
 
@@ -140,16 +140,19 @@ def induced_from_spectrum(s: numlin.Spectrum) -> InducedKrein:
 
 @dataclass(eq=False)
 class LiftedPair:
-    """Lift of a form-compatible operator pair to the induced spaces.
+    """Lift of an operator pair to the induced spaces, with the krein/lift
+    records that certify it.
 
     Unpacks as (t_lift, s_lift); also carries both induced spaces so the
-    adjoint pairing can be re-checked downstream.
+    adjoint pairing can be re-checked downstream. When the compatibility
+    record fails no lift is made, and the lifts and spaces are None.
     """
 
     t_lift: np.ndarray
     s_lift: np.ndarray
     source: InducedKrein  # induced by A
     target: InducedKrein  # induced by B
+    records: list
 
     def __iter__(self):
         return iter((self.t_lift, self.s_lift))
@@ -158,11 +161,13 @@ class LiftedPair:
 def lift_operator(a, b, t, s, tol: Tolerances = DEFAULT_TOL) -> LiftedPair:
     """Lift T (and its form-adjoint partner S) to the induced Krein spaces.
 
-    Requires the compatibility identity B T = S* A up to tolerance; it
-    makes T map the form kernel of A into the form kernel of B, which is
-    re-verified so the lift T_lift = Pi_B T Pi_A+ is well defined and
-    satisfies T_lift Pi_A = Pi_B T. The partner lifts symmetrically and
-    equals the Krein adjoint of the lift.
+    The records are the compatibility identity B T = S* A, then, once it
+    holds, the two facts it implies: T maps the form kernel of A into the
+    form kernel of B, so the lift T_lift = Pi_B T Pi_A+ satisfies
+    T_lift Pi_A = Pi_B T, and the partner, lifted symmetrically, equals the
+    Krein adjoint of the lift. Each residual is compared with atol times
+    the scale of the data it compares, with no floor: max(||B|| ||T||,
+    ||S|| ||A||), ||Pi_B|| ||T|| and ||T_lift||.
     """
     am = numlin.as_cmatrix(a)
     bm = numlin.as_cmatrix(b)
@@ -173,37 +178,34 @@ def lift_operator(a, b, t, s, tol: Tolerances = DEFAULT_TOL) -> LiftedPair:
     if tm.shape != (m, n) or sm.shape != (n, m):
         raise ShapeMismatch(f"T {tm.shape} and S {sm.shape} must map between dims {n} and {m}")
 
-    scale = max(1.0, opnorm(bm) * opnorm(tm), opnorm(sm) * opnorm(am))
-    resid = frob(bm @ tm - sm.conj().T @ am)
-    if resid > tol.atol * scale:
-        raise PairingViolated(
-            f"compatibility residual {resid:.3e} above {tol.atol * scale:.3e}")
+    def record(name, resid, bound):
+        return Record(name, "krein/lift", resid, bound, resid <= bound)
+
+    scale = max(opnorm(bm) * opnorm(tm), opnorm(sm) * opnorm(am))
+    records = [record("compatibility identity holds",
+                      frob(bm @ tm - sm.conj().T @ am), tol.atol * scale)]
+    if not records[0].passed:
+        return LiftedPair(None, None, None, None, records)
 
     ika = induced_krein(am, tol)
     ikb = induced_krein(bm, tol)
     t_lift = ikb.pi @ tm @ numlin.pinv(ika.pi, tol)
     s_lift = ika.pi @ sm @ numlin.pinv(ikb.pi, tol)
-
-    fact = frob(t_lift @ ika.pi - ikb.pi @ tm)
-    if fact > tol.atol * max(1.0, opnorm(ikb.pi) * opnorm(tm)):
-        raise PairingViolated(
-            f"lift does not factor the mapped form (residual {fact:.3e}); "
-            "the operator moves the form kernel off the form kernel")
-    return LiftedPair(t_lift=t_lift, s_lift=s_lift, source=ika, target=ikb)
-
-
-def gap_uniqueness(a, tol: Tolerances = DEFAULT_TOL):
-    """Spectral gaps of a Hermitian matrix at zero and the uniqueness flag.
-
-    Returns (unique, gap_neg, gap_pos): a side with no spectrum reports
-    None (infinite gap). A finite matrix always has an open interval free
-    of spectrum on at least one side of zero, so unique is always True
-    here; infinite-dimensional forms can fail this.
-    """
-    return gaps_unique(*numlin.gap_at_zero(a, tol))
+    records.append(record("lift factors through the canonical maps",
+                          frob(t_lift @ ika.pi - ikb.pi @ tm),
+                          tol.atol * opnorm(ikb.pi) * opnorm(tm)))
+    records.append(record("lifted pair are indefinite adjoints",
+                          frob(krein_adjoint(t_lift, ika.space, ikb.space) - s_lift),
+                          tol.atol * opnorm(t_lift)))
+    return LiftedPair(t_lift, s_lift, ika, ikb, records)
 
 
 def gaps_unique(gap_neg, gap_pos):
-    """(unique, gap_neg, gap_pos) of gap_uniqueness from the two gaps."""
+    """Spectral gaps of a Hermitian matrix at zero (Spectrum.gaps) and the
+    uniqueness flag: (unique, gap_neg, gap_pos), a side with no spectrum
+    reporting None (infinite gap). A finite matrix always has an open
+    interval free of spectrum on at least one side of zero, so unique is
+    always True here; infinite-dimensional forms can fail this.
+    """
     unique = (gap_neg is None or gap_neg > 0.0) or (gap_pos is None or gap_pos > 0.0)
     return unique, gap_neg, gap_pos

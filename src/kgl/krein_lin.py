@@ -467,11 +467,6 @@ class EquivalenceResult:
     records: list
 
     @property
-    def unitaries(self):
-        """The maps, by their name in the Hilbert case."""
-        return self.maps
-
-    @property
     def ok(self):
         return all(r.passed for r in self.records)
 

@@ -14,10 +14,9 @@ Two thresholds decide, each in one place:
   induced Krein spaces and the canonical map ``Spectrum.factor`` with its
   pseudo-inverse ``Spectrum.factor_pinv`` (for a PSD matrix, the root
   factor), and a Hermitian matrix is PSD exactly when no eigenvalue lies
-  below minus the cutoff (``psd_check``, ``herm_fn`` "sqrt_psd",
-  ``psd_root_factor``), that is when its signature counts no negative
-  direction. The cutoff scales with the matrix, so neither decision
-  depends on the matrix's overall scale;
+  below minus the cutoff (``Spectrum.is_psd``), that is when its signature
+  counts no negative direction. The cutoff scales with the matrix, so
+  neither decision depends on the matrix's overall scale;
 - the singular-value cutoff ``rank_rel * largest singular value``, which
   applies only to ``pinv`` and to the minimality records that count
   singular values the same way.
@@ -44,12 +43,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NegativeForSqrt, NonFinite, NotHermitian, NotPSD
+from .errors import NonFinite, NotHermitian
 
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
-    "HermEig",
     "Spectrum",
     "as_cmatrix",
     "frob",
@@ -62,10 +60,6 @@ __all__ = [
     "herm_fn",
     "spectral_projections",
     "pinv",
-    "rank_tol",
-    "psd_check",
-    "gap_at_zero",
-    "psd_root_factor",
     "spectrum_values",
     "stack_eigenvalues",
     "abs_spectrum",
@@ -96,18 +90,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-@dataclass(frozen=True)
-class HermEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    eigenvalues are real and ascending; basis is unitary with eigenvectors
-    as columns, in canonical phase/tie order.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -192,8 +174,10 @@ def _order_ties(w: np.ndarray, u: np.ndarray, reverse: bool):
     return w, u[:, order]
 
 
-def herm_eig(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") -> HermEig:
-    """Canonical eigendecomposition of a Hermitian matrix.
+def herm_eig(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first"):
+    """Canonical eigendecomposition (w, u) of a Hermitian matrix: the real
+    eigenvalues w ascending, the eigenvectors as the columns of the unitary
+    u, in canonical phase and tie order.
 
     tie_break selects one of two deterministic conventions ("first" or
     "last"): which coordinate pins the eigenvector phases and in which
@@ -205,13 +189,12 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") -> Herm
         raise ValueError(f"unknown tie_break {tie_break!r}")
     m = _require_hermitian(a, tol)
     if m.shape[0] == 0:
-        return HermEig(np.zeros(0), np.zeros((0, 0), dtype=np.complex128))
+        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
     w, u = np.linalg.eigh(m)
     u = u.astype(np.complex128, copy=False)
     u = _normalize_phases(u, pivot=tie_break)
     # descending lex order for "first" keeps identity input fixed
-    w, u = _order_ties(w, u, reverse=(tie_break == "first"))
-    return HermEig(w, u)
+    return _order_ties(w, u, reverse=(tie_break == "first"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,11 +326,8 @@ def spectrum(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") -> Spec
     and tie_break returns it without calling herm_eig.
     """
     m = _require_hermitian(a, tol)
-
-    def decompose():
-        eig = herm_eig(m, tol, tie_break)
-        return _spectrum_of(eig.eigenvalues, eig.basis, tol)
-    return _stored(("spectrum", tol, tie_break), m, decompose)
+    return _stored(("spectrum", tol, tie_break), m,
+                   lambda: _spectrum_of(*herm_eig(m, tol, tie_break), tol))
 
 
 def spectrum_values(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
@@ -408,26 +388,12 @@ def abs_spectrum(s: Spectrum) -> Spectrum:
 def herm_fn(a, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Apply a spectral function to a Hermitian matrix: U f(diag) U*.
 
-    f is "abs", "sqrt_psd", "sign", or a callable mapping a (read-only)
-    eigenvalue array to an array. sign sends eigenvalues inside the cutoff
-    to 0; sqrt_psd rejects an eigenvalue below minus the cutoff and clamps
-    the negative ones within it to 0.
+    f is "abs", the only one provided: |A| = U |w| U*.
     """
-    s = spectrum(a, tol)
-    w = s.eigenvalues
-    if callable(f):
-        fw = np.asarray(f(w), dtype=np.float64)
-    elif f == "abs":
-        fw = np.abs(w)
-    elif f == "sqrt_psd":
-        if not s.is_psd:
-            raise NegativeForSqrt(f"eigenvalue {np.min(w):.3e} below {-s.cutoff:.3e}")
-        fw = np.sqrt(np.clip(w, 0.0, None))
-    elif f == "sign":
-        fw = np.where(s.positive, 1.0, np.where(s.negative, -1.0, 0.0))
-    else:
+    if f != "abs":
         raise ValueError(f"unknown spectral function {f!r}")
-    return (s.basis * fw) @ s.basis.conj().T
+    s = spectrum(a, tol)
+    return (s.basis * np.abs(s.eigenvalues)) @ s.basis.conj().T
 
 
 def spectral_projections(a, tol: Tolerances = DEFAULT_TOL):
@@ -458,39 +424,3 @@ def pinv(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
             return _frozen(np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128))
         return _frozen(np.linalg.pinv(m, rcond=tol.rank_rel))
     return _stored(("pinv", tol.rank_rel), m, invert)
-
-
-def rank_tol(a, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of a Hermitian matrix: eigenvalues above the cutoff in modulus."""
-    return spectrum(a, tol).rank
-
-
-def psd_check(a, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian matrix has no eigenvalue below minus the cutoff."""
-    return spectrum(a, tol).is_psd
-
-
-def gap_at_zero(a, tol: Tolerances = DEFAULT_TOL):
-    """Distances from 0 to the nearest negative / positive eigenvalue.
-
-    Eigenvalues inside the cutoff count as zero. A side with no
-    eigenvalues is reported as None (the gap is infinite).
-    """
-    return spectrum(a, tol).gaps
-
-
-
-def psd_root_factor(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first"):
-    """Factor a PSD matrix as G = B* B with B of full row rank.
-
-    Returns (B, r) where r counts the eigenvalues above the cutoff and B
-    has shape (r, n), built as sqrt(retained eigenvalues) times the adjoint
-    eigenvector block, the rows of induced_krein's canonical map
-    (Spectrum.factor, whose pseudo-inverse is Spectrum.factor_pinv).
-    Negative eigenvalues within the cutoff count as zero; one below it
-    raises NotPSD.
-    """
-    s = spectrum(a, tol, tie_break=tie_break)
-    if not s.is_psd:
-        raise NotPSD(f"min eigenvalue {np.min(s.eigenvalues):.3e} is negative beyond tolerance")
-    return s.factor, s.rank

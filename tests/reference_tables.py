@@ -3,9 +3,9 @@
 These are the plain dict-walking versions of `sgpd.validate`,
 `sgpd.validate_action`, `sgpd.classify` (with its unit search),
 `sgpd.orbit_trivial_bundle` and `kernel.is_invariant`, and the loop that
-builds a shift matrix (`kernel.shift_map`). The library runs array versions
-of the same checks and gathers at shift coordinates instead of building
-shift matrices; `test_reference_tables.py` asserts that both give identical
+builds a shift matrix (`shift`). The library runs array versions of the
+same checks and gathers at shift coordinates instead of building shift
+matrices; `test_reference_tables.py` asserts that both give identical
 results, witnesses, order and exceptions.
 
 The representation layer has its element-by-element and pair-by-pair

@@ -17,6 +17,7 @@ import numpy as np
 
 from kgl import (
     HilbertBundle,
+    RkKreinView,
     canonical_dominant,
     classify,
     conv_blocks,
@@ -24,6 +25,7 @@ from kgl import (
     invariant_krein_representation,
     invariant_representation,
     is_invariant,
+    j_unitary_equivalence,
     jordan_split,
     krein_adjoint,
     krein_linearisation,
@@ -32,16 +34,13 @@ from kgl import (
     partial_isometry_report,
     partition_from_action,
     partition_from_anchor,
-    representation_laws,
     rk_krein_space,
-    rkhs,
-    unitary_equivalence,
     uniqueness_report,
-    verify_reproducing,
 )
 import kgl.generators as generators
 import kgl.numlin as numlin
 import kgl.sgpd as sgpd
+from kgl.krein_lin import verify_reproducing
 from kgl.numlin import DEFAULT_TOL, frob, opnorm
 
 RESID = 1e-8
@@ -100,7 +99,7 @@ def test_01_psd_factorization_reconstructs_kernel():
         lin = minimal_linearisation(k, p)
         grams = conv_blocks(k, p)
         for label, idx in p.parts.items():
-            rank = numlin.rank_tol(grams[label], DEFAULT_TOL)
+            rank = numlin.spectrum(grams[label], DEFAULT_TOL).rank
             assert lin.wmap[label].shape[0] == rank == lin.spaces[label].dim
             scale = max(1.0, frob(grams[label]))
             for x in idx.part:
@@ -119,7 +118,7 @@ def test_02_reproducing_kernel_space_identities():
     for k, p in _psd_corpus():
         lin = minimal_linearisation(k, p)
         scales = {label: max(1.0, frob(g)) for label, g in lin.gram.items()}
-        for r in verify_reproducing(rkhs(lin)):
+        for r in verify_reproducing(RkKreinView(lin)):
             assert r.passed, r.name
             if r.witness in scales and "span" not in r.name:
                 worst = max(worst, r.residual / scales[r.witness])
@@ -132,7 +131,7 @@ def test_03_factorizations_unitarily_equivalent_across_tie_breaks():
     for k, p in _psd_corpus():
         lin_a = minimal_linearisation(k, p, tie_break="first")
         lin_b = minimal_linearisation(k, p, tie_break="last")
-        eq = unitary_equivalence(lin_a, lin_b)
+        eq = j_unitary_equivalence(lin_a, lin_b)
         scales = {label: max(1.0, frob(g)) for label, g in lin_a.gram.items()}
         for r in eq.records:
             assert r.passed, r.name
@@ -145,9 +144,9 @@ def test_04_invariant_hilbert_representation_laws():
     worst = 0.0
     worst_bs = 0.0
     for sg, act, k, p, rep, _cls in _invariant_psd_instances():
-        for r in representation_laws(rep):
+        for r in rep.records:
             assert r.passed, r.name
-        phi = rep.phi
+        phi = rep.psi
         for (a, b), ab in sg.compose.items():
             worst = max(worst, frob(phi[ab] - phi[a] @ phi[b]))
         for a in sg.elements:
@@ -173,7 +172,7 @@ def test_05_inverse_instances_represent_by_partial_isometries():
         covered += 1
         for r in partial_isometry_report(rep, cls):
             assert r.passed and r.witness[1] == "required"
-        for m in rep.phi.values():
+        for m in rep.psi.values():
             worst = max(worst, frob(m @ m.conj().T @ m - m))
     assert covered == len(_invariant_psd_instances())
     assert worst <= RESID
@@ -217,6 +216,7 @@ def test_07_operator_lifts_factor_through_canonical_maps():
         m = 2 + (seed // 5) % 5
         a, b, t, s = generators.random_lift_quadruple(n, m, seed)
         pair = lift_operator(a, b, t, s)
+        assert all(r.passed for r in pair.records), seed
         t_lift, s_lift = pair
         r1 = frob(t_lift @ pair.source.pi - pair.target.pi @ t)
         r2 = frob(krein_adjoint(t_lift, pair.source.space, pair.target.space) - s_lift)

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import re
@@ -95,6 +96,20 @@ def test_readme_digest_recipe_prints_the_report_digest(tmp_path, capsys, family,
     assert printed == rep["instance_digest"]
 
 
+def test_readme_quick_start_runs():
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+    quick_start = next(b for b in blocks if "minimal_linearisation" in b)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(README), "src")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    lines = subprocess.run([sys.executable, "-c", quick_start], capture_output=True, text=True,
+                           check=True, env=env).stdout.splitlines()
+    assert lines[0] == "3 (3, 3)"
+    assert len(lines) == 5 and all(line.endswith(" True") for line in lines[1:])
+
+
 def test_classify_reports_flags(circulant_instance, capsys):
     code, rep = run_json(capsys, ["classify", circulant_instance])
     assert code == 0
@@ -181,12 +196,16 @@ def test_represent_krein_with_dominant_and_reducibility(tmp_path, capsys):
     assert any(r["tag"] == "krein/reducibility" for r in rep["records"])
 
 
+def _write_lift(path, a, b, t, s):
+    docs = {k: formats.matrix_to_doc(m) for k, m in zip("abts", (a, b, t, s))}
+    path.write_text(json.dumps(docs))
+    return str(path)
+
+
 def test_lift_command(tmp_path, capsys):
     a, b, t, s = generators.random_lift_quadruple(3, 2, seed=11, tol=TOL)
     path = tmp_path / "lift.json"
-    path.write_text(json.dumps({
-        "a": formats.matrix_to_doc(a), "b": formats.matrix_to_doc(b),
-        "t": formats.matrix_to_doc(t), "s": formats.matrix_to_doc(s)}))
+    _write_lift(path, a, b, t, s)
     code, rep = run_json(capsys, ["lift", str(path)])
     assert code == 0 and rep["pass"]
     assert all(r["tag"] == "krein/lift" for r in rep["records"])
@@ -196,6 +215,34 @@ def test_lift_command(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["lift", str(path)]) == 2
     assert capsys.readouterr().err.startswith("kgl: error:")
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_lift_verdict_does_not_depend_on_the_scale(tmp_path, capsys, c):
+    # every bound is atol times the compared data's own scale, with no floor
+    a, b, t, s = generators.random_lift_quadruple(4, 3, seed=7, tol=TOL)
+    path = _write_lift(tmp_path / "lift.json", c * a, c * b, c * t, c * s)
+    code, rep = run_json(capsys, ["lift", path])
+    assert code == 0 and len(rep["records"]) == 3
+    moved = _write_lift(tmp_path / "moved.json", c * a, c * b, c * t, c * (s + 1e-3))
+    code, rep = run_json(capsys, ["lift", moved])
+    assert code == 1
+    [compat] = rep["records"]
+    assert compat["name"] == "compatibility identity holds" and not compat["pass"]
+    assert compat["residual"] > compat["tolerance"]
+
+
+def test_lift_that_does_not_factor_is_a_failing_record(tmp_path, capsys):
+    # B T = S* A holds within its bound, but T moves the form kernel of A onto
+    # a direction B keeps: a valid problem whose factorization check fails
+    path = _write_lift(tmp_path / "lift.json", np.diag([1.0, 0.0]), np.diag([1.0, 1e-9]),
+                       np.diag([1.0, 0.5]), np.diag([1.0, 0.0]))
+    code, rep = run_json(capsys, ["lift", path])
+    assert code == 1
+    assert [(r["name"], r["pass"]) for r in rep["records"]] == [
+        ("compatibility identity holds", True),
+        ("lift factors through the canonical maps", False),
+        ("lifted pair are indefinite adjoints", True)]
 
 
 def test_report_full_pipeline(circulant_instance, capsys):
@@ -329,11 +376,8 @@ def test_lift_digest_addresses_content(tmp_path, capsys):
     digests = []
     for seed in (11, 12):
         a, b, t, s = generators.random_lift_quadruple(3, 2, seed=seed, tol=TOL)
-        path = tmp_path / f"lift{seed}.json"
-        path.write_text(json.dumps({
-            "a": formats.matrix_to_doc(a), "b": formats.matrix_to_doc(b),
-            "t": formats.matrix_to_doc(t), "s": formats.matrix_to_doc(s)}))
-        code, rep = run_json(capsys, ["lift", str(path)])
+        path = _write_lift(tmp_path / f"lift{seed}.json", a, b, t, s)
+        code, rep = run_json(capsys, ["lift", path])
         assert code == 0
         digests.append(rep["instance_digest"])
     assert digests[0] != digests[1]
@@ -492,6 +536,36 @@ def test_report_verdict_does_not_depend_on_the_kernel_scale(tmp_path, capsys, fa
         failing = frozenset(r["tag"] for r in doc["records"] if not r["pass"])
         verdicts.add((code, failing))
     assert len(verdicts) == 1, verdicts
+
+
+def _reverse_point_labels(doc):
+    """doc with its points renamed so that their sorted order reverses."""
+    points = sorted(doc["bundle"]["dims"])
+    new = {x: f"p{len(points) - 1 - i:04d}" for i, x in enumerate(points)}
+    action = {"anchor": {new[x]: s for x, s in doc["action"]["anchor"].items()},
+              "act": [[g, new[x], new[y]] for g, x, y in doc["action"]["act"]]}
+    kernel = dict(doc["kernel"], entries=[dict(e, row=new[e["row"]], col=new[e["col"]])
+                                          for e in doc["kernel"]["entries"]])
+    return dict(doc, action=action, bundle={"dims": {new[x]: n for x, n in
+                                                      doc["bundle"]["dims"].items()}},
+                kernel=kernel)
+
+
+@pytest.mark.parametrize("family", ["pair_groupoid", "group_action", "partial_bijections",
+                                    "group_as_groupoid"])
+@pytest.mark.parametrize("mode", ["psd_invariant", "hermitian_invariant"])
+def test_report_verdict_does_not_depend_on_the_point_labels(tmp_path, capsys, family, mode):
+    # record order follows point order, so the records are compared as a multiset
+    # of (tag, name, part, pass)
+    doc = formats.instance_to_doc(*generators.generate_instance(family, seed=1, mode=mode))
+    verdicts = []
+    for name, d in (("given", doc), ("reversed", _reverse_point_labels(doc))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
+        code, rep = run_json(capsys, ["report", str(path)])
+        verdicts.append((code, collections.Counter(
+            (r["tag"], r["name"], _part(r["witness"]), r["pass"]) for r in rep["records"])))
+    assert verdicts[0] == verdicts[1]
 
 
 @pytest.mark.parametrize("family", ["pair_groupoid", "group_as_groupoid", "partial_bijections"])

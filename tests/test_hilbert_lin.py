@@ -6,6 +6,7 @@ import pytest
 from helpers import circulant_kernel, scalar_bundle, trivial_group, z2_swap
 from kgl import hilbert_lin as hl
 from kgl import kernel as kn
+from kgl import krein_lin as kl
 from kgl.bundle import HilbertBundle
 from kgl.errors import NotInvariant, NotPartiallyPSD, RankMismatch
 from kgl.numlin import DEFAULT_TOL as TOL, frob
@@ -20,7 +21,7 @@ def test_constant_kernel_rank_one_frozen():
     # features worked out from the rank-one eigenpair of [[1,1],[1,1]]
     assert np.allclose(lin.features["x1"], [[1.0]], atol=1e-12)
     assert np.allclose(lin.features["x2"], [[1.0]], atol=1e-12)
-    for rec in hl.verify_factorization(lin, TOL):
+    for rec in kl.verify_krein_factorization(lin, TOL):
         assert rec.passed
 
 
@@ -41,7 +42,7 @@ def test_zero_kernel_rank_zero():
     lin = hl.minimal_linearisation(k, p, TOL)
     assert lin.spaces["all"].dim == 0
     assert lin.features["x1"].shape == (0, 1)
-    for rec in hl.verify_factorization(lin, TOL):
+    for rec in kl.verify_krein_factorization(lin, TOL):
         assert rec.passed
 
 
@@ -75,7 +76,7 @@ def test_rkhs_member_frozen():
     k = circulant_kernel(1.0, 1.0)
     p = kn.single_partition(k.bundle)
     lin = hl.minimal_linearisation(k, p, TOL)
-    view = hl.rkhs(lin)
+    view = kl.RkKreinView(lin)
     f = view.member("all", np.array([1.0]))
     assert np.allclose(f.at("x1"), [1.0])
     assert np.allclose(f.at("x2"), [1.0])
@@ -92,8 +93,8 @@ def test_verify_reproducing_clean():
         m = rng.normal(size=(t, t)) + 1j * rng.normal(size=(t, t))
         k = kn.kernel_from_part_grams(p, {"all": m.conj().T @ m})
         lin = hl.minimal_linearisation(k, p, TOL)
-        view = hl.rkhs(lin)
-        for rec in hl.verify_reproducing(view, TOL):
+        view = kl.RkKreinView(lin)
+        for rec in kl.verify_reproducing(view, TOL):
             assert rec.passed, rec.name
 
 
@@ -107,20 +108,20 @@ def test_unitary_equivalence_recovers_conjugation():
     q, _ = np.linalg.qr(m)
     other = dataclasses.replace(lin, wmap={"all": q @ lin.wmap["all"]},
                                 features={x: q @ v for x, v in lin.features.items()})
-    res = hl.unitary_equivalence(lin, other, TOL)
+    res = kl.j_unitary_equivalence(lin, other, TOL)
     assert res.ok
-    assert frob(res.unitaries["all"] - q) <= 1e-8
+    assert frob(res.maps["all"] - q) <= 1e-8
 
 
 def test_unitary_equivalence_identity_and_tie_breaks():
     k = circulant_kernel(2.0, 1.0)
     p = kn.single_partition(k.bundle)
     lin = hl.minimal_linearisation(k, p, TOL)
-    res = hl.unitary_equivalence(lin, lin, TOL)
-    assert res.ok and frob(res.unitaries["all"] - np.eye(lin.spaces["all"].dim)) <= 1e-12
+    res = kl.j_unitary_equivalence(lin, lin, TOL)
+    assert res.ok and frob(res.maps["all"] - np.eye(lin.spaces["all"].dim)) <= 1e-12
 
     other = hl.minimal_linearisation(k, p, TOL, tie_break="last")
-    res2 = hl.unitary_equivalence(lin, other, TOL)
+    res2 = kl.j_unitary_equivalence(lin, other, TOL)
     assert res2.ok
 
 
@@ -130,7 +131,7 @@ def test_unitary_equivalence_rank_mismatch():
     lin1 = hl.minimal_linearisation(kn.identity_kernel(b), p, TOL)
     lin0 = hl.minimal_linearisation(circulant_kernel(1.0, 1.0), p, TOL)
     with pytest.raises(RankMismatch):
-        hl.unitary_equivalence(lin1, lin0, TOL)
+        kl.j_unitary_equivalence(lin1, lin0, TOL)
 
 
 def test_invariant_representation_circulant_frozen():
@@ -138,13 +139,13 @@ def test_invariant_representation_circulant_frozen():
     k = circulant_kernel(2.0, 1.0)
     p = kn.partition_from_action(k.bundle, act)
     rep = hl.invariant_representation(k, act, p, TOL)
-    phi_g = rep.phi["g"]
+    phi_g = rep.psi["g"]
     # worked out by hand in the eigenbasis (1,-1)/sqrt2, (1,1)/sqrt2
     assert np.allclose(phi_g, np.diag([-1.0, 1.0]), atol=1e-12)
     assert frob(phi_g @ phi_g - np.eye(2)) <= 1e-12
     assert frob(phi_g - phi_g.conj().T) <= 1e-12
-    assert np.allclose(rep.phi["e"], np.eye(2), atol=1e-12)
-    for rec in hl.representation_laws(rep, TOL):
+    assert np.allclose(rep.psi["e"], np.eye(2), atol=1e-12)
+    for rec in rep.records:
         assert rec.passed, rec.name
     assert rep.shift_constants["g"] == pytest.approx(1.0, abs=1e-9)
 
@@ -158,7 +159,7 @@ def test_invariant_representation_trivial_group():
     k = kn.identity_kernel(b)
     p = kn.partition_from_action(b, act)
     rep = hl.invariant_representation(k, act, p, TOL)
-    assert np.allclose(rep.phi["e"], np.eye(1))
+    assert np.allclose(rep.psi["e"], np.eye(1))
 
 
 def test_invariant_representation_rejects_noninvariant():
@@ -178,7 +179,7 @@ def test_representation_multiplicative_on_generated_families():
         sg, act, bundle, k = generators.generate_instance(family, seed=17)
         p = kn.partition_from_action(bundle, act)
         rep = hl.invariant_representation(k, act, p, TOL)
-        for rec in hl.representation_laws(rep, TOL):
+        for rec in rep.records:
             assert rec.passed, (family, rec.name, rec.residual)
 
 
@@ -215,7 +216,7 @@ def test_partial_isometry_required_on_merge_semilattice():
     assert cls.is_inverse
     recs = hl.partial_isometry_report(rep, cls, TOL)
     assert all(r.passed for r in recs)
-    phi_t = rep.phi["t"]
+    phi_t = rep.psi["t"]
     assert frob(phi_t @ phi_t - phi_t) <= 1e-10
     assert frob(phi_t - phi_t.conj().T) <= 1e-10
 

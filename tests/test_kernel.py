@@ -126,39 +126,35 @@ def test_dominates_frozen():
     assert not kn.dominates(zero, k, p, TOL)
 
 
-def test_shift_map_frozen():
+def test_shift_coordinates_frozen():
+    # the shift matrix has its ones at (c[j], j) for the coordinates c
     sg, act = z2_swap()
     b = scalar_bundle(("x1", "x2"))
-    psi_g = kn.shift_map(act, b, "g")
-    assert np.allclose(psi_g, [[0.0, 1.0], [1.0, 0.0]])
-    psi_e = kn.shift_map(act, b, "e")
-    assert np.allclose(psi_e, np.eye(2))
+    coords = kn._shift_coordinates(act, kn.partition_from_action(b, act))
+    assert coords["g"].tolist() == [1, 0]  # [[0, 1], [1, 0]]
+    assert coords["e"].tolist() == [0, 1]  # the identity
 
     sg2, act2 = merge_monoid()
     b2 = scalar_bundle(("x0", "x1"))
-    psi_t = kn.shift_map(act2, b2, "t")
-    assert np.allclose(psi_t, [[1.0, 1.0], [0.0, 0.0]])  # column merge
+    coords2 = kn._shift_coordinates(act2, kn.partition_from_action(b2, act2))
+    assert coords2["t"].tolist() == [0, 0]  # [[1, 1], [0, 0]]: column merge
 
 
-def test_shift_maps_check_the_orbits_once(monkeypatch):
-    from kgl import generators
-
-    sg, act, bundle, _ = generators.generate_instance("partial_bijections", seed=2)
-    want = {g: kn.shift_map(act, bundle, g) for g in sg.elements}
+def test_bounded_shift_constants_check_the_orbits_once(monkeypatch):
+    sg, act, bundle, k = generators.generate_instance("partial_bijections", seed=2)
     calls = []
     orbit_trivial_bundle = kn.orbit_trivial_bundle
     monkeypatch.setattr(kn, "orbit_trivial_bundle",
                         lambda *args: calls.append(1) or orbit_trivial_bundle(*args))
-    got = kn.shift_maps(act, bundle)
+    got = kn.bounded_shift_constants(k, act, TOL)
     assert len(calls) == 1
-    assert list(got) == list(want)
-    assert all(np.array_equal(got[g], want[g]) for g in want)
+    assert list(got) == list(sg.elements)
     uneven = HilbertBundle(points=("x1", "x2"), dim={"x1": 1, "x2": 2})
     with pytest.raises(OrbitBundleNotTrivial):
-        kn.shift_maps(z2_swap()[1], uneven)
+        kn.bounded_shift_constants(kn.identity_kernel(uneven), z2_swap()[1], TOL)
 
 
-def test_shift_map_rejects_action_values_outside_the_part():
+def test_shifts_reject_action_values_outside_the_part():
     # the same table is refused by is_invariant; neither reads a coordinate of another part
     sg, act = sgpd.pair_groupoid(("s0", "s1"))
     table = dict(act.act)
@@ -166,12 +162,12 @@ def test_shift_map_rejects_action_values_outside_the_part():
     bad = sgpd.LeftAction(sg, act.base, act.anchor, table)
     bundle = scalar_bundle(act.base)
     with pytest.raises(InvalidSemigroupoid, match="outside the part 's0'"):
-        kn.shift_map(bad, bundle, "(s0,s1)")
-    with pytest.raises(InvalidSemigroupoid, match="outside the part 's0'"):
-        kn.shift_maps(bad, bundle)
+        kn.bounded_shift_constants(kn.identity_kernel(bundle), bad, TOL)
     with pytest.raises(InvalidSemigroupoid, match="outside the part 's0'"):
         kn.is_invariant(kn.identity_kernel(bundle), bad, TOL)
-    assert kn.shift_map(bad, bundle, "(s1,s0)").shape == (2, 2)  # other elements still shift
+    coords = kn._shift_coordinates(bad, kn.partition_from_action(bundle, bad))
+    assert coords["(s0,s1)"].min() < 0
+    assert coords["(s1,s0)"].min() >= 0  # other elements still shift
 
 
 def test_is_invariant_frozen():
@@ -199,12 +195,12 @@ def test_is_invariant_frozen():
 def test_bounded_shift_constant_frozen():
     sg, act = z2_swap()
     k = circulant_kernel(2.0, 1.0)
-    m = kn.bounded_shift_constant(k, act, "g", TOL)
+    m = kn.bounded_shift_constants(k, act, TOL)["g"]
     assert m == pytest.approx(1.0, abs=1e-9)  # the swap is an isometry for G
 
     sg2, act2 = merge_monoid()
     ident = kn.identity_kernel(scalar_bundle(("x0", "x1")))
-    m2 = kn.bounded_shift_constant(ident, act2, "t", TOL)
+    m2 = kn.bounded_shift_constants(ident, act2, TOL)["t"]
     assert m2 == pytest.approx(2.0, abs=1e-9)
 
 
@@ -214,7 +210,7 @@ def test_bounded_shift_constant_undefined_when_kernel_not_respected():
     sg, act = merge_monoid()
     b = scalar_bundle(("x0", "x1"))
     l = OpKernel(b, {("x0", "x0"): np.array([[1.0]])})
-    m = kn.bounded_shift_constant(l, act, "t", TOL)
+    m = kn.bounded_shift_constants(l, act, TOL)["t"]
     assert m is None
 
 
@@ -223,7 +219,7 @@ def test_bounded_shift_constant_zero_for_vanishing_image():
     sg, act = merge_monoid()
     b = scalar_bundle(("x0", "x1"))
     l = OpKernel(b, {("x1", "x1"): np.array([[1.0]])})
-    m = kn.bounded_shift_constant(l, act, "t", TOL)
+    m = kn.bounded_shift_constants(l, act, TOL)["t"]
     assert m == pytest.approx(0.0, abs=1e-12)
 
 
@@ -235,7 +231,7 @@ def test_bounded_shift_constant_empty_part_is_zero():
                           compose={("a", "a"): "a"}, star={"a": "a"})
     act = LeftAction(sg, base=("y",), anchor={"y": "s"}, act={})
     ky = scalar_kernel(("y",), {("y", "y"): 3.0})
-    m = kn.bounded_shift_constant(ky, act, "a", TOL)
+    m = kn.bounded_shift_constants(ky, act, TOL)["a"]
     assert m == pytest.approx(0.0, abs=1e-12)
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kgl import krein_core as kc
-from kgl.errors import PairingViolated, ShapeMismatch
+from kgl import numlin
+from kgl.errors import ShapeMismatch
 from kgl.numlin import DEFAULT_TOL as TOL, frob
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -95,6 +96,7 @@ def test_lift_operator_frozen():
     s = -SWAP.copy()
     # BT = S*A holds: both sides are [[0,1],[-1,0]]
     lifted = kc.lift_operator(a, a, t, s, TOL)
+    assert [r.passed for r in lifted.records] == [True, True, True]
     assert np.allclose(lifted.t_lift, t, atol=1e-12)
     assert np.allclose(lifted.s_lift, s, atol=1e-12)
     t_l, s_l = lifted
@@ -102,6 +104,7 @@ def test_lift_operator_frozen():
 
     z = np.zeros((2, 2), dtype=complex)
     lifted0 = kc.lift_operator(a, a, z, z, TOL)
+    assert all(r.passed for r in lifted0.records)
     assert frob(lifted0.t_lift) <= 1e-12
 
 
@@ -120,6 +123,7 @@ def test_lift_operator_invertible_case():
         t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         s = np.linalg.solve(a, t.conj().T @ b)  # S = A^-1 T* B gives BT = S*A
         lifted = kc.lift_operator(a, b, t, s, TOL)
+        assert all(r.passed for r in lifted.records)
         ika, ikb = lifted.source, lifted.target
         assert frob(lifted.t_lift @ ika.pi - ikb.pi @ t) <= 1e-8 * max(1.0, frob(t))
         # the lifted pair are adjoints of each other in the induced pairings
@@ -131,15 +135,22 @@ def test_lift_operator_rejects_incompatible_pair():
     a = np.diag([1.0, -1.0]).astype(complex)
     t = SWAP.copy()
     s = SWAP.copy()  # wrong sign: BT != S*A
-    with pytest.raises(PairingViolated):
-        kc.lift_operator(a, a, t, s, TOL)
+    lifted = kc.lift_operator(a, a, t, s, TOL)
+    [compat] = lifted.records  # no lift is made, so no further record
+    assert compat.name == "compatibility identity holds" and not compat.passed
+    assert compat.residual > compat.tolerance
+    assert lifted.t_lift is None and lifted.s_lift is None
+
+
+def _gaps_unique_of(a):
+    return kc.gaps_unique(*numlin.spectrum(a, TOL).gaps)
 
 
 def test_gap_uniqueness_frozen():
-    unique, gn, gp = kc.gap_uniqueness(np.diag([1.0, -1.0]).astype(complex), TOL)
+    unique, gn, gp = _gaps_unique_of(np.diag([1.0, -1.0]).astype(complex))
     assert unique and gn == pytest.approx(1.0) and gp == pytest.approx(1.0)
 
-    unique0, gn0, gp0 = kc.gap_uniqueness(np.zeros((2, 2), dtype=complex), TOL)
+    unique0, gn0, gp0 = _gaps_unique_of(np.zeros((2, 2), dtype=complex))
     assert unique0
     assert gn0 is None and gp0 is None
 
@@ -147,5 +158,5 @@ def test_gap_uniqueness_frozen():
     for _ in range(15):
         n = int(rng.integers(1, 6))
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        unique, _, _ = kc.gap_uniqueness((m + m.conj().T) / 2, TOL)
+        unique, _, _ = _gaps_unique_of((m + m.conj().T) / 2)
         assert unique  # finite spectrum always leaves a gap at zero

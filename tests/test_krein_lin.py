@@ -260,7 +260,7 @@ def test_invariant_krein_representation_psd_matches_hilbert():
     lin, rep = kl.invariant_krein_representation(k, act, p, TOL)
     assert lin.spaces["s"].signature == (2, 0)
     hrep = hl.invariant_representation(k, act, p, TOL)
-    assert np.allclose(rep.psi["g"], hrep.phi["g"], atol=1e-10)
+    assert np.allclose(rep.psi["g"], hrep.psi["g"], atol=1e-10)
 
 
 def test_invariant_krein_representation_rejects_noninvariant():
@@ -355,8 +355,8 @@ def test_hilbert_is_the_definite_case_of_krein(family):
             assert np.array_equal(hrep.lin.wmap[label], lin.wmap[label])
             parts += 1
         for a in sg.elements:
-            assert np.array_equal(hrep.phi[a], krep.psi[a])
-        laws = hl.representation_laws(hrep, TOL)[:3]
+            assert np.array_equal(hrep.psi[a], krep.psi[a])
+        laws = hrep.records[:3]
         assert [r.residual for r in laws] == [r.residual for r in krep.records]
         assert [r.tolerance for r in laws] == [r.tolerance for r in krep.records]
     assert parts >= 6

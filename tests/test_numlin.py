@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kgl import numlin
-from kgl.errors import NegativeForSqrt, NonFinite, NotHermitian, NotPSD
+from kgl.errors import NonFinite, NotHermitian
 from kgl.numlin import DEFAULT_TOL as TOL
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -20,18 +20,18 @@ def test_tolerances_frozen():
 
 def test_herm_eig_swap_frozen():
     # eigenpairs of [[0,1],[1,0]] worked out from the characteristic polynomial
-    eig = numlin.herm_eig(SWAP, TOL)
-    assert np.allclose(eig.eigenvalues, [-1.0, 1.0], atol=1e-14)
+    w, u = numlin.herm_eig(SWAP, TOL)
+    assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
     expected = np.array([[IRT2, IRT2], [-IRT2, IRT2]], dtype=complex)
-    assert np.allclose(eig.basis, expected, atol=1e-14)
+    assert np.allclose(u, expected, atol=1e-14)
 
 
 def test_herm_eig_identity_and_diagonal():
-    eig = numlin.herm_eig(np.eye(3, dtype=complex), TOL)
-    assert np.allclose(eig.eigenvalues, [1.0, 1.0, 1.0])
-    assert np.allclose(eig.basis, np.eye(3))
-    eig2 = numlin.herm_eig(np.diag([2.0, -3.0]).astype(complex), TOL)
-    assert np.allclose(eig2.eigenvalues, [-3.0, 2.0])
+    w, u = numlin.herm_eig(np.eye(3, dtype=complex), TOL)
+    assert np.allclose(w, [1.0, 1.0, 1.0])
+    assert np.allclose(u, np.eye(3))
+    w2, _ = numlin.herm_eig(np.diag([2.0, -3.0]).astype(complex), TOL)
+    assert np.allclose(w2, [-3.0, 2.0])
 
 
 def test_herm_eig_rejects_bad_input():
@@ -59,25 +59,27 @@ def test_herm_eig_deterministic_under_column_sign_noise():
         n = int(rng.integers(1, 7))
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = b + b.conj().T
-        e1 = numlin.herm_eig(a, TOL)
-        e2 = numlin.herm_eig(a.copy(), TOL)
-        assert np.array_equal(e1.basis, e2.basis)
-        assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
+        w1, u1 = numlin.herm_eig(a, TOL)
+        w2, u2 = numlin.herm_eig(a.copy(), TOL)
+        assert np.array_equal(u1, u2)
+        assert np.array_equal(w1, w2)
+
+
+def _sign(a):
+    """sign(A) = E+ - E-, eigenvalues inside the cutoff sent to 0."""
+    e_minus, _, e_plus = numlin.spectral_projections(a, TOL)
+    return e_plus - e_minus
 
 
 def test_herm_fn_frozen_values():
     assert np.allclose(numlin.herm_fn(SWAP, "abs", TOL), np.eye(2), atol=1e-14)
-    assert np.allclose(
-        numlin.herm_fn(np.diag([5.0, -2.0, 0.0]).astype(complex), "sign", TOL),
-        np.diag([1.0, -1.0, 0.0]), atol=1e-14)
-    assert np.allclose(
-        numlin.herm_fn(np.diag([4.0, 9.0]).astype(complex), "sqrt_psd", TOL),
-        np.diag([2.0, 3.0]), atol=1e-14)
-
-
-def test_herm_fn_sqrt_rejects_negative():
-    with pytest.raises(NegativeForSqrt):
-        numlin.herm_fn(np.diag([1.0, -1.0]).astype(complex), "sqrt_psd", TOL)
+    with pytest.raises(ValueError):
+        numlin.herm_fn(SWAP, "sign", TOL)
+    assert np.allclose(_sign(np.diag([5.0, -2.0, 0.0]).astype(complex)),
+                       np.diag([1.0, -1.0, 0.0]), atol=1e-14)
+    # the PSD square root U_k sqrt(w_k) U_k* from the root factor sqrt(w_k) U_k*
+    s = numlin.spectrum(np.diag([4.0, 9.0]).astype(complex), TOL)
+    assert np.allclose(s.basis[:, s.retained] @ s.factor, np.diag([2.0, 3.0]), atol=1e-14)
 
 
 def test_polar_identity_property():
@@ -87,7 +89,7 @@ def test_polar_identity_property():
         n = int(rng.integers(1, 8))
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = (b + b.conj().T) / 2
-        s = numlin.herm_fn(a, "sign", TOL)
+        s = _sign(a)
         m = numlin.herm_fn(a, "abs", TOL)
         assert numlin.frob(s @ m - a) <= 1e-10 * max(1.0, numlin.frob(a))
 
@@ -142,23 +144,23 @@ def test_pinv_penrose_properties():
 
 def test_rank_psd_gap_frozen():
     ones = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    assert numlin.psd_check(ones, TOL)          # eigenvalues 0 and 2
-    assert not numlin.psd_check(SWAP, TOL)      # eigenvalues -1 and 1
-    assert numlin.rank_tol(ones, TOL) == 1
-    assert numlin.rank_tol(SWAP, TOL) == 2
-    gn, gp = numlin.gap_at_zero(np.diag([3.0, -0.5]).astype(complex), TOL)
+    assert numlin.spectrum(ones, TOL).is_psd          # eigenvalues 0 and 2
+    assert not numlin.spectrum(SWAP, TOL).is_psd      # eigenvalues -1 and 1
+    assert numlin.spectrum(ones, TOL).rank == 1
+    assert numlin.spectrum(SWAP, TOL).rank == 2
+    gn, gp = numlin.spectrum(np.diag([3.0, -0.5]).astype(complex), TOL).gaps
     assert gn == pytest.approx(0.5) and gp == pytest.approx(3.0)
-    gn, gp = numlin.gap_at_zero(np.diag([2.0, 1.0]).astype(complex), TOL)
+    gn, gp = numlin.spectrum(np.diag([2.0, 1.0]).astype(complex), TOL).gaps
     assert gn is None and gp == pytest.approx(1.0)
 
 
 def test_psd_root_factor():
     ones = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    b, r = numlin.psd_root_factor(ones, TOL)
-    assert r == 1 and b.shape == (1, 2)
+    s = numlin.spectrum(ones, TOL)
+    b, r = s.factor, s.rank
+    assert s.is_psd and r == 1 and b.shape == (1, 2)
     assert numlin.frob(b.conj().T @ b - ones) <= 1e-12
-    with pytest.raises(NotPSD):
-        numlin.psd_root_factor(SWAP, TOL)
+    assert not numlin.spectrum(SWAP, TOL).is_psd
 
 
 def test_norms_on_empty():
@@ -214,7 +216,6 @@ def test_psd_is_a_signature_with_no_negative_direction():
     for a in cases:
         s = numlin.spectrum(a, TOL)
         assert s.is_psd == (s.signature[1] == 0)
-        assert numlin.psd_check(a, TOL) == s.is_psd
         verdicts.add(s.is_psd)
     assert verdicts == {True, False}
     assert not numlin.spectrum(cases[0], TOL).is_psd
@@ -223,11 +224,8 @@ def test_psd_is_a_signature_with_no_negative_direction():
 def test_tiny_negative_matrix_is_not_psd():
     # every eigenvalue lies far below minus the cutoff, whatever the matrix's scale
     tiny = np.diag([-1e-10, -1e-10]).astype(complex)
-    assert not numlin.psd_check(tiny, TOL)
-    with pytest.raises(NegativeForSqrt):
-        numlin.herm_fn(tiny, "sqrt_psd", TOL)
-    with pytest.raises(NotPSD):
-        numlin.psd_root_factor(tiny, TOL)
+    s = numlin.spectrum(tiny, TOL)
+    assert not s.is_psd and s.signature == (0, 2)
 
 
 def _normalize_phases_loop(u, pivot):

@@ -208,8 +208,7 @@ def test_each_premise_is_decided_once_per_command(tmp_path, capsys, monkeypatch,
 
 
 REPRESENTATION_WORK = ("krein_lin.rk_krein_space", "krein_lin.represented_shifts",
-                       "krein_lin.krein_representation_laws", "kernel.psd_records",
-                       "kernel.shift_map", "kernel.shift_maps")
+                       "krein_lin.krein_representation_laws", "kernel.psd_records")
 
 
 @pytest.mark.parametrize("family, mode, argv", [
@@ -235,15 +234,14 @@ def test_each_part_gram_is_gathered_once_per_command(tmp_path, capsys, monkeypat
 
 def test_psd_report_builds_one_linearisation_and_one_representation(tmp_path, capsys,
                                                                     monkeypatch):
-    # the hilbert records of a PSD invariant report are its krein records, rekeyed;
-    # the shifts are gathers at their coordinates: no dense shift matrix is built
+    # the hilbert records of a PSD invariant report are its krein records, rekeyed
     path = write_instance(tmp_path, "pair_groupoid", "psd_invariant", seed=0)
     counts = count_calls(monkeypatch, REPRESENTATION_WORK)
     code, out, _ = run(capsys, ["report", path])
     assert code == 0
     tags = {r["tag"] for r in json.loads(out)["records"]}
     assert {"hilbert/rkhs", "hilbert/representation", "hilbert/partial-isometry"} <= tags
-    assert tuple(counts[name] for name in REPRESENTATION_WORK) == (1, 1, 1, 0, 0, 0)
+    assert tuple(counts[name] for name in REPRESENTATION_WORK) == (1, 1, 1, 0)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
