@@ -93,7 +93,8 @@ class KernelNotDominated(KglError):
 
 
 class PairingViolated(KglError):
-    """A shift does not descend to the quotient of a linearisation."""
+    """A shift does not descend to the quotient of a linearisation, or an
+    operator pair fails the compatibility identity and has no lift."""
 
 
 # ---------------------------------------------------------------- cli_io

@@ -241,7 +241,7 @@ def invariant_dominant_pair(act: LeftAction, bundle: HilbertBundle, seed: int,
         sg = act.sg
         dims = {s: p.index(s).total_dim for s in sg.symbols}
         seeds = {s: random_hermitian(rng, dims[s]) for s in sg.symbols}
-        abs_seeds = {s: numlin.herm_fn(h, "abs", tol) for s, h in seeds.items()}
+        abs_seeds = {s: numlin.herm_abs(h, tol) for s, h in seeds.items()}
         k = kernel_from_part_grams(p, _averaged_grams(act, bundle, p, seeds))
         l = kernel_from_part_grams(p, _averaged_grams(act, bundle, p, abs_seeds))
         return k, l

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .errors import ShapeMismatch
+from .errors import PairingViolated, ShapeMismatch
 from .numlin import DEFAULT_TOL, Tolerances, frob, opnorm
 from .reports import Record
 
@@ -145,7 +145,8 @@ class LiftedPair:
 
     Unpacks as (t_lift, s_lift); also carries both induced spaces so the
     adjoint pairing can be re-checked downstream. When the compatibility
-    record fails no lift is made, and the lifts and spaces are None.
+    record fails no lift is made: the lifts and spaces are None, and
+    unpacking raises PairingViolated.
     """
 
     t_lift: np.ndarray
@@ -155,6 +156,11 @@ class LiftedPair:
     records: list
 
     def __iter__(self):
+        if self.t_lift is None:
+            compat = self.records[0]
+            raise PairingViolated(
+                f"no lift: {compat.name} fails (residual {compat.residual:.3e}"
+                f" > {compat.tolerance:.3e})")
         return iter((self.t_lift, self.s_lift))
 
 
@@ -167,7 +173,10 @@ def lift_operator(a, b, t, s, tol: Tolerances = DEFAULT_TOL) -> LiftedPair:
     T_lift Pi_A = Pi_B T, and the partner, lifted symmetrically, equals the
     Krein adjoint of the lift. Each residual is compared with atol times
     the scale of the data it compares, with no floor: max(||B|| ||T||,
-    ||S|| ||A||), ||Pi_B|| ||T|| and ||T_lift||.
+    ||S|| ||A||), ||Pi_B|| ||T|| and max(||Pi_B|| ||T|| ||Pi_A+||,
+    ||Pi_A|| ||S|| ||Pi_B+||), the scales of the two lifted products, so
+    a pair with one side zero (T = 0 and S into the form kernel of A, say)
+    is not held to a bound of zero.
     """
     am = numlin.as_cmatrix(a)
     bm = numlin.as_cmatrix(b)
@@ -189,14 +198,18 @@ def lift_operator(a, b, t, s, tol: Tolerances = DEFAULT_TOL) -> LiftedPair:
 
     ika = induced_krein(am, tol)
     ikb = induced_krein(bm, tol)
-    t_lift = ikb.pi @ tm @ numlin.pinv(ika.pi, tol)
-    s_lift = ika.pi @ sm @ numlin.pinv(ikb.pi, tol)
+    pinv_a = numlin.pinv(ika.pi, tol)
+    pinv_b = numlin.pinv(ikb.pi, tol)
+    t_lift = ikb.pi @ tm @ pinv_a
+    s_lift = ika.pi @ sm @ pinv_b
     records.append(record("lift factors through the canonical maps",
                           frob(t_lift @ ika.pi - ikb.pi @ tm),
                           tol.atol * opnorm(ikb.pi) * opnorm(tm)))
+    lift_scale = max(opnorm(ikb.pi) * opnorm(tm) * opnorm(pinv_a),
+                     opnorm(ika.pi) * opnorm(sm) * opnorm(pinv_b))
     records.append(record("lifted pair are indefinite adjoints",
                           frob(krein_adjoint(t_lift, ika.space, ikb.space) - s_lift),
-                          tol.atol * opnorm(t_lift)))
+                          tol.atol * lift_scale))
     return LiftedPair(t_lift, s_lift, ika, ikb, records)
 
 

@@ -57,7 +57,7 @@ __all__ = [
     "herm_eig",
     "spectrum",
     "decomposition_store",
-    "herm_fn",
+    "herm_abs",
     "spectral_projections",
     "pinv",
     "spectrum_values",
@@ -385,13 +385,8 @@ def abs_spectrum(s: Spectrum) -> Spectrum:
     return Spectrum(_frozen(w), _frozen(u), s.cutoff)
 
 
-def herm_fn(a, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Apply a spectral function to a Hermitian matrix: U f(diag) U*.
-
-    f is "abs", the only one provided: |A| = U |w| U*.
-    """
-    if f != "abs":
-        raise ValueError(f"unknown spectral function {f!r}")
+def herm_abs(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """|A| = U |w| U* of a Hermitian matrix A."""
     s = spectrum(a, tol)
     return (s.basis * np.abs(s.eigenvalues)) @ s.basis.conj().T
 

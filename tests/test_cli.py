@@ -230,6 +230,16 @@ def test_lift_verdict_does_not_depend_on_the_scale(tmp_path, capsys, c):
     [compat] = rep["records"]
     assert compat["name"] == "compatibility identity holds" and not compat["pass"]
     assert compat["residual"] > compat["tolerance"]
+    # one side of the pair zero, the other into a form kernel: the lifted
+    # products are rounding alone, which the pairing bound must admit
+    q = np.array([[0.6, -0.8], [0.8, 0.6]])
+    p = q @ np.diag([1.0, 0.0]) @ q.T
+    into_ker = np.outer(q[:, 1], [1.0, 2.0])
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    for quad in ((p, eye, zero, into_ker), (eye, p, into_ker, zero)):
+        path = _write_lift(tmp_path / "kernel.json", *(c * m for m in quad))
+        code, rep = run_json(capsys, ["lift", path])
+        assert code == 0 and len(rep["records"]) == 3, rep
 
 
 def test_lift_that_does_not_factor_is_a_failing_record(tmp_path, capsys):

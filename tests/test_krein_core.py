@@ -3,7 +3,7 @@ import pytest
 
 from kgl import krein_core as kc
 from kgl import numlin
-from kgl.errors import ShapeMismatch
+from kgl.errors import PairingViolated, ShapeMismatch
 from kgl.numlin import DEFAULT_TOL as TOL, frob
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -140,6 +140,8 @@ def test_lift_operator_rejects_incompatible_pair():
     assert compat.name == "compatibility identity holds" and not compat.passed
     assert compat.residual > compat.tolerance
     assert lifted.t_lift is None and lifted.s_lift is None
+    with pytest.raises(PairingViolated, match="compatibility identity holds"):
+        t_l, s_l = lifted
 
 
 def _gaps_unique_of(a):

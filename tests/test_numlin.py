@@ -71,10 +71,8 @@ def _sign(a):
     return e_plus - e_minus
 
 
-def test_herm_fn_frozen_values():
-    assert np.allclose(numlin.herm_fn(SWAP, "abs", TOL), np.eye(2), atol=1e-14)
-    with pytest.raises(ValueError):
-        numlin.herm_fn(SWAP, "sign", TOL)
+def test_herm_abs_frozen_values():
+    assert np.allclose(numlin.herm_abs(SWAP, TOL), np.eye(2), atol=1e-14)
     assert np.allclose(_sign(np.diag([5.0, -2.0, 0.0]).astype(complex)),
                        np.diag([1.0, -1.0, 0.0]), atol=1e-14)
     # the PSD square root U_k sqrt(w_k) U_k* from the root factor sqrt(w_k) U_k*
@@ -90,7 +88,7 @@ def test_polar_identity_property():
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = (b + b.conj().T) / 2
         s = _sign(a)
-        m = numlin.herm_fn(a, "abs", TOL)
+        m = numlin.herm_abs(a, TOL)
         assert numlin.frob(s @ m - a) <= 1e-10 * max(1.0, numlin.frob(a))
 
 
@@ -271,7 +269,7 @@ def test_abs_spectrum_matches_a_fresh_decomposition():
         g = (x * rng.choice([-1.0, 1.0], rank) * rng.uniform(0.5, 3.0, rank)) @ x.conj().T
         g = 0.5 * (g + g.conj().T)
         derived = numlin.abs_spectrum(numlin.spectrum(g, TOL))
-        fresh = numlin.spectrum(numlin.herm_fn(g, "abs", TOL), TOL)
+        fresh = numlin.spectrum(numlin.herm_abs(g, TOL), TOL)
         scale = fresh.norm
         assert np.allclose(derived.eigenvalues, fresh.eigenvalues, rtol=0, atol=1e-12 * scale)
         assert np.isclose(derived.cutoff, fresh.cutoff, rtol=1e-12, atol=0)
@@ -295,7 +293,7 @@ def test_abs_spectrum_orders_the_ties_of_plus_minus_pairs_canonically():
         u = np.eye(d.size)[rng.permutation(d.size)] * np.exp(1j * rng.uniform(0, 6, d.size))
         g = (u * d) @ u.conj().T
         derived = numlin.abs_spectrum(numlin.spectrum(g, TOL))
-        fresh = numlin.spectrum(numlin.herm_fn(g, "abs", TOL), TOL)
+        fresh = numlin.spectrum(numlin.herm_abs(g, TOL), TOL)
         for name in ("eigenvalues", "basis", "factor", "factor_pinv", "kernel_basis"):
             assert np.array_equal(getattr(derived, name), getattr(fresh, name)), name
 
