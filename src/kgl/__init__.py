@@ -5,9 +5,10 @@ positive-semidefinite and Hermitian kernels, reproducing-kernel views,
 and representations of finite star-semigroupoids acting on the base.
 Everything is finite dimensional and checked against explicit residual
 tolerances; every verification returns records suitable for reports.
+The module kgl.pipelines runs each command of the `kgl` CLI as one call.
 """
 
-from . import errors
+from . import errors, pipelines
 from .bundle import (
     HilbertBundle,
     PartIndex,
@@ -91,7 +92,7 @@ from .sgpd import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "errors",
+    "errors", "pipelines",
     "HilbertBundle", "PartIndex", "Section",
     "delta_section", "part_index", "section_from_dict",
     "OpKernel", "Partition",

@@ -37,7 +37,6 @@ __all__ = [
     "minimal_linearisation",
     "is_definite",
     "definite_representation",
-    "represent",
     "invariant_representation",
     "partial_isometry_report",
 ]
@@ -107,20 +106,14 @@ def definite_representation(rep: krein_lin.KreinRepresentation,
     return HilbertRepresentation(act, lin, rep.psi, rep.norms, records, constants)
 
 
-def represent(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> HilbertRepresentation:
-    """krein_lin.represent (invariance is not checked, PairingViolated when
-    a shift does not descend), read by definite_representation."""
-    return definite_representation(krein_lin.represent(lin, act, tol), tol)
-
-
 def invariant_representation(k: OpKernel, act: LeftAction, p: Partition,
                              tol: Tolerances = DEFAULT_TOL) -> HilbertRepresentation:
-    """minimal_linearisation, the invariance check (NotInvariant), then represent."""
+    """minimal_linearisation, the invariance check (NotInvariant), then the representation."""
     lin = minimal_linearisation(k, p, tol)
     ok, witness = is_invariant(k, act, tol)
     if not ok:
         raise NotInvariant(f"kernel is not invariant; witness {witness!r}")
-    return represent(lin, act, tol)
+    return definite_representation(krein_lin.represent(lin, act, tol), tol)
 
 
 def partial_isometry_report(rep: HilbertRepresentation, cls: Classification,

@@ -85,8 +85,8 @@ class Tolerances:
     def __post_init__(self):
         if not 0.0 < self.atol < 1.0:
             raise ValueError("atol must lie strictly between 0 and 1")
-        if self.rank_rel <= 0.0:
-            raise ValueError("rank_rel must be positive")
+        if not 0.0 < self.rank_rel < 1.0:
+            raise ValueError("rank_rel must lie strictly between 0 and 1")
 
 
 DEFAULT_TOL = Tolerances()

@@ -70,10 +70,6 @@ class Report:
     def ok(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def extend(self, records):
-        self.records.extend(records)
-        return self
-
 
 def _jsonable_witness(w):
     if w is None:

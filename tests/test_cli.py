@@ -276,6 +276,8 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
 def test_exit_code_2_on_bad_tolerance_and_duplicate_points(circulant_instance, tmp_path,
                                                            capsys):
     assert main(["report", "--atol", "2", circulant_instance]) == 2
+    for rank_rel in ("1", "inf", "nan"):  # each would turn every rank cutoff off
+        assert main(["check", "psd", "--rank-rel", rank_rel, circulant_instance]) == 2
     text = open(circulant_instance).read()
     dup = tmp_path / "dup.json"
     dup.write_text(text.replace('"dims":{', '"dims":{"x1":1,', 1))

@@ -16,6 +16,9 @@ def test_tolerances_frozen():
         TOL.atol = 1.0
     with pytest.raises(ValueError):
         numlin.Tolerances(atol=-1.0)
+    for rank_rel in (0.0, 1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            numlin.Tolerances(rank_rel=rank_rel)
 
 
 def test_herm_eig_swap_frozen():

@@ -1,0 +1,99 @@
+"""kgl.pipelines gives the bytes the CLI prints: each command is one library call."""
+
+import json
+
+import pytest
+
+from kgl import formats, generators, pipelines
+from kgl.cli import main
+from kgl.numlin import DEFAULT_TOL as TOL, Tolerances
+from kgl.reports import report_to_json
+
+
+def _write(tmp_path, doc, name="inst.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _generated(family, mode, seed=1):
+    return formats.instance_to_doc(*generators.generate_instance(family, seed=seed, mode=mode))
+
+
+def _dropped_composition(doc):
+    del doc["semigroupoid"]["compose"][0]
+    return doc
+
+
+INSTANCES = {
+    "psd-invariant": lambda: _generated("pair_groupoid", "psd_invariant"),
+    "hermitian-not-psd": lambda: _generated("pair_groupoid", "hermitian_invariant"),
+    "seeded-defect": lambda: _dropped_composition(_generated("group_action", "psd_invariant")),
+}
+
+
+def _cli(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, code, psd", [("psd-invariant", 0, True),
+                                             ("hermitian-not-psd", 0, False),
+                                             ("seeded-defect", 1, None)])
+def test_report_pipeline_prints_the_cli_bytes(tmp_path, capsys, name, code, psd):
+    path = _write(tmp_path, INSTANCES[name]())
+    tol = Tolerances(atol=1e-8)
+    report = pipelines.report(formats.load(path, strict=False), tol)
+    assert _cli(capsys, ["report", "--atol", "1e-8", path]) == (code, report_to_json(report))
+    profile = [r.witness for r in report.records if r.tag == "axioms/classification"]
+    assert [p["partially_psd"] for p in profile] == ([] if psd is None else [psd])
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["validate"], lambda inst: pipelines.validate(inst)),
+    (["classify"], lambda inst: pipelines.classify(inst)),
+    (["check", "psd"], lambda inst: pipelines.check(inst, "psd")),
+    (["check", "bounded-shift"], lambda inst: pipelines.check(inst, "bounded-shift")),
+    (["linearize", "--hilbert"], lambda inst: pipelines.linearize(inst, krein=False)),
+    (["linearize", "--krein"], lambda inst: pipelines.linearize(inst, krein=True)),
+    (["split"], lambda inst: pipelines.split(inst)),
+    (["represent", "--hilbert"], lambda inst: pipelines.represent(inst, krein=False)),
+    (["represent", "--krein"], lambda inst: pipelines.represent(inst, krein=True)),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_every_instance_command_is_its_pipeline(tmp_path, capsys, argv, call):
+    path = _write(tmp_path, INSTANCES["hermitian-not-psd"]())
+    code, out = _cli(capsys, argv + [path])
+    report = call(formats.load(path, strict=False))
+    assert out == report_to_json(report)
+    assert code == (0 if report.ok else 1)
+
+
+def _write_lift(tmp_path, quad):
+    return _write(tmp_path, {k: formats.matrix_to_doc(m) for k, m in zip("abts", quad)},
+                  "lift.json")
+
+
+@pytest.mark.parametrize("moved, code", [(0.0, 0), (1e-3, 1)])
+def test_lift_pipeline_prints_the_cli_bytes(tmp_path, capsys, moved, code):
+    a, b, t, s = generators.random_lift_quadruple(4, 3, seed=7, tol=TOL)
+    path = _write_lift(tmp_path, (a, b, t, s + moved))
+    report = pipelines.lift(*formats.load_lift_file(path))
+    assert _cli(capsys, ["lift", path]) == (code, report_to_json(report))
+
+
+def test_represent_takes_a_dominant_only_on_the_krein_route(tmp_path, capsys):
+    sg, act, bundle, _ = generators.generate_instance(
+        "pair_groupoid", seed=9, mode="hermitian_invariant")
+    k, l = generators.invariant_dominant_pair(act, bundle, seed=9, tol=TOL)
+    inst = formats.parse_instance(formats.instance_to_doc(sg, act, bundle, k))
+    assert pipelines.represent(inst, krein=True, dominant=l, reducibility=True).ok
+    for kwargs in ({"dominant": l}, {"reducibility": True}):
+        with pytest.raises(ValueError, match="Krein route"):
+            pipelines.represent(inst, krein=False, **kwargs)
+    # the CLI rejects the same arguments as a usage error, before reading any file
+    path = _write(tmp_path, formats.instance_to_doc(sg, act, bundle, k))
+    for extra in (["--dominant", str(tmp_path / "missing.json")], ["--reducibility"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["represent", "--hilbert"] + extra + [path])
+        assert exc.value.code == 2
+        assert "need --krein" in capsys.readouterr().err

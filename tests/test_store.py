@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from kgl import cli, formats, generators, numlin
+from kgl import cli, formats, generators, numlin, pipelines
 from kgl.kernel import conv_blocks
 from kgl.numlin import DEFAULT_TOL as TOL
 
@@ -205,6 +205,17 @@ def test_each_premise_is_decided_once_per_command(tmp_path, capsys, monkeypatch,
     code, _, _ = run(capsys, argv + [path])
     assert code == 0
     assert tuple(counts[name] for name in PREMISES) == budget
+
+
+def test_report_pipeline_decides_each_premise_once(tmp_path, monkeypatch):
+    # the library call does the command's work: one premise each, one decomposition each
+    path = write_instance(tmp_path, "pair_groupoid", "psd_invariant")
+    inst = formats.load(path, strict=False)
+    counts = count_calls(monkeypatch, PREMISES)
+    inputs, _, _ = count_decompositions(monkeypatch)
+    assert pipelines.report(inst, TOL).ok
+    assert tuple(counts[name] for name in PREMISES) == (1, 1, 0, 1)
+    assert inputs and len(inputs) == len(set(inputs))
 
 
 REPRESENTATION_WORK = ("krein_lin.rk_krein_space", "krein_lin.represented_shifts",

@@ -1,15 +1,16 @@
 """Fingerprint kgl's command outputs, to show that a change leaves them byte-identical.
 
 Writes the seeded `tables` and `spectral` corpora of perfbench (its
-`corpus.py`, imported unchanged) and runs ten commands on every instance,
+`corpus.py`, imported unchanged) and runs twelve commands on every instance,
 in-process and with one BLAS thread:
 
-    report, check hermitian|psd|invariant|bounded-shift, linearize --hilbert|--krein,
-    split, represent --hilbert|--krein
+    report, validate, classify, check hermitian|psd|invariant|bounded-shift,
+    linearize --hilbert|--krein, split, represent --hilbert|--krein
 
-plus `generate` for every family and mode, and `represent --krein --dominant`,
-with and without `--reducibility`, on generated invariant dominant pairs. The
-output JSON maps each run to the SHA-256 of its (exit code, stdout, stderr)
+plus `generate` for every family and mode, `represent --krein --dominant`,
+with and without `--reducibility`, on generated invariant dominant pairs, and
+`lift` on generated quadruples, as generated and with S moved by 1e-3, each
+scaled by c in {1e-6, 1, 1e6}. The output JSON maps each run to the SHA-256 of its (exit code, stdout, stderr)
 and to the short hashes and the numbers of its parts (see `parts`), each corpus to its
 digest (of the file bytes), and each corpus instance to its
 `instance_digest` (of the content), so that a change of the file layout
@@ -48,6 +49,8 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 
 
 COMMANDS = (
     ("report",),
+    ("validate",),
+    ("classify",),
     ("check", "hermitian"),
     ("check", "psd"),
     ("check", "invariant"),
@@ -63,6 +66,8 @@ MODES = ("psd_invariant", "hermitian_invariant", "arbitrary")
 SEEDS = (1, 2)
 SECTIONS = ("corpus", "content", "outputs")  # file bytes, instance digests, command outputs
 DOMINANT_SEEDS = range(6)
+LIFT_SEEDS = range(3)
+LIFT_SCALES = (1e-6, 1.0, 1e6)
 
 
 def _short(value) -> str:
@@ -177,6 +182,20 @@ def generated_outputs(scratch, result):
                 result["outputs"][key] = run(argv, scratch)
 
 
+def lift_outputs(scratch, result):
+    from kgl import formats, generators
+    for seed in LIFT_SEEDS:
+        a, b, t, s = generators.random_lift_quadruple(4, 3, seed)
+        for moved in (False, True):
+            for c in LIFT_SCALES:
+                quad = (c * a, c * b, c * t, c * (s + 1e-3 if moved else s))
+                path = os.path.join(scratch, f"lift-{seed}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump({k: formats.matrix_to_doc(m) for k, m in zip("abts", quad)}, fh)
+                key = f"lift {seed}{' moved' if moved else ''} c={c:g}"
+                result["outputs"][key] = run(("lift", path), scratch)
+
+
 def fingerprint(src, out):
     sys.path.insert(0, os.path.abspath(src))
     sys.path.insert(0, os.path.abspath(PERFBENCH))
@@ -184,6 +203,7 @@ def fingerprint(src, out):
     with tempfile.TemporaryDirectory(prefix="kgl-compare-") as scratch:
         corpus_outputs(scratch, result)
         generated_outputs(scratch, result)
+        lift_outputs(scratch, result)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
