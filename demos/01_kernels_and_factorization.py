@@ -12,10 +12,12 @@ from kgl import (
     HilbertBundle,
     OpKernel,
     RkKreinView,
+    canonical_dominant,
     conv_blocks,
     is_partially_hermitian,
     is_partially_psd,
     j_unitary_equivalence,
+    krein_linearisation,
     minimal_linearisation,
     partition_from_anchor,
 )
@@ -60,10 +62,11 @@ view = RkKreinView(lin)
 for record in verify_reproducing(view):
     print(f"  [{'ok' if record.passed else 'FAIL'}] {record.name}: residual {record.residual:.2e}")
 
-# Two deterministic eigen conventions give two factorizations of the same
-# kernel; the canonical map between them is certified unitary.
-other = minimal_linearisation(k, p, tie_break="last")
+# A second construction goes through a dominating PSD kernel, here the
+# canonical dominant |G|; minimal factorizations are unique up to a unitary,
+# and the canonical map between the two is certified unitary.
+other = krein_linearisation(k, p, dominant=canonical_dominant(k, p))
 eq = j_unitary_equivalence(lin, other)
-print("\ntie-break conventions agree up to a unitary:", eq.ok)
+print("\ndirect and dominant routes agree up to a unitary:", eq.ok)
 for record in eq.records:
     print(f"  {record.name}: residual {record.residual:.2e}")

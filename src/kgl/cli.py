@@ -9,7 +9,6 @@ witness), and 2 means the input or usage was invalid.
 """
 
 import argparse
-import os
 import sys
 
 from . import generators, pipelines
@@ -27,9 +26,7 @@ from .reports import TAGS, report_to_json, save_report
 
 
 def _tolerances(args) -> Tolerances:
-    env = os.environ.get("KGL_ATOL")
-    atol = float(env) if env else DEFAULT_TOL.atol
-    return Tolerances(atol=atol if args.atol is None else args.atol,
+    return Tolerances(atol=DEFAULT_TOL.atol if args.atol is None else args.atol,
                       rank_rel=DEFAULT_TOL.rank_rel if args.rank_rel is None else args.rank_rel)
 
 
@@ -65,7 +62,7 @@ _COMMANDS = {
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--atol", type=float, default=None,
-                        help="residual tolerance (default 1e-9; KGL_ATOL also read)")
+                        help="residual tolerance (default 1e-9)")
     common.add_argument("--rank-rel", type=float, default=None,
                         help="relative eigenvalue cutoff for ranks, in (0, 1) (default 1e-10)")
     common.add_argument("--out", default=None, help="write the report or instance here")

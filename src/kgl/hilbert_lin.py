@@ -56,15 +56,13 @@ HILBERT = {
 }
 
 
-def minimal_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL,
-                          tie_break: str = "first") -> krein_lin.KreinLinearisation:
+def minimal_linearisation(k: OpKernel, p: Partition,
+                          tol: Tolerances = DEFAULT_TOL) -> krein_lin.KreinLinearisation:
     """The direct linearisation of a partially PSD kernel (NotPartiallyPSD
-    otherwise), in the hilbert family. tie_break picks one of the two
-    deterministic eigendecomposition conventions; both give valid
-    factorizations of the same kernel."""
+    otherwise), in the hilbert family."""
     if not is_partially_psd(k, p, tol):
         raise NotPartiallyPSD("kernel must be PSD on every part")
-    lin = krein_lin.krein_linearisation(k, p, tol, tie_break=tie_break)
+    lin = krein_lin.krein_linearisation(k, p, tol)
     return dataclasses.replace(lin, family=HILBERT)
 
 
@@ -87,7 +85,7 @@ def definite_representation(rep: krein_lin.KreinRepresentation,
     """rep, a representation on the linearisation of a partially PSD kernel,
     with its records rekeyed to the hilbert family, plus the bounded-shift
     constant of every element and the record that each defined one equals
-    the squared represented norm."""
+    the squared represented norm, to within atol relative to max(1, constant)."""
     act, lin = rep.action, dataclasses.replace(rep.lin, family=HILBERT)
     spectra = lin.spectra or {label: numlin.spectrum(g, tol) for label, g in lin.gram.items()}
     constants = _shift_constants(act, lin.partition, lin.gram, spectra, tol, act.sg.elements)
@@ -98,11 +96,10 @@ def definite_representation(rep: krein_lin.KreinRepresentation,
         r = abs(m - rep.norms[a] ** 2) / max(1.0, m)
         if r > resid_bs:
             resid_bs, wit_bs = r, (a,)
-    bs_tol = 1e-8
     records = krein_lin.rekey(rep.records, rep.lin.family, HILBERT)
     records.append(Record("shift constant equals squared represented norm",
                           "hilbert/bounded-shift-consistency",
-                          resid_bs, bs_tol, resid_bs <= bs_tol, witness=wit_bs))
+                          resid_bs, tol.atol, resid_bs <= tol.atol, witness=wit_bs))
     return HilbertRepresentation(act, lin, rep.psi, rep.norms, records, constants)
 
 

@@ -115,27 +115,25 @@ class InducedKrein:
     directions listed first.
     """
 
-    source_dim: int
     space: KreinSpace
-    pi: np.ndarray  # (space.dim, source_dim)
+    pi: np.ndarray  # (space.dim, source dimension)
 
 
-def induced_krein(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") -> InducedKrein:
+def induced_krein(a, tol: Tolerances = DEFAULT_TOL) -> InducedKrein:
     """Spectral construction of the Krein space induced by a Hermitian matrix.
 
     Nonzero eigenpairs are retained; eigenvalues inside the cutoff belong
     to the form's kernel and are dropped. Rows of the canonical map are
     sqrt(|eigenvalue|) times the adjoint eigenvector, positives first.
     """
-    return induced_from_spectrum(numlin.spectrum(a, tol, tie_break=tie_break))
+    return induced_from_spectrum(numlin.spectrum(a, tol))
 
 
 def induced_from_spectrum(s: numlin.Spectrum) -> InducedKrein:
     """induced_krein of the matrix whose canonical spectrum is s: the map is
     s.factor, its pseudo-inverse s.factor_pinv."""
     p, n = s.signature
-    return InducedKrein(source_dim=int(s.eigenvalues.size), space=KreinSpace((1,) * p + (-1,) * n),
-                        pi=s.factor)
+    return InducedKrein(KreinSpace((1,) * p + (-1,) * n), s.factor)
 
 
 @dataclass(eq=False)

@@ -141,7 +141,6 @@ class GramData:
     ghat: dict  # label -> Hermitian contraction, shape (r_L, r_L)
     gaps: dict  # label -> (gap_neg or None, gap_pos or None)
     contraction: dict  # label -> operator norm of ghat
-    identity_residual: dict  # label -> reconstruction residual of B* ghat B
 
 
 def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
@@ -159,7 +158,7 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
     if not is_partially_hermitian(k, p, tol):
         raise NotHermitian("Gram operator needs a partially Hermitian kernel")
     grams_k = conv_blocks(k, p)
-    factor, ranks, ghat, gaps, contraction, ident = {}, {}, {}, {}, {}, {}
+    factor, ranks, ghat, gaps, contraction = {}, {}, {}, {}, {}
     for label, s_l in part_spectra(l, p, tol).items():
         g_k = grams_k[label]
         if not s_l.is_psd:
@@ -191,8 +190,7 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
         ghat[label] = gh
         gaps[label] = s_gh.gaps
         contraction[label] = norm
-        ident[label] = resid
-    return GramData(p, factor, ranks, ghat, gaps, contraction, ident)
+    return GramData(p, factor, ranks, ghat, gaps, contraction)
 
 
 def jordan_split(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
@@ -249,11 +247,10 @@ class KreinLinearisation:
     """Per part: a Krein space and the stacked feature map W with W*JW = G.
 
     features[x] is the column slice of W at x, so K(x, y) = V_x* J V_y
-    within each part. provenance records which construction route built
-    the object; the dominant kernel is kept when that route was used, and
-    the part Grams' canonical spectra, whose canonical maps are the W, when
-    the direct route was. family names the records of its checks: KREIN, or
-    HILBERT when J = I.
+    within each part. The dominant kernel is kept when the dominant route
+    built the object, and the part Grams' canonical spectra, whose canonical
+    maps are the W, when the direct route did. family names the records of
+    its checks: KREIN, or HILBERT when J = I.
     """
 
     partition: Partition
@@ -261,14 +258,14 @@ class KreinLinearisation:
     spaces: dict  # label -> KreinSpace
     wmap: dict  # label -> W, shape (space.dim, total_dim)
     features: dict  # point -> V_x
-    provenance: str  # "direct" or "dominant"
     dominant: OpKernel = None
-    tie_break: str = "first"
     family: dict = field(default_factory=lambda: KREIN)
     spectra: dict = None  # label -> Spectrum of G_K with W its factor (direct route)
 
-    def part_label(self, x):
-        return self.partition.part_of[x]
+    @property
+    def provenance(self) -> str:
+        """The construction route: "dominant" when a dominant built it, else "direct"."""
+        return "direct" if self.dominant is None else "dominant"
 
     def _spectrum(self, label):
         """The spectrum whose canonical map W is, or None (dominant route,
@@ -306,37 +303,31 @@ def feature_maps(p: Partition, wmap: dict) -> dict:
 
 
 def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL,
-                        via: str = "direct", dominant: OpKernel = None,
-                        tie_break: str = "first") -> KreinLinearisation:
+                        dominant: OpKernel = None) -> KreinLinearisation:
     """Build a minimal indefinite linearisation of a Hermitian kernel.
 
-    via "direct" applies the induced-space construction to each part Gram
-    matrix. via "dominant" goes through the Gram operator of a dominating
-    PSD kernel (the canonical dominant when none is supplied); the two
-    routes agree up to a J-unitary map.
+    Without a dominant, the direct route applies the induced-space
+    construction to each part Gram matrix. With one, the dominant route goes
+    through the Gram operator of that dominating PSD kernel (such as
+    canonical_dominant(k, p)); the two routes agree up to a J-unitary map.
     """
     grams = conv_blocks(k, p)
     spaces, wmap = {}, {}
-    used_dominant = spectra = None
-    if via == "direct":
-        spectra = part_spectra(k, p, tol) if tie_break == "first" else {
-            label: numlin.spectrum(g, tol, tie_break=tie_break) for label, g in grams.items()}
+    spectra = None
+    if dominant is None:
+        spectra = part_spectra(k, p, tol)
         for label, s in spectra.items():
             ik = induced_from_spectrum(s)
             spaces[label] = ik.space
             wmap[label] = ik.pi
-    elif via == "dominant":
-        used_dominant = dominant if dominant is not None else canonical_dominant(k, p, tol)
-        gd = gram_operator(k, used_dominant, p, tol)
+    else:
+        gd = gram_operator(k, dominant, p, tol)
         for label in grams:
-            ik = induced_krein(gd.ghat[label], tol, tie_break=tie_break)
+            ik = induced_krein(gd.ghat[label], tol)
             spaces[label] = ik.space
             wmap[label] = ik.pi @ gd.dominant_factor[label]
-    else:
-        raise ValueError(f"unknown construction route {via!r}")
     return KreinLinearisation(p, grams, spaces, wmap, feature_maps(p, wmap),
-                              provenance=via, dominant=used_dominant, tie_break=tie_break,
-                              spectra=spectra)
+                              dominant=dominant, spectra=spectra)
 
 
 def verify_krein_factorization(lin, tol: Tolerances = DEFAULT_TOL):
@@ -378,14 +369,11 @@ class RkKreinView:
         return unstack(vec, self.lin.partition.index(label))
 
     def kernel_column(self, x, h) -> Section:
-        label = self.lin.part_label(x)
+        label = self.lin.partition.part_of[x]
         idx = self.lin.partition.index(label)
         col = self.lin.gram[label][:, idx.slice_of(x)] @ np.asarray(
             h, dtype=np.complex128).reshape(-1)
         return unstack(col, idx)
-
-    def column_vector(self, x, h) -> np.ndarray:
-        return self.lin.features[x] @ np.asarray(h, dtype=np.complex128).reshape(-1)
 
 
 def verify_reproducing(view: RkKreinView, tol: Tolerances = DEFAULT_TOL):
@@ -583,8 +571,7 @@ def invariant_krein_representation(k: OpKernel, act: LeftAction, p: Partition,
     dominant never blocks construction. Raises NotInvariant when the
     kernel, once linearised, is not invariant.
     """
-    via = "dominant" if dominant is not None else "direct"
-    lin = krein_linearisation(k, p, tol, via=via, dominant=dominant)
+    lin = krein_linearisation(k, p, tol, dominant)
     ok, witness = is_invariant(k, act, tol)
     if not ok:
         raise NotInvariant(f"kernel is not invariant; witness {witness!r}")

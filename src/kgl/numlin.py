@@ -2,10 +2,11 @@
 
 All matrices are numpy arrays with dtype complex128. Hermitian
 eigendecompositions are post-processed into a canonical form: eigenvalues
-ascending, every eigenvector phase pinned (a designated pivot coordinate is
-made real positive) and exact eigenvalue ties ordered lexicographically by
-the normalized eigenvector coordinates. Two invocations on bit-identical
-input therefore produce bit-identical output.
+ascending, every eigenvector phase pinned (its first coordinate of modulus
+above a floor is made real positive) and exact eigenvalue ties ordered
+lexicographically by the normalized eigenvector coordinates. This is the
+one canonical form: two invocations on bit-identical input produce
+bit-identical output.
 
 Two thresholds decide, each in one place:
 
@@ -65,7 +66,7 @@ __all__ = [
     "abs_spectrum",
 ]
 
-# pivot entries below this modulus never define an eigenvector phase;
+# coordinates below this modulus never define an eigenvector phase;
 # a unit vector always has a coordinate of modulus >= 1/sqrt(n) >> this
 _PHASE_FLOOR = 1e-12
 
@@ -136,19 +137,16 @@ def _require_hermitian(a, tol: Tolerances) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _normalize_phases(u: np.ndarray, pivot: str) -> np.ndarray:
-    """Pin each column's phase by making a pivot coordinate real positive.
+def _normalize_phases(u: np.ndarray) -> np.ndarray:
+    """Pin each column's phase by making its first coordinate of modulus
+    above the floor real positive.
 
-    pivot "first" uses the first coordinate of modulus above the floor,
-    pivot "last" the last one. Zero columns (cannot happen for unitary
-    input) are left alone. The moduli are np.hypot's, the modulus of a
-    complex scalar, so every column gets the bytes of a column-by-column loop.
+    Zero columns (cannot happen for unitary input) are left alone. The
+    moduli are np.hypot's, the modulus of a complex scalar, so every column
+    gets the bytes of a column-by-column loop.
     """
     big = np.hypot(u.real, u.imag) > _PHASE_FLOOR
-    first = big if pivot == "first" else big[::-1]
-    rows = first.argmax(axis=0)
-    if pivot != "first":
-        rows = u.shape[0] - 1 - rows
+    rows = big.argmax(axis=0)
     cols = np.flatnonzero(big.any(axis=0))
     z = u[rows[cols], cols]
     out = u.copy()
@@ -156,13 +154,13 @@ def _normalize_phases(u: np.ndarray, pivot: str) -> np.ndarray:
     return out
 
 
-def _order_ties(w: np.ndarray, u: np.ndarray, reverse: bool):
+def _order_ties(w: np.ndarray, u: np.ndarray):
     """Reorder columns inside groups of exactly equal eigenvalues.
 
-    Within a tie group, columns are sorted lexicographically by their
-    (already phase-normalized) coordinates, compared as the sequence
-    re u[0], im u[0], re u[1], ...; reverse flips that order. This never
-    changes the ascending eigenvalue sequence.
+    Within a tie group, columns are sorted in descending lexicographic order
+    of their (already phase-normalized) coordinates, compared as the
+    sequence re u[0], im u[0], re u[1], ..., which keeps identity input
+    fixed. This never changes the ascending eigenvalue sequence.
     """
     order = np.arange(w.size)
     starts = np.flatnonzero(np.diff(w, prepend=np.nan) != 0.0)
@@ -170,31 +168,20 @@ def _order_ties(w: np.ndarray, u: np.ndarray, reverse: bool):
         if j - i > 1:
             block = u[:, i:j]
             keys = np.stack([block.real, block.imag], axis=1).reshape(-1, j - i).T.tolist()
-            order[i:j] = sorted(range(i, j), key=lambda k: keys[k - i], reverse=reverse)
+            order[i:j] = sorted(range(i, j), key=lambda k: keys[k - i], reverse=True)
     return w, u[:, order]
 
 
-def herm_eig(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first"):
+def herm_eig(a, tol: Tolerances = DEFAULT_TOL):
     """Canonical eigendecomposition (w, u) of a Hermitian matrix: the real
     eigenvalues w ascending, the eigenvectors as the columns of the unitary
-    u, in canonical phase and tie order.
-
-    tie_break selects one of two deterministic conventions ("first" or
-    "last"): which coordinate pins the eigenvector phases and in which
-    direction exact eigenvalue ties are ordered. Both produce valid
-    decompositions; having two lets callers exercise uniqueness-up-to-
-    unitary statements.
-    """
-    if tie_break not in ("first", "last"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
+    u, in canonical phase and tie order."""
     m = _require_hermitian(a, tol)
     if m.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
     w, u = np.linalg.eigh(m)
     u = u.astype(np.complex128, copy=False)
-    u = _normalize_phases(u, pivot=tie_break)
-    # descending lex order for "first" keeps identity input fixed
-    return _order_ties(w, u, reverse=(tie_break == "first"))
+    return _order_ties(w, _normalize_phases(u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,16 +305,15 @@ def _content_key(m: np.ndarray):
     return m.shape, m.dtype.str, hashlib.sha256(m.data).digest()
 
 
-def spectrum(a, tol: Tolerances = DEFAULT_TOL, tie_break: str = "first") -> Spectrum:
+def spectrum(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """The canonical decomposition of a Hermitian matrix (see herm_eig).
 
     Inside a decomposition_store scope, the Spectrum of the symmetrized
-    matrix is stored, so every later call on the same content, tolerances
-    and tie_break returns it without calling herm_eig.
+    matrix is stored, so every later call on the same content and
+    tolerances returns it without calling herm_eig.
     """
     m = _require_hermitian(a, tol)
-    return _stored(("spectrum", tol, tie_break), m,
-                   lambda: _spectrum_of(*herm_eig(m, tol, tie_break), tol))
+    return _stored(("spectrum", tol), m, lambda: _spectrum_of(*herm_eig(m, tol), tol))
 
 
 def spectrum_values(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
@@ -372,7 +358,7 @@ def _stored(kind: tuple, m: np.ndarray, compute):
 
 def abs_spectrum(s: Spectrum) -> Spectrum:
     """The canonical spectrum of |G| = U |w| U*, read from the canonical
-    spectrum (w, U) of G (tie_break "first"), with no decomposition.
+    spectrum (w, U) of G, with no decomposition.
 
     The eigenvalues |w| are sorted ascending with their eigenvectors, whose
     phases are already pinned; eigenvalues that become exactly equal (a
@@ -381,7 +367,7 @@ def abs_spectrum(s: Spectrum) -> Spectrum:
     """
     a = np.abs(s.eigenvalues)
     order = np.argsort(a, kind="stable")
-    w, u = _order_ties(a[order], s.basis[:, order], reverse=True)
+    w, u = _order_ties(a[order], s.basis[:, order])
     return Spectrum(_frozen(w), _frozen(u), s.cutoff)
 
 

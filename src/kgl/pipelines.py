@@ -144,9 +144,7 @@ def represent(inst, krein: bool, tol=DEFAULT_TOL, dominant=None,
     records = premise(k, p, tol) + [kernel.invariance_record(k, act, tol)]
 
     def laws():
-        via = "direct" if dominant is None else "dominant"
-        rep = krein_lin.represent(
-            krein_lin.krein_linearisation(k, p, tol, via=via, dominant=dominant), act, tol)
+        rep = krein_lin.represent(krein_lin.krein_linearisation(k, p, tol, dominant), act, tol)
         if not krein:
             return _hilbert_laws(rep, sgpd.classify(inst.sg), tol)
         if reducibility:

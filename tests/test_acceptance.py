@@ -126,18 +126,19 @@ def test_02_reproducing_kernel_space_identities():
     print(f"PASS 02 reproducing identities on 200 kernels: worst scaled residual {worst:.2e}")
 
 
-def test_03_factorizations_unitarily_equivalent_across_tie_breaks():
+def test_03_factorizations_unitarily_equivalent_across_routes():
     worst = 0.0
     for k, p in _psd_corpus():
-        lin_a = minimal_linearisation(k, p, tie_break="first")
-        lin_b = minimal_linearisation(k, p, tie_break="last")
+        lin_a = minimal_linearisation(k, p)
+        lin_b = krein_linearisation(k, p, dominant=canonical_dominant(k, p))
         eq = j_unitary_equivalence(lin_a, lin_b)
         scales = {label: max(1.0, frob(g)) for label, g in lin_a.gram.items()}
         for r in eq.records:
             assert r.passed, r.name
             worst = max(worst, r.residual / scales[r.witness])
     assert worst <= RESID
-    print(f"PASS 03 tie-break conventions unitarily equivalent: worst scaled residual {worst:.2e}")
+    print(f"PASS 03 direct and dominant routes unitarily equivalent: "
+          f"worst scaled residual {worst:.2e}")
 
 
 def test_04_invariant_hilbert_representation_laws():

@@ -340,14 +340,12 @@ def test_list_checks(capsys):
     assert "krein/reducibility" in out
 
 
-def test_atol_env_and_flag(circulant_instance, capsys, monkeypatch):
-    monkeypatch.setenv("KGL_ATOL", "1e-3")
+def test_atol_flag(circulant_instance, capsys):
     code, rep = run_json(capsys, ["check", "psd", circulant_instance])
-    assert rep["tolerances"]["atol"] == pytest.approx(1e-3)
+    assert rep["tolerances"]["atol"] == pytest.approx(1e-9)
     code, rep = run_json(capsys, ["check", "psd", "--atol", "1e-5",
                                   circulant_instance])
-    assert rep["tolerances"]["atol"] == pytest.approx(1e-5)  # flag beats env
-    monkeypatch.delenv("KGL_ATOL")
+    assert rep["tolerances"]["atol"] == pytest.approx(1e-5)
 
 
 def test_out_writes_report_file(circulant_instance, tmp_path, capsys):

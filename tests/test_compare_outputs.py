@@ -76,3 +76,36 @@ def test_diff_without_recorded_numbers_says_so(tool, tmp_path, capsys):
     assert tool.diff(*map(str, paths)) == 1
     assert ("part kernel/psd tolerance: largest relative difference not comparable "
             "(numbers differ in count or are not recorded)") in capsys.readouterr().out
+
+
+def test_demo_fingerprint_masks_temporary_directories(tool, tmp_path, capsys):
+    checkout = tmp_path / "checkout"
+    (checkout / "src").mkdir(parents=True)
+    (checkout / "demos").mkdir()
+    script = checkout / "demos" / "01_demo.py"
+    script.write_text("import os, tempfile\n"
+                      "print('first section')\n"
+                      "print()\n"
+                      "with tempfile.TemporaryDirectory() as tmp:\n"
+                      "    print('file', os.path.join(tmp, 'instance.json'), 'in', os.getcwd())\n")
+    runs = []
+    for name in ("a", "b"):
+        scratch = tmp_path / name
+        scratch.mkdir()
+        result = {"demos": {}}
+        tool.demo_outputs(str(checkout / "src"), str(scratch), result)
+        runs.append(result["demos"]["01_demo.py"])
+    assert runs[0] == runs[1]
+    assert sorted(runs[0]["parts"]) == ["exit", "stderr", "stdout 1", "stdout 2"]
+    assert runs[0]["parts"]["stdout 2"] == tool._short(
+        "file <tmp>/instance.json in <scratch>/demo-01_demo\n")
+
+    paths = []
+    for name, text in (("old.json", "one\n\ntwo\n"), ("new.json", "one\n\nthree\n")):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps({"demos": {"01_demo.py": {
+            "sha": text, "parts": tool.demo_parts(0, text, "")}}}))
+    assert tool.diff(*map(str, paths)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "demos: 01_demo.py: stdout 2" in out
+    assert "demos: 1 of 1 differ" in out

@@ -113,14 +113,14 @@ def test_unitary_equivalence_recovers_conjugation():
     assert frob(res.maps["all"] - q) <= 1e-8
 
 
-def test_unitary_equivalence_identity_and_tie_breaks():
+def test_unitary_equivalence_identity_and_routes():
     k = circulant_kernel(2.0, 1.0)
     p = kn.single_partition(k.bundle)
     lin = hl.minimal_linearisation(k, p, TOL)
     res = kl.j_unitary_equivalence(lin, lin, TOL)
     assert res.ok and frob(res.maps["all"] - np.eye(lin.spaces["all"].dim)) <= 1e-12
 
-    other = hl.minimal_linearisation(k, p, TOL, tie_break="last")
+    other = kl.krein_linearisation(k, p, TOL, dominant=kl.canonical_dominant(k, p, TOL))
     res2 = kl.j_unitary_equivalence(lin, other, TOL)
     assert res2.ok
 

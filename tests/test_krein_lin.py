@@ -222,7 +222,7 @@ def test_j_unitary_equivalence_routes():
     for _ in range(10):
         k, p = random_hermitian_instance(rng)
         direct = kl.krein_linearisation(k, p, TOL)
-        dom = kl.krein_linearisation(k, p, TOL, via="dominant")
+        dom = kl.krein_linearisation(k, p, TOL, dominant=kl.canonical_dominant(k, p, TOL))
         res = kl.j_unitary_equivalence(direct, dom, TOL)
         assert res.ok, [r.residual for r in res.records]
         # the map is J-unitary for the part's symmetry
@@ -387,7 +387,7 @@ def test_direct_linearisation_reads_its_pseudo_inverses_from_its_spectra():
     rng = np.random.Generator(np.random.Philox(59))
     k, p = random_hermitian_instance(rng, n_points=4)
     lin = kl.krein_linearisation(k, p, TOL)
-    dom = kl.krein_linearisation(k, p, TOL, via="dominant")
+    dom = kl.krein_linearisation(k, p, TOL, dominant=kl.canonical_dominant(k, p, TOL))
     for label, w in lin.wmap.items():
         assert lin.pinv(label, TOL) is lin.spectra[label].factor_pinv
         assert np.allclose(lin.pinv(label, TOL), np.linalg.pinv(w), atol=1e-10)

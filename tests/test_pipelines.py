@@ -97,3 +97,30 @@ def test_represent_takes_a_dominant_only_on_the_krein_route(tmp_path, capsys):
             main(["represent", "--hilbert"] + extra + [path])
         assert exc.value.code == 2
         assert "need --krein" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["psd_invariant", "hermitian_invariant"])
+def test_every_tolerance_follows_atol_or_the_rank_cutoff(mode):
+    # each bound is atol times a scale of the data, an eigenvalue cutoff
+    # rank_rel * max|eigenvalue|, or the count threshold 0.5
+    settings = (TOL, Tolerances(atol=1e-11), Tolerances(rank_rel=1e-12))
+    tags = set()
+    for family in ("pair_groupoid", "partial_bijections"):
+        inst = formats.parse_instance(_generated(family, mode))
+        for run in (pipelines.report, lambda inst, tol: pipelines.represent(inst, False, tol)):
+            base, fine_atol, fine_rank = (run(inst, tol).records for tol in settings)
+            assert [(r.tag, r.name, r.passed) for r in base] == [
+                (r.tag, r.name, r.passed) for r in fine_atol] == [
+                (r.tag, r.name, r.passed) for r in fine_rank]
+            for r, a, c in zip(base, fine_atol, fine_rank):
+                if r.tolerance == a.tolerance == c.tolerance == 0.5:
+                    continue
+                follows_atol = (r.tolerance == pytest.approx(100 * a.tolerance, rel=1e-12)
+                                and r.tolerance == c.tolerance)
+                follows_rank = (r.tolerance == pytest.approx(100 * c.tolerance, rel=1e-12)
+                                and r.tolerance == a.tolerance)
+                assert follows_atol or follows_rank, (
+                    family, r.tag, r.name, r.tolerance, a.tolerance, c.tolerance)
+            tags.update(r.tag for r in base)
+    if mode == "psd_invariant":
+        assert "hilbert/bounded-shift-consistency" in tags

@@ -369,7 +369,7 @@ def representation_cases():
         k, l = generators.invariant_dominant_pair(act, bundle, seed=3)
         p = partition_from_action(bundle, act)
         cases.append((f"{family}{len(sg.elements)}-dominant",
-                      kl.krein_linearisation(k, p, via="dominant", dominant=l), act))
+                      kl.krein_linearisation(k, p, dominant=l), act))
     return cases
 
 

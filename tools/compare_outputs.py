@@ -10,11 +10,17 @@ in-process and with one BLAS thread:
 plus `generate` for every family and mode, `represent --krein --dominant`,
 with and without `--reducibility`, on generated invariant dominant pairs, and
 `lift` on generated quadruples, as generated and with S moved by 1e-3, each
-scaled by c in {1e-6, 1, 1e6}. The output JSON maps each run to the SHA-256 of its (exit code, stdout, stderr)
-and to the short hashes and the numbers of its parts (see `parts`), each corpus to its
+scaled by c in {1e-6, 1, 1e6}. It also runs the six demos of the checkout
+that holds `--src` (its `demos/`), each as a script with that `src` on the
+path. The output JSON maps each run to the SHA-256 of its (exit code, stdout, stderr)
+and to the short hashes and the numbers of its parts (see `parts`; a demo's
+parts are its exit code, stderr and each blank-line-separated section of its
+stdout, see `demo_parts`), each corpus to its
 digest (of the file bytes), and each corpus instance to its
 `instance_digest` (of the content), so that a change of the file layout
-reads as files differing with equal content. Run from the root of a checkout:
+reads as files differing with equal content. Temporary directories read as
+`<scratch>` in command outputs and `<tmp>` in demo outputs. Run from the root
+of a checkout:
 
     python3 tools/compare_outputs.py --src OLD/src --out old.json
     python3 tools/compare_outputs.py --src src --out new.json
@@ -41,6 +47,8 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import traceback  # noqa: E402
@@ -64,7 +72,7 @@ COMMANDS = (
 FAMILIES = ("pair_groupoid", "group_action", "partial_bijections", "group_as_groupoid")
 MODES = ("psd_invariant", "hermitian_invariant", "arbitrary")
 SEEDS = (1, 2)
-SECTIONS = ("corpus", "content", "outputs")  # file bytes, instance digests, command outputs
+SECTIONS = ("corpus", "content", "outputs", "demos")  # file bytes, instance digests, outputs
 DOMINANT_SEEDS = range(6)
 LIFT_SEEDS = range(3)
 LIFT_SCALES = (1e-6, 1.0, 1e6)
@@ -196,19 +204,55 @@ def lift_outputs(scratch, result):
                 result["outputs"][key] = run(("lift", path), scratch)
 
 
+def demo_parts(code, out, err) -> dict:
+    """Short hashes of the parts of one demo run: its exit code, its stderr
+    and each blank-line-separated section of its stdout (`stdout 1`, ...)."""
+    sections = [s for s in re.split(r"\n\s*\n", out) if s.strip()]
+    found = {"exit": code, "stderr": err}
+    found.update({f"stdout {i}": text for i, text in enumerate(sections, 1)})
+    return {name: _short(value) for name, value in found.items()}
+
+
+def run_demo(script, src, scratch):
+    """Fingerprint of one demo script run with src on the path, in a fresh
+    working directory under scratch. Every temporary directory the demo makes
+    (under a TMPDIR of its own) reads as `<tmp>`: the SHA-256 of its
+    (exit code, stdout, stderr) and its parts (see `demo_parts`)."""
+    name = os.path.splitext(os.path.basename(script))[0]
+    cwd, tmp = os.path.join(scratch, f"demo-{name}"), os.path.join(scratch, f"demo-{name}-tmp")
+    os.makedirs(cwd)
+    os.makedirs(tmp)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TMPDIR=tmp)
+    proc = subprocess.run([sys.executable, os.path.abspath(script)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+    masked = re.compile(re.escape(tmp) + r"[/\\][^/\\\s'\"]+")
+    out, err = (masked.sub("<tmp>", s).replace(scratch, "<scratch>")
+                for s in (proc.stdout, proc.stderr))
+    text = json.dumps([proc.returncode, out, err])
+    return {"sha": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "parts": demo_parts(proc.returncode, out, err)}
+
+
+def demo_outputs(src, scratch, result):
+    demos = os.path.join(src, os.pardir, "demos")
+    for script in sorted(f for f in os.listdir(demos) if f.endswith(".py")):
+        result["demos"][script] = run_demo(os.path.join(demos, script), src, scratch)
+
+
 def fingerprint(src, out):
     sys.path.insert(0, os.path.abspath(src))
     sys.path.insert(0, os.path.abspath(PERFBENCH))
-    result = {"seeds": list(SEEDS), "corpus": {}, "content": {}, "outputs": {}}
+    result = {"seeds": list(SEEDS), "corpus": {}, "content": {}, "outputs": {}, "demos": {}}
     with tempfile.TemporaryDirectory(prefix="kgl-compare-") as scratch:
         corpus_outputs(scratch, result)
         generated_outputs(scratch, result)
         lift_outputs(scratch, result)
+        demo_outputs(src, scratch, result)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"{len(result['outputs'])} outputs, {len(result['corpus'])} corpus digests, "
-          f"{len(result['content'])} content digests -> {out}")
+          f"{len(result['content'])} content digests, {len(result['demos'])} demos -> {out}")
 
 
 def _differing_parts(va, vb) -> list:
@@ -243,7 +287,7 @@ def diff(path_a, path_b) -> int:
             differ += 1
             if not (va and vb):
                 print(f"{section}: {key} (only in {path_a if va else path_b})")
-            elif section == "outputs":
+            elif section in ("outputs", "demos"):
                 names = _differing_parts(va, vb)
                 by_part.update(names)
                 print(f"{section}: {key}: {', '.join(names)}")
