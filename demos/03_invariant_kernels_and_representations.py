@@ -47,6 +47,8 @@ p = partition_from_action(bundle, act)
 for g, m in bounded_shift_constants(k, act).items():
     print(f"bounded-shift constant of {g!r}: {m}")
 
+# rep.psi is a read-only mapping: each rep.psi[g] is rebuilt, read-only, as
+# W_c[:, c_g] W_d+ on access, so no stack of dense shifts is kept.
 rep = invariant_representation(k, act, p)
 print("\nrepresented flip on the factor space:")
 print(np.array_str(rep.psi["g"].real, precision=6, suppress_small=True))
@@ -54,12 +56,13 @@ for record in rep.records:
     print(f"  [{'ok' if record.passed else 'FAIL'}] {record.name}: residual {record.residual:.2e}")
 
 # Shift constants are squared represented norms.
-for g in sg.elements:
-    print(f"  ||phi({g})||^2 = {opnorm(rep.psi[g]) ** 2:.6f}"
+for g, phi in rep.psi.items():
+    print(f"  ||phi({g})||^2 = {opnorm(phi) ** 2:.6f}"
           f"  vs constant {rep.shift_constants[g]:.6f}")
 
 # The group is inverse with star equal to inversion, so every represented
-# element must be a partial isometry (here: a unitary).
+# element must be a partial isometry (here: a unitary). Its residual is a
+# bound derived from a a* a = a and the laws' own residuals.
 cls = classify(sg)
 for record in partial_isometry_report(rep, cls):
     print(f"  partial isometry {record.witness}: residual {record.residual:.2e}")

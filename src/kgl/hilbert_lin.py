@@ -87,8 +87,11 @@ def definite_representation(rep: krein_lin.KreinRepresentation,
     constant of every element and the record that each defined one equals
     the squared represented norm, to within atol relative to max(1, constant)."""
     act, lin = rep.action, dataclasses.replace(rep.lin, family=HILBERT)
-    spectra = lin.spectra or {label: numlin.spectrum(g, tol) for label, g in lin.gram.items()}
-    constants = _shift_constants(act, lin.partition, lin.gram, spectra, tol, act.sg.elements)
+    kept = krein_lin._kept_laws(rep)
+    constants = kept.constants if kept is not None else None
+    if constants is None:
+        spectra = lin.spectra or {label: numlin.spectrum(g, tol) for label, g in lin.gram.items()}
+        constants = _shift_constants(act, lin.partition, lin.gram, spectra, tol, act.sg.elements)
     resid_bs, wit_bs = 0.0, None
     for a, m in constants.items():
         if m is None:
@@ -110,7 +113,7 @@ def invariant_representation(k: OpKernel, act: LeftAction, p: Partition,
     ok, witness = is_invariant(k, act, tol)
     if not ok:
         raise NotInvariant(f"kernel is not invariant; witness {witness!r}")
-    return definite_representation(krein_lin.represent(lin, act, tol), tol)
+    return definite_representation(krein_lin.represent(lin, act, tol, bounded_shift=True), tol)
 
 
 def partial_isometry_report(rep: HilbertRepresentation, cls: Classification,
@@ -119,24 +122,74 @@ def partial_isometry_report(rep: HilbertRepresentation, cls: Classification,
 
     The law is required exactly when the semigroupoid is inverse and its
     involution is the pseudo-inverse map (the canonical star of an inverse
-    semigroupoid); otherwise the residuals are informational. The shifts of
-    one (domain, codomain) part pair are checked as one stack per batch.
+    semigroupoid); otherwise the residuals are informational.
+
+    Where it is required and J = I (is_definite), the table gives
+    a a* a = a, and the residual is the derived bound of
+    _derived_partial_isometry, read from what the laws read of the shifts
+    (krein_lin._law_data): no product of shifts is formed. Otherwise it is
+    the direct residual max(||psi psi* psi - psi||, ||p p - p||) with
+    p = psi* psi, the shifts of one (domain, codomain) part pair checked as
+    one stack per batch.
     """
     required = bool(cls.is_inverse and cls.star_matches_inverse)
-    sg, psi = rep.action.sg, rep.psi
-    resid = {}
-    for group in _part_pairs(sg, psi).values():
-        r_c, r_d = psi[group[0]].shape
-        for batch in _batches(group, 16 * 4 * (r_c * r_d + r_d * r_d)):
-            m = np.stack([psi[a] for a in batch])
-            p = adjoints(m) @ m
-            r = np.maximum(frobs(m @ adjoints(m) @ m - m), frobs(p @ p - p))
-            resid.update(zip(batch, r.tolist()))
+    sg = rep.action.sg
+    if required and is_definite(rep.lin):
+        resid = _derived_partial_isometry(rep, krein_lin._law_data(rep, tol))
+    else:
+        resid = _direct_partial_isometry(rep)
     records = []
-    for a in psi:
+    for a in sg.elements:
         bound = tol.atol * max(1.0, rep.norms[a] ** 3)
         passed = (resid[a] <= bound) if required else True
         records.append(Record("partial isometry law", "hilbert/partial-isometry",
                               resid[a], bound, passed,
                               witness=(a, "required" if required else "informational")))
     return records
+
+
+def _derived_partial_isometry(rep, data) -> dict:
+    """Per element a of an inverse semigroupoid whose star is its inverse
+    map, a certified upper bound of max(||psi psi* psi - psi||, ||p p - p||).
+
+    With psi = psi(a), s the star residual ||psi(a*) - psi*|| and m(a, b) the
+    derived multiplicativity bound of a pair (krein_lin._pair_bounds),
+    psi psi* psi = psi(a) psi(a*) psi - psi (psi(a*) - psi*) psi, and
+    a a* a = a gives psi(a) psi(a*) psi(a) = psi(a) + (psi(a) psi(a*) -
+    psi(aa*)) psi(a) + (psi(aa*) psi(a) - psi(a)), so
+
+        ||psi psi* psi - psi|| <= ||psi||^2 s + ||psi|| m(a, a*) + m(aa*, a),
+
+    and p p - p = psi* (psi psi* psi - psi) adds a factor ||psi||.
+    """
+    sg, code = rep.action.sg, rep.action.sg.code
+    bounds = krein_lin._pair_bounds(rep.action, rep.lin, data)[0]
+    n_el = len(sg.elements)
+    keys = code.pairs[:, 0].astype(np.int64) * n_el + code.pairs[:, 1]
+    order = np.argsort(keys, kind="stable")
+
+    def m(a, b):  # the bound of each pair (a[i], b[i]), all composable
+        return bounds[order[np.searchsorted(keys, a * n_el + b, sorter=order)]]
+
+    own = np.arange(n_el, dtype=np.int64)
+    star = code.star.astype(np.int64)
+    norm = np.array([data.norms[a] for a in sg.elements])
+    s = np.array([data.star[a] for a in sg.elements])
+    law = norm ** 2 * s + norm * m(own, star) + m(code.T[own, star].astype(np.int64), own)
+    return dict(zip(sg.elements, np.maximum(law, norm * law).tolist()))
+
+
+def _direct_partial_isometry(rep) -> dict:
+    """Per element, max(||psi psi* psi - psi||, ||p p - p||) with p = psi* psi,
+    the shifts of one (domain, codomain) part pair read from rep.psi and
+    checked as one stack per batch."""
+    sg, psi, spaces = rep.action.sg, rep.psi, rep.lin.spaces
+    resid = {}
+    for (sd, sc), group in _part_pairs(sg, sg.elements).items():
+        r_c, r_d = spaces[sc].dim, spaces[sd].dim
+        for batch in _batches(group, 16 * 4 * (r_c * r_d + r_d * r_d)):
+            m = np.stack([psi[a] for a in batch])
+            p = adjoints(m) @ m
+            r = np.maximum(frobs(m @ adjoints(m) @ m - m), frobs(p @ p - p))
+            resid.update(zip(batch, r.tolist()))
+    return resid

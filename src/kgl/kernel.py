@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     UnknownPoint,
 )
-from .numlin import DEFAULT_TOL, Tolerances, frob
+from .numlin import DEFAULT_TOL, Tolerances, adjoints, frob, frobs
 from .reports import Record
 from .sgpd import LeftAction, StarSemigroupoid, orbit_trivial_bundle
 
@@ -554,41 +554,98 @@ def _shift_constants(act: LeftAction, p: Partition, grams: dict, spectra: dict,
                      tol: Tolerances, elements) -> dict:
     """The bounded-shift constant of each element, from the part Gram
     matrices of a partially PSD kernel on the action's partition p and
-    their canonical spectra.
-
-    The shifted form Psi* G_c Psi is a gather of the codomain part's Gram.
-    It is compared with what the spectra give: the form kernel's basis N,
-    the Gram's norm max|w| and the pseudo-inverse F of its root factor. The
-    shift moves the form kernel when ||N* G_c[ix(c, c)] N|| exceeds atol
-    times the codomain Gram's norm, a bound with no floor, so the verdict
-    does not depend on the kernel's scale. The elements of one part pair
-    are stacked: one gather, batched products and batched values-only
-    decompositions (stack_eigenvalues) per batch. An unusable action value raises
-    InvalidSemigroupoid at the first element, in order, that has one.
+    their canonical spectra (see _batch_shift_constants), one batch of
+    each (domain, codomain) part pair at a time. An unusable action value
+    raises InvalidSemigroupoid at the first element, in order, that has one.
     """
     coords = _shift_coordinates(act, p)
     for alpha in elements:
         _gather_index(act, p, coords, alpha)
     constants = {}
     for (sd, sc), group in _part_pairs(act.sg, elements).items():
-        n, f = spectra[sd].kernel_basis, spectra[sd].factor_pinv
         dim = p.index(sd).total_dim
-        for batch in _batches(group, 16 * dim * dim):
+        for batch in _batches(group, _constant_bytes(dim)):
             c = np.stack([coords[a] for a in batch])
-            shifted = grams[sc][c[:, :, None], c[:, None, :]]
-            moved = np.zeros(len(batch), dtype=bool)
-            if n.shape[1]:  # the Hermitian compressions' norms, max|eigenvalue|
-                w = numlin.stack_eigenvalues(n.conj().T @ shifted @ n)
-                moved = np.maximum(-w[:, 0], w[:, -1]) > tol.atol * spectra[sc].norm
-            top = np.zeros(len(batch))
-            if f.shape[1] and not moved.all():
-                w = numlin.stack_eigenvalues(f.conj().T @ shifted[~moved] @ f)
-                top[~moved] = np.maximum(w[:, -1], 0.0)
-            for a, m, t in zip(batch, moved.tolist(), top.tolist()):
-                # None: the shift moves the form kernel off the codomain's;
-                # else the top eigenvalue of the shifted form on the quotient
-                constants[a] = None if m else t
+            constants.update(zip(batch, _batch_shift_constants(
+                grams[sc], spectra[sd], spectra[sc].norm, c, tol)))
     return {a: constants[a] for a in elements}
+
+
+def _constant_bytes(dim: int) -> int:
+    """The stacked gather of one element's bounded-shift constant, in bytes."""
+    return 16 * dim * dim
+
+
+def _batch_shift_constants(g_c: np.ndarray, s_d: numlin.Spectrum, norm_c: float,
+                           c: np.ndarray, tol: Tolerances) -> list:
+    """The bounded-shift constants of a stack c of coordinate maps from one
+    domain part to one codomain part, whose Gram is g_c with norm norm_c.
+
+    The shifted form Psi* G_c Psi is the gather G_c[ix(c, c)]. It is
+    compared with what the domain Gram's spectrum s_d gives: its form
+    kernel's basis N and the pseudo-inverse F of its root factor. The shift
+    moves the form kernel when ||N* G_c[ix(c, c)] N|| exceeds atol times
+    norm_c, a bound with no floor, so the verdict does not depend on the
+    kernel's scale; the constant is then None, else the top eigenvalue of
+    F* G_c[ix(c, c)] F. Both compressions are formed at image width: with u
+    the distinct coordinates c reaches, in order of first appearance, and Q
+    the 0/1 map that sends each coordinate to its image,
+    G_c[ix(c, c)] = Q* G_c[ix(u, u)] Q, so B* G_c[ix(c, c)] B is
+    (QB)* G_c[ix(u, u)] (QB), where QB sums the rows of B sent to one image
+    coordinate. Where c is injective, u = c and QB = B. Elements of equal
+    image width are stacked, with batched products and values-only
+    decompositions (stack_eigenvalues) per width, so no constant depends on
+    the batch it is computed in.
+    """
+    n, f = s_d.kernel_basis, s_d.factor_pinv
+    k_n = n.shape[1]
+    if not c.shape[1]:
+        return [0.0] * len(c)
+    # per element: its coordinates sorted by image, stably, and where a new image starts
+    order = np.argsort(c, axis=1, kind="stable")
+    image = np.take_along_axis(c, order, axis=1)
+    new = np.ones(image.shape, dtype=bool)
+    new[:, 1:] = image[:, 1:] != image[:, :-1]
+    width = new.sum(axis=1)
+    out = [None] * len(c)
+    for w in sorted(set(width.tolist())):
+        rows = np.flatnonzero(width == w)
+        if w == c.shape[1]:
+            u, qn, qf = c[rows], n, f
+        else:
+            basis = np.hstack([n, f])
+            sums = np.add.reduceat(basis[order[rows]].reshape(-1, basis.shape[1]),
+                                   np.flatnonzero(new[rows].ravel()), axis=0)
+            # the images in order of first appearance: each run of a stable sort starts there
+            seq = np.argsort(order[rows][new[rows]].reshape(len(rows), w), axis=1)
+            u = np.take_along_axis(image[rows][new[rows]].reshape(len(rows), w), seq, axis=1)
+            qb = np.take_along_axis(sums.reshape(len(rows), w, -1), seq[:, :, None], axis=1)
+            qn, qf = qb[:, :, :k_n], qb[:, :, k_n:]
+        shifted = g_c[u[:, :, None], u[:, None, :]]
+        moved = np.zeros(len(rows), dtype=bool)
+        if k_n:
+            # the norm of a Hermitian compression, max|eigenvalue|, is at most its
+            # Frobenius norm, so only a compression above the bound is decomposed
+            forms = adjoints(qn) @ shifted @ qn
+            moved = frobs(forms) > tol.atol * norm_c
+            if moved.any():
+                ev = numlin.stack_eigenvalues(forms[moved])
+                moved[moved] = np.maximum(-ev[:, 0], ev[:, -1]) > tol.atol * norm_c
+            del forms
+        top = np.zeros(len(rows))
+        if f.shape[1] and not moved.all():
+            keep = ~moved
+            if not keep.all():
+                shifted = shifted[keep]
+                qf = qf[keep] if qf.ndim == 3 else qf
+            forms = adjoints(qf) @ shifted @ qf
+            del shifted
+            top[keep] = np.maximum(numlin.stack_eigenvalues(forms)[:, -1], 0.0)
+        for i, m, t in zip(rows.tolist(), moved.tolist(), top.tolist()):
+            # None: the shift moves the form kernel off the codomain's;
+            # else the top eigenvalue of the shifted form on the quotient
+            out[i] = None if m else t
+    return out
 
 
 def bounded_shift_constants(l: OpKernel, act: LeftAction,

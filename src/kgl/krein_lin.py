@@ -25,6 +25,7 @@ A representation is built from a linearisation that already exists
 """
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,10 @@ from .errors import (
 from .kernel import (
     OpKernel,
     Partition,
+    _batch_shift_constants,
     _batches,
     _carry_spectra,
+    _constant_bytes,
     _gather_index,
     _part_pairs,
     _shift_coordinates,
@@ -54,7 +57,7 @@ from .kernel import (
     part_spectra,
 )
 from .krein_core import gaps_unique, induced_from_spectrum, induced_krein, krein_adjoint
-from .numlin import DEFAULT_TOL, Tolerances, adjoints, frob, frobs, opnorm
+from .numlin import DEFAULT_TOL, Tolerances, frob, frobs, opnorm
 from .reports import Record
 from .sgpd import LeftAction
 
@@ -66,7 +69,9 @@ __all__ = [
     "RkKreinView",
     "EquivalenceResult",
     "KreinRepresentation",
+    "RepresentedShifts",
     "canonical_dominant",
+    "canonical_dominant_spectra",
     "gram_operator",
     "jordan_split",
     "split_records",
@@ -125,8 +130,14 @@ def canonical_dominant(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL)
     spectra = part_spectra(k, p, tol)
     l = kernel_from_part_grams(p, {label: (s.basis * np.abs(s.eigenvalues)) @ s.basis.conj().T
                                    for label, s in spectra.items()})
-    _carry_spectra(l, p, tol, {label: numlin.abs_spectrum(s) for label, s in spectra.items()})
+    _carry_spectra(l, p, tol, canonical_dominant_spectra(k, p, tol))
     return l
+
+
+def canonical_dominant_spectra(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> dict:
+    """The part spectra of canonical_dominant(k, p, tol), read from k's own
+    (numlin.abs_spectrum), with no dense kernel."""
+    return {label: numlin.abs_spectrum(s) for label, s in part_spectra(k, p, tol).items()}
 
 
 @dataclass(eq=False)
@@ -143,7 +154,7 @@ class GramData:
     contraction: dict  # label -> operator norm of ghat
 
 
-def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
+def gram_operator(k: OpKernel, l, p: Partition,
                   tol: Tolerances = DEFAULT_TOL) -> GramData:
     """Compress the kernel's form onto the quotient coordinates of a dominant.
 
@@ -152,22 +163,26 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
     Raises KernelNotDominated when L's form kernel is not contained in K's
     (the quotient is then undefined) or the contraction bound fails. The
     dominant's factor, its pseudo-inverse and its form kernel come from its
-    part spectra (part_spectra: the canonical dominant carries them); the
-    norm and gaps of the Gram operator from its eigenvalues alone.
+    part spectra: l is the dominating PSD kernel (part_spectra: the
+    canonical dominant carries them) or those spectra by part label. The
+    norm and gaps of the Gram operator come from its eigenvalues alone. Both
+    residual bounds are atol times ||G_K||, with no floor.
     """
     if not is_partially_hermitian(k, p, tol):
         raise NotHermitian("Gram operator needs a partially Hermitian kernel")
     grams_k = conv_blocks(k, p)
+    spectra_l = l if isinstance(l, dict) else part_spectra(l, p, tol)
     factor, ranks, ghat, gaps, contraction = {}, {}, {}, {}, {}
-    for label, s_l in part_spectra(l, p, tol).items():
+    for label, s_l in spectra_l.items():
         g_k = grams_k[label]
         if not s_l.is_psd:
             raise KernelNotDominated(f"part {label!r}: the dominant is not PSD")
         b_l, r_l = s_l.factor, s_l.rank
         nl = s_l.kernel_basis
+        scale = frob(g_k)
         if nl.shape[1]:
             resid = frob(g_k @ nl)
-            if resid > tol.atol * max(1.0, frob(g_k)):
+            if resid > tol.atol * scale:
                 raise KernelNotDominated(
                     f"part {label!r}: kernel form does not vanish on the dominant's "
                     f"form kernel (residual {resid:.3e})")
@@ -181,7 +196,7 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
                 f"part {label!r}: Gram operator norm {norm:.12f} exceeds 1, "
                 "so the dominance inequality fails")
         resid = frob(b_l.conj().T @ gh @ b_l - g_k)
-        if resid > tol.atol * max(1.0, frob(g_k)):
+        if resid > tol.atol * scale:
             raise KernelNotDominated(
                 f"part {label!r}: quotient compression loses the form "
                 f"(residual {resid:.3e})")
@@ -421,9 +436,10 @@ def rk_krein_space(lin, tol: Tolerances = DEFAULT_TOL):
     return view, verify_reproducing(view, tol) + verify_krein_factorization(lin, tol)
 
 
-def uniqueness_report(k: OpKernel, l: OpKernel, p: Partition,
+def uniqueness_report(k: OpKernel, l, p: Partition,
                       tol: Tolerances = DEFAULT_TOL):
-    """Per-part gap data for the Gram operator and the uniqueness verdict.
+    """Per-part gap data for the Gram operator and the uniqueness verdict;
+    l is a dominating PSD kernel or its part spectra (see gram_operator).
 
     In finite dimensions every Hermitian contraction has spectrum free of
     an interval on at least one side of zero, so the induced space (hence
@@ -496,66 +512,204 @@ class KreinRepresentation:
 
     action: LeftAction
     lin: KreinLinearisation
-    psi: dict  # element -> matrix space_d -> space_c
+    psi: Mapping  # element -> matrix space_d -> space_c (RepresentedShifts)
     norms: dict  # element -> operator norm of psi
     records: list = field(default_factory=list)
 
 
-def represented_shifts(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
+@dataclass(eq=False)
+class _LawData:
+    """What the laws read of the shifts, per element, with E_a the pairing
+    residual psi(a) W_d - W_c[:, c_a]."""
+
+    norms: dict = field(default_factory=dict)  # ||psi(a)||
+    pairing: dict = field(default_factory=dict)  # ||E_a||
+    scale: dict = field(default_factory=dict)  # ||W_c Psi_a||, the scale of its bound
+    cols: dict = field(default_factory=dict)  # squared column norms of E_a
+    point: dict = field(default_factory=dict)  # norm of each point's column block of E_a
+    star: dict = field(default_factory=dict)  # ||psi(a*) - J_d psi(a)* J_c||
+    constants: dict = None  # bounded-shift constant or None, when the pass formed them
+    pairs: tuple = None  # _pair_bounds, once read
+
+
+class RepresentedShifts(Mapping):
+    """psi(a) = W_c[:, c_a] W_d+ of every element, a read-only mapping that
+    rebuilds psi(a), read-only, on each access. laws holds what the pass
+    that built it read of the shifts."""
+
+    def __init__(self, lin, act: LeftAction, tol: Tolerances, laws: _LawData):
+        self._lin, self._act, self.laws = lin, act, laws
+        self._coords = _shift_coordinates(act, lin.partition)
+        self._pinv = functools.cache(lambda label: lin.pinv(label, tol))
+
+    def __getitem__(self, a) -> np.ndarray:
+        sg = self._act.sg
+        if a not in self._coords:
+            raise KeyError(a)
+        t = self._lin.wmap[sg.c[a]][:, self._coords[a]] @ self._pinv(sg.d[a])
+        t.setflags(write=False)
+        return t
+
+    def __iter__(self):
+        return iter(self._act.sg.elements)
+
+    def __len__(self) -> int:
+        return len(self._act.sg.elements)
+
+
+def _require_involution(sg):
+    """Raise InvalidSemigroupoid unless the star is an involution that swaps
+    domain and codomain, as the pass's star orbits need."""
+    for a in sg.elements:
+        b = sg.star.get(a)
+        if b is None or sg.star.get(b) != a or (sg.d[b], sg.c[b]) != (sg.c[a], sg.d[a]):
+            raise InvalidSemigroupoid(f"the star of {a!r} is not an involution that "
+                                      "swaps its domain and codomain")
+
+
+def _star_orbits(sg, elements) -> dict:
+    """elements as star orbits, (a, a*), or (a,) where a* is a or not among
+    them, grouped by the (domain, codomain) symbol pair of a, in order."""
+    members, seen, groups = set(elements), set(), {}
+    for a in elements:
+        if a in seen:
+            continue
+        b = sg.star[a]
+        orbit = (a, b) if b != a and b in members else (a,)
+        seen.update(orbit)
+        groups.setdefault((sg.d[a], sg.c[a]), []).append(orbit)
+    return groups
+
+
+def _law_pass(lin, act: LeftAction, tol: Tolerances, elements, psi=None,
+              bounded_shift: bool = False) -> _LawData:
+    """The _LawData of elements, whose action values must be usable, read
+    in one pass over batches of star orbits (a, a*). A batch's shifts are
+    stacked per part pair, a bounded part at a time: W_c[:, c_a] W_d+ (W_d+
+    and ||W_c|| from the part spectra on the direct route), or read from a
+    given mapping psi. The star residual pairs psi(a) with psi(a*) from the
+    batch. bounded_shift (a partially PSD kernel) also forms the constants
+    of kernel._batch_shift_constants. Only scalars and per-column vectors
+    outlive a batch.
+    """
+    sg, p = act.sg, lin.partition
+    _require_involution(sg)
+    coords = _shift_coordinates(act, p)
+    w_pinv = functools.cache(lambda s: lin.pinv(s, tol))
+    w_norm = functools.cache(lin.norm)
+    starts = {label: np.array([idx.offsets[x] for x in idx.part], dtype=np.int64)
+              for label, idx in p.parts.items()}
+    jdiag = {label: np.asarray(space.jdiag, dtype=np.float64)
+             for label, space in lin.spaces.items()}
+    if bounded_shift:
+        spectra = lin.spectra or {label: numlin.spectrum(g, tol) for label, g in lin.gram.items()}
+    data = _LawData(constants={} if bounded_shift else None)
+
+    def read(part, sd, sc):
+        """The stacked shifts of part, of one part pair, with what data reads of them."""
+        c = np.stack([coords[a] for a in part])
+        t = (lin.wmap[sc][:, c].transpose(1, 0, 2) @ w_pinv(sd) if psi is None
+             else np.stack([psi[a] for a in part]))
+        _read_pairing(lin, data, part, sd, sc, c, t, starts[sd], w_norm(sc))
+        return t
+
+    def read_batch(groups: dict):
+        """Read a batch of star orbits, grouped by part pair: the bounded-shift
+        constants first, then the shifts, whose star residuals pair them."""
+        if bounded_shift:
+            for (sd, sc), group in groups.items():
+                for part in _batches(group, _constant_bytes(lin.wmap[sd].shape[1])):
+                    data.constants.update(zip(part, _batch_shift_constants(
+                        lin.gram[sc], spectra[sd], spectra[sc].norm,
+                        np.stack([coords[a] for a in part]), tol)))
+        stacks = []  # (part pair, elements, their stacked shifts)
+        for (sd, sc), group in groups.items():
+            item = 16 * lin.spaces[sc].dim * (2 * lin.wmap[sd].shape[1] + lin.spaces[sd].dim)
+            stacks += [((sd, sc), part, read(part, sd, sc)) for part in _batches(group, item)]
+        shifts = {a: m for _, part, t in stacks for a, m in zip(part, t)}
+        for (sd, sc), part, t in stacks:
+            if not all(sg.star[a] in shifts for a in part):
+                continue  # a star outside the pass: no star residual is read
+            mirror = ([shifts[sg.star[part[0]]]] if len(part) == 1  # no copy of one shift
+                      else np.stack([shifts[sg.star[a]] for a in part]))
+            # psi(a*) - J_d psi(a)* J_c, formed in place in row-major order
+            sharp = np.conjugate(t.swapaxes(-1, -2), order="C")
+            np.multiply(jdiag[sd][:, None], sharp, out=sharp)
+            np.multiply(sharp, jdiag[sc][None, :], out=sharp)
+            np.subtract(mirror, sharp, out=sharp)
+            data.star.update(zip(part, frobs(sharp).tolist()))
+
+    for (sd, sc), orbits in _star_orbits(sg, elements).items():
+        # a batch keeps its orbits' shifts, in stacks formed a part at a time
+        for batch in _batches(orbits, 2 * 16 * lin.spaces[sd].dim * lin.spaces[sc].dim):
+            read_batch(_part_pairs(sg, [a for o in batch for a in o]))
+    if bounded_shift:
+        data.constants = {a: data.constants[a] for a in elements}
+    return data
+
+
+def _read_pairing(lin, data: _LawData, group, sd, sc, c, t, starts, w_norm: float):
+    """Read into data what the laws need of the stacked shifts t of group,
+    one (domain, codomain) part pair, with their coordinate maps c."""
+    w_c, w_d = lin.wmap[sc], lin.wmap[sd]
+    (r_c, n_c), r_d = w_c.shape, w_d.shape[0]
+    e = t @ w_d
+    e -= w_c[:, c].transpose(1, 0, 2)
+    sq = e.real ** 2
+    sq += e.imag ** 2
+    del e
+    cols = sq.sum(axis=1)
+    pairing = np.sqrt(sq.sum(axis=(-2, -1)))
+    del sq
+    per_point = (np.sqrt(np.add.reduceat(cols, starts, axis=1)) if starts.size
+                 else np.zeros((len(group), 0)))
+    # ||Psi||^2 is the largest number of coordinates sent to one coordinate;
+    # the pairing bound scales with ||W_c Psi||, as the residual does, with no floor
+    width = max(n_c, 1)
+    hits = np.bincount((c + width * np.arange(len(group))[:, None]).ravel(),
+                       minlength=width * len(group))
+    mult = np.sqrt(hits.reshape(len(group), width).max(axis=1))
+    top = (np.linalg.svd(t, compute_uv=False)[:, 0] if r_c and r_d
+           else np.zeros(len(group)))
+    for i, a in enumerate(group):
+        data.norms[a], data.pairing[a] = float(top[i]), float(pairing[i])
+        data.scale[a] = w_norm * float(mult[i])
+        data.cols[a], data.point[a] = cols[i], per_point[i]
+
+
+def represented_shifts(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL,
+                       bounded_shift: bool = False):
     """The represented shift W_c Psi W_d+ of every element, and its norm.
 
-    W_c Psi is a column gather of W_c; W_d+ and ||W_c|| are read from the
-    part spectra on the direct route (KreinLinearisation.pinv and .norm).
-    Invariance makes the shift respect the form kernels, so the compression
-    satisfies W_c Psi = Psi_rep W_d; that pairing identity is verified, with
-    a bound that scales with the kernel, and raised as PairingViolated on
-    failure. The elements of one (domain, codomain) part pair are stacked:
-    one gather, two batched products and one batched values-only SVD per
-    batch. The first element, in order, whose gather or pairing fails
-    raises. Returns (psi, norms), keyed by element.
+    W_c Psi is a column gather of W_c. Invariance makes the shift respect
+    the form kernels, so the compression satisfies W_c Psi = Psi_rep W_d;
+    that pairing identity is verified, with a bound that scales with the
+    kernel, and raised as PairingViolated on failure, at the first element,
+    in order, whose gather or pairing fails. One pass (_law_pass) reads what
+    the laws need. Returns (psi, norms): psi the RepresentedShifts, which
+    keep what the pass read.
     """
-    sg = act.sg
-    p = lin.partition
+    sg, p = act.sg, lin.partition
     coords = _shift_coordinates(act, p)
-    wmap_pinv = functools.cache(lambda s: lin.pinv(s, tol))
-    wmap_norm = functools.cache(lin.norm)
     usable = [a for a in sg.elements if coords[a].size == 0 or coords[a].min() >= 0]
-    shift, resid, scale, norms = {}, {}, {}, {}
-    for (sd, sc), group in _part_pairs(sg, usable).items():
-        w_c, w_d, w_pinv = lin.wmap[sc], lin.wmap[sd], wmap_pinv(sd)
-        (r_c, n_c), (r_d, n_d) = w_c.shape, w_d.shape
-        for batch in _batches(group, 16 * r_c * (2 * n_d + r_d)):
-            c = np.stack([coords[a] for a in batch])
-            w_shift = w_c[:, c].transpose(1, 0, 2)
-            t = w_shift @ w_pinv
-            e = frobs(t @ w_d - w_shift)
-            # ||Psi||^2 is the largest number of coordinates sent to one coordinate;
-            # the bound scales with ||W_c Psi||, as the residual does, with no floor
-            width = max(n_c, 1)
-            hits = np.bincount((c + width * np.arange(len(batch))[:, None]).ravel(),
-                               minlength=width * len(batch))
-            mult = np.sqrt(hits.reshape(len(batch), width).max(axis=1))
-            top = (np.linalg.svd(t, compute_uv=False)[:, 0] if r_c and r_d
-                   else np.zeros(len(batch)))
-            for i, a in enumerate(batch):
-                shift[a], resid[a], norms[a] = t[i], float(e[i]), float(top[i])
-                scale[a] = wmap_norm(sc) * mult[i]
-    psi = {}
+    data = _law_pass(lin, act, tol, usable, bounded_shift=bounded_shift)
     for alpha in sg.elements:
-        if alpha not in shift:
+        if alpha not in data.pairing:
             _gather_index(act, p, coords, alpha)
-        if resid[alpha] > tol.atol * scale[alpha]:
+        if data.pairing[alpha] > tol.atol * data.scale[alpha]:
             raise PairingViolated(
                 f"shift of {alpha!r} does not descend to the quotient "
-                f"(residual {resid[alpha]:.3e})")
-        psi[alpha] = shift[alpha]
-    return psi, {a: norms[a] for a in sg.elements}
+                f"(residual {data.pairing[alpha]:.3e})")
+    return RepresentedShifts(lin, act, tol, data), {a: data.norms[a] for a in sg.elements}
 
 
-def represent(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> KreinRepresentation:
+def represent(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL,
+              bounded_shift: bool = False) -> KreinRepresentation:
     """The shifts of represented_shifts on lin, with rep.records certifying
-    their laws. The kernel lin linearises must be invariant; this is not checked."""
-    rep = KreinRepresentation(act, lin, *represented_shifts(lin, act, tol))
+    their laws. The kernel lin linearises must be invariant; this is not
+    checked. bounded_shift (a partially PSD kernel only) has the pass form
+    the bounded-shift constants too."""
+    rep = KreinRepresentation(act, lin, *represented_shifts(lin, act, tol, bounded_shift))
     rep.records = krein_representation_laws(rep, tol)
     return rep
 
@@ -578,6 +732,25 @@ def invariant_krein_representation(k: OpKernel, act: LeftAction, p: Partition,
     return lin, represent(lin, act, tol)
 
 
+def _kept_laws(rep):
+    """The _LawData rep.psi keeps, if it is the RepresentedShifts of rep's
+    own maps and action; else None."""
+    psi = rep.psi
+    if (isinstance(psi, RepresentedShifts) and psi._lin.wmap is rep.lin.wmap
+            and psi._act is rep.action):
+        return psi.laws
+    return None
+
+
+def _law_data(rep, tol: Tolerances) -> _LawData:
+    """The kept _LawData, or that of a pass over rep.psi, so that a psi put
+    in place of the represented shifts is certified as it is."""
+    data = _kept_laws(rep)
+    if data is None:
+        data = _law_pass(rep.lin, rep.action, tol, rep.action.sg.elements, psi=rep.psi)
+    return data
+
+
 def krein_representation_laws(rep, tol: Tolerances = DEFAULT_TOL):
     """Records for multiplicativity, indefinite-adjoint compatibility and
     intertwining of a representation (with J = I, the adjoint is the
@@ -585,10 +758,10 @@ def krein_representation_laws(rep, tol: Tolerances = DEFAULT_TOL):
     shift), and for intertwining also times the largest norm of a part's W,
     which scales with the kernel's square root.
 
-    Every law is read from the pairing residuals E_a = psi(a) W_d - W_c[:, c_a],
-    recomputed from rep.psi per (domain, codomain) part pair, with no loop
-    over pairs of elements. Intertwining is the largest Frobenius norm of a
-    point's column block of some E_a (witness (a, x)); star is the largest
+    Every law is read from the pairing residuals E_a = psi(a) W_d - W_c[:, c_a]
+    of rep.psi (_law_data), with no loop over pairs of elements and no stack
+    of shifts kept. Intertwining is the largest Frobenius norm of a point's
+    column block of some E_a (witness (a, x)); star is the largest
     ||psi(a*) - J_d psi(a)* J_c|| (witness (a,)). Multiplicativity is
     derived: psi(a)psi(b) W_d = W_c[:, c_a[c_b]] + E_a[:, c_b] + psi(a) E_b and
     psi(ab) W_d = W_c[:, c_ab] + E_ab, and a minimal W_d has full row rank,
@@ -605,55 +778,47 @@ def krein_representation_laws(rep, tol: Tolerances = DEFAULT_TOL):
     residual, with witness ((a, b), sigma_min(W_d)); ties go to the first
     element or pair in table order.
     """
-    act, lin, psi = rep.action, rep.lin, rep.psi
+    act, lin = rep.action, rep.lin
     sg, p = act.sg, lin.partition
     coords = _shift_coordinates(act, p)
     for a in sg.elements:
         _gather_index(act, p, coords, a)
-    bound = tol.atol * max([1.0] + [n ** 2 for n in rep.norms.values()])
+    data = _law_data(rep, tol)
+    bound = tol.atol * max([1.0] + [data.norms[a] ** 2 for a in sg.elements])
     feature_scale = max((frob(w) for w in lin.wmap.values()), default=0.0)
-    starts = {label: np.array([idx.offsets[x] for x in idx.part], dtype=np.int64)
-              for label, idx in p.parts.items()}
-
-    cols, star, point = {}, {}, {}  # per element: |E_a|^2 per column; star residual; per point
-    for (sd, sc), group in _part_pairs(sg, sg.elements).items():
-        w_c, w_d = lin.wmap[sc], lin.wmap[sd]
-        jd = np.asarray(lin.spaces[sd].jdiag, dtype=np.float64)
-        jc = np.asarray(lin.spaces[sc].jdiag, dtype=np.float64)
-        r_c, (r_d, n_d) = w_c.shape[0], w_d.shape
-        for batch in _batches(group, 16 * (r_c * (2 * n_d + r_d) + 2 * r_c * r_d)):
-            t = np.stack([psi[a] for a in batch])
-            e = t @ w_d - w_c[:, np.stack([coords[a] for a in batch])].transpose(1, 0, 2)
-            sq = (e.real ** 2 + e.imag ** 2).sum(axis=1)
-            sharp = jd[:, None] * adjoints(t) * jc[None, :]
-            r_star = frobs(np.stack([psi[sg.star[a]] for a in batch]) - sharp)
-            per_point = (np.sqrt(np.add.reduceat(sq, starts[sd], axis=1)) if starts[sd].size
-                         else np.zeros((len(batch), 0)))
-            for i, a in enumerate(batch):
-                cols[a], star[a], point[a] = sq[i], float(r_star[i]), per_point[i]
-
     resid_int, wit_int = 0.0, None
     for a in sg.elements:
-        if point[a].size:
-            j = int(np.argmax(point[a]))
-            if point[a][j] > resid_int:
-                resid_int, wit_int = float(point[a][j]), (a, p.index(sg.d[a]).part[j])
+        point = data.point[a]
+        if point.size:
+            j = int(np.argmax(point))
+            if point[j] > resid_int:
+                resid_int, wit_int = float(point[j]), (a, p.index(sg.d[a]).part[j])
     resid_sharp, wit_sharp = 0.0, None
     for a in sg.elements:
-        if star[a] > resid_sharp:
-            resid_sharp, wit_sharp = star[a], (a,)
-    resid_mul, wit_mul = _derived_multiplicativity(rep, coords, cols)
+        if data.star[a] > resid_sharp:
+            resid_sharp, wit_sharp = data.star[a], (a,)
+    resid_mul, wit_mul = 0.0, None
+    resid, margin = _pair_bounds(act, lin, data)
+    if resid.size:
+        i = int(np.argmax(resid))
+        if resid[i] > 0.0:
+            a, b = sg.code.pairs[i]
+            resid_mul = float(resid[i])
+            wit_mul = ((sg.elements[a], sg.elements[b]), float(margin[i]))
     return [_record(lin.family, "multiplicative", resid_mul, bound, wit_mul),
             _record(lin.family, "star", resid_sharp, bound, wit_sharp),
             _record(lin.family, "intertwining", resid_int, bound * feature_scale, wit_int)]
 
 
-def _derived_multiplicativity(rep, coords: dict, cols: dict):
-    """(residual, witness) of the derived multiplicativity bound (see
-    krein_representation_laws), from each element's squared column norms
-    cols[a] of E_a. Pairs are taken per (middle, domain) symbol in batches."""
-    act, lin = rep.action, rep.lin
+def _pair_bounds(act: LeftAction, lin, data: _LawData):
+    """(bound, sigma_min(W_d)) per composable pair, in table order: the
+    derived multiplicativity bound of krein_representation_laws, from each
+    element's squared column norms cols of E_a. Pairs are taken per
+    (middle, domain) symbol in batches."""
+    if data.pairs is not None:
+        return data.pairs
     sg, code = act.sg, act.sg.code
+    coords = _shift_coordinates(act, lin.partition)
     n_sym = len(sg.symbols)
     ka, kb = code.pairs[:, 0].astype(np.int64), code.pairs[:, 1].astype(np.int64)
     kab = code.T[ka, kb].astype(np.int64)
@@ -674,9 +839,9 @@ def _derived_multiplicativity(rep, coords: dict, cols: dict):
     for s, members in by_domain.items():
         row[[code.index[a] for a in members]] = np.arange(len(members))
         stacks[s] = (np.stack([coords[a] for a in members]),
-                     np.stack([cols[a] for a in members]))
-    norm = np.array([rep.norms[a] for a in sg.elements])
-    eres = np.array([float(np.sqrt(cols[a].sum())) for a in sg.elements])
+                     np.stack([data.cols[a] for a in members]))
+    norm = np.array([data.norms[a] for a in sg.elements])
+    eres = np.array([float(np.sqrt(data.cols[a].sum())) for a in sg.elements])
     sigma = functools.cache(lin.sigma_min)
     resid = np.zeros(len(ka))
     margin = np.zeros(len(ka))
@@ -700,13 +865,8 @@ def _derived_multiplicativity(rep, coords: dict, cols: dict):
                 total[i] += frob(w[:, composed[i]] - w[:, c_dom[row[ab[i]]]])
             resid[batch] = total / s_min
             margin[batch] = s_min
-    if not resid.size:
-        return 0.0, None
-    i = int(np.argmax(resid))
-    if not resid[i] > 0.0:
-        return 0.0, None
-    a, b = code.pairs[i]
-    return float(resid[i]), ((sg.elements[a], sg.elements[b]), float(margin[i]))
+    data.pairs = resid, margin
+    return data.pairs
 
 
 def fundamental_reducibility_check(rep: KreinRepresentation, tol: Tolerances = DEFAULT_TOL):

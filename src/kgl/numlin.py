@@ -110,7 +110,9 @@ def frob(a) -> float:
 def frobs(a) -> np.ndarray:
     """The Frobenius norm of each matrix of a stack (over the last two axes)."""
     a = np.asarray(a)
-    return np.sqrt((a.real ** 2 + a.imag ** 2).sum(axis=(-2, -1)))
+    sq = a.real ** 2
+    sq += a.imag ** 2
+    return np.sqrt(sq.sum(axis=(-2, -1)))
 
 
 def adjoints(a) -> np.ndarray:
@@ -308,11 +310,12 @@ def _content_key(m: np.ndarray):
 def spectrum(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """The canonical decomposition of a Hermitian matrix (see herm_eig).
 
-    Inside a decomposition_store scope, the Spectrum of the symmetrized
-    matrix is stored, so every later call on the same content and
-    tolerances returns it without calling herm_eig.
+    herm_eig checks and symmetrizes the matrix, once. Inside a
+    decomposition_store scope, the Spectrum is stored under the matrix
+    content, so every later call on the same content and tolerances returns
+    it without calling herm_eig.
     """
-    m = _require_hermitian(a, tol)
+    m = as_cmatrix(a)
     return _stored(("spectrum", tol), m, lambda: _spectrum_of(*herm_eig(m, tol), tol))
 
 
@@ -332,7 +335,8 @@ def stack_eigenvalues(a) -> np.ndarray:
     stored like spectrum_values's. The matrices are not checked to be
     Hermitian."""
     m = np.asarray(a, dtype=np.complex128)
-    m = 0.5 * (m + adjoints(m))
+    m = m + adjoints(m)
+    m *= 0.5
     return _stored(("stack values",), m, lambda: _frozen(
         np.linalg.eigvalsh(m) if m.shape[-1] else np.zeros(m.shape[:-1])))
 

@@ -144,7 +144,8 @@ def represent(inst, krein: bool, tol=DEFAULT_TOL, dominant=None,
     records = premise(k, p, tol) + [kernel.invariance_record(k, act, tol)]
 
     def laws():
-        rep = krein_lin.represent(krein_lin.krein_linearisation(k, p, tol, dominant), act, tol)
+        rep = krein_lin.represent(krein_lin.krein_linearisation(k, p, tol, dominant), act, tol,
+                                  bounded_shift=not krein)
         if not krein:
             return _hilbert_laws(rep, sgpd.classify(inst.sg), tol)
         if reducibility:
@@ -189,15 +190,16 @@ def report(inst, tol=DEFAULT_TOL) -> Report:
     records += krein_lin.split_records(k, p, tol)[2]
     view_records = krein_lin.rk_krein_space(lin, tol)[1]
     records += view_records
-    dominant = krein_lin.canonical_dominant(k, p, tol)
-    records += _guarded(lambda: krein_lin.uniqueness_report(k, dominant, p, tol))
+    # the check reads only the canonical dominant's part spectra, and keeps none of them
+    records += _guarded(lambda: krein_lin.uniqueness_report(
+        k, krein_lin.canonical_dominant_spectra(k, p, tol), p, tol))
 
     # a partially PSD kernel's Hilbert records are its Krein records, rekeyed
     if psd:
         records += krein_lin.rekey(view_records, krein_lin.KREIN, hilbert_lin.HILBERT)
     if invariant:
         def laws():
-            rep = krein_lin.represent(lin, act, tol)
+            rep = krein_lin.represent(lin, act, tol, bounded_shift=psd)
             return rep.records + (_hilbert_laws(rep, cls, tol) if psd else [])
         families = (krein_lin.KREIN, hilbert_lin.HILBERT) if psd else (krein_lin.KREIN,)
         records += _guarded(laws, families)

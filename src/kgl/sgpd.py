@@ -89,6 +89,8 @@ class StarSemigroupoid:
     star: dict
     units: dict = None  # optional symbol -> element
     code: _SgCode = field(init=False, repr=False)
+    # the axiom violations, found once (validate)
+    _violations: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
@@ -245,7 +247,18 @@ def _chunks(pairs, width):
 
 
 def validate(sg: StarSemigroupoid) -> ValidationReport:
-    """Exhaustive axiom check; every violation is recorded with a witness."""
+    """Exhaustive axiom check; every violation is recorded with a witness.
+    The check runs once per semigroupoid; each call returns a fresh report."""
+    return ValidationReport(list(_axiom_violations(sg)))
+
+
+def _axiom_violations(sg: StarSemigroupoid) -> tuple:
+    if sg._violations is None:
+        object.__setattr__(sg, "_violations", tuple(_check_axioms(sg).entries))
+    return sg._violations
+
+
+def _check_axioms(sg: StarSemigroupoid) -> ValidationReport:
     rep = ValidationReport()
     el, code = sg.elements, sg.code
     T, d, c, star = code.T, code.d, code.c, code.star
@@ -346,7 +359,7 @@ def _search_units(sg: StarSemigroupoid):
 
 def classify(sg: StarSemigroupoid) -> Classification:
     """Unit/transitive/inverse/groupoid flags, by exhaustive search."""
-    rep = validate(sg)
+    rep = ValidationReport(list(_axiom_violations(sg)))
     if not rep.ok:
         raise InvalidSemigroupoid(f"axioms violated: {rep.axioms()}")
 

@@ -438,3 +438,62 @@ def test_reproducing_residual_matches_the_coordinate_loop():
         scale = max(1.0, frob(lin.gram["all"]))
         assert abs(record.residual - expected) <= 1e-13 * scale
         assert record.passed != broken
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_gram_operator_guards_do_not_depend_on_the_scale(c):
+    # K = c I on one point of fiber 2 has rank 2; L = c diag(1, 0) has a form
+    # kernel on which K's form does not vanish, so L does not dominate K at any c
+    b = HilbertBundle(points=("x",), dim={"x": 2})
+    p = kn.single_partition(b)
+    k = kn.OpKernel(b, {("x", "x"): c * np.eye(2)})
+    l = kn.OpKernel(b, {("x", "x"): c * np.diag([1.0, 0.0])})
+    with pytest.raises(KernelNotDominated):
+        kl.gram_operator(k, l, p, TOL)
+    with pytest.raises(KernelNotDominated):
+        kl.krein_linearisation(k, p, TOL, dominant=l)
+    # a dominant that does dominate passes at every c
+    data = kl.gram_operator(k, kn.OpKernel(b, {("x", "x"): 2 * c * np.eye(2)}), p, TOL)
+    assert data.dominant_rank["all"] == 2 and abs(data.contraction["all"] - 0.5) < 1e-12
+
+
+def test_the_gram_operator_reads_only_the_dominants_part_spectra():
+    rng = np.random.default_rng(5)
+    k, p = random_hermitian_instance(rng)
+    spectra = kl.canonical_dominant_spectra(k, p, TOL)
+    data = kl.gram_operator(k, kl.canonical_dominant(k, p, TOL), p, TOL)
+    again = kl.gram_operator(k, spectra, p, TOL)
+    assert np.array_equal(data.ghat["all"], again.ghat["all"])
+    assert data.gaps == again.gaps and data.contraction == again.contraction
+    assert (kl.uniqueness_report(k, spectra, p, TOL)
+            == kl.uniqueness_report(k, kl.canonical_dominant(k, p, TOL), p, TOL))
+
+
+def test_represented_shifts_are_a_read_only_mapping_rebuilt_on_access():
+    k = circulant_kernel(2.0, 1.0)
+    sg, act = z2_swap()
+    rep = hl.invariant_representation(k, act, kn.partition_from_action(k.bundle, act), TOL)
+    assert isinstance(rep.psi, kl.RepresentedShifts)
+    assert list(rep.psi) == list(sg.elements) and len(rep.psi) == 2
+    first = rep.psi["g"]
+    assert first is not rep.psi["g"] and np.array_equal(first, rep.psi["g"])
+    with pytest.raises(TypeError):
+        rep.psi["g"] = first
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    with pytest.raises(KeyError):
+        rep.psi["h"]
+    assert abs(opnorm(first) - rep.norms["g"]) < 1e-12
+
+
+def test_the_representation_needs_a_star_that_is_an_involution():
+    from helpers import z2_group
+    from kgl.errors import InvalidSemigroupoid
+    from kgl.sgpd import LeftAction
+    sg, act = z2_swap()
+    bad = dataclasses.replace(z2_group(), star={"e": "e", "g": "e"})
+    bad_act = LeftAction(bad, act.base, act.anchor, act.act)
+    k = circulant_kernel(2.0, 1.0)
+    lin = kl.krein_linearisation(k, kn.partition_from_action(k.bundle, bad_act), TOL)
+    with pytest.raises(InvalidSemigroupoid, match="star of 'g' is not an involution"):
+        kl.represent(lin, bad_act, TOL)

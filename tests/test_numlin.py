@@ -322,3 +322,19 @@ def test_factor_pinv_is_the_pseudo_inverse_of_the_canonical_map():
     assert s.factor.shape == (3, 5)
     assert np.allclose(s.factor_pinv, numlin.pinv(s.factor, TOL), atol=1e-12)
     assert np.isclose(np.sqrt(s.norm), numlin.opnorm(s.factor), rtol=1e-12)
+
+
+def test_spectrum_checks_and_symmetrizes_its_input_once(monkeypatch):
+    calls = []
+    check = numlin._require_hermitian
+    monkeypatch.setattr(numlin, "_require_hermitian",
+                        lambda a, tol: calls.append(1) or check(a, tol))
+    m = np.array([[2.0, 1.0 - 1e-12j], [1.0 + 1e-12j, 3.0]])
+    with numlin.decomposition_store():
+        s = numlin.spectrum(m, TOL)
+        assert numlin.spectrum(m.copy(), TOL) is s  # stored by content
+    assert calls == [1]
+    w, u = numlin.herm_eig(m, TOL)
+    assert np.array_equal(s.eigenvalues, w) and np.array_equal(s.basis, u)
+    with pytest.raises(NotHermitian):
+        numlin.spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]), TOL)

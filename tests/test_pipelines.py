@@ -1,10 +1,11 @@
 """kgl.pipelines gives the bytes the CLI prints: each command is one library call."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from kgl import formats, generators, pipelines
+from kgl import formats, generators, krein_lin, pipelines, sgpd
 from kgl.cli import main
 from kgl.numlin import DEFAULT_TOL as TOL, Tolerances
 from kgl.reports import report_to_json
@@ -124,3 +125,33 @@ def test_every_tolerance_follows_atol_or_the_rank_cutoff(mode):
             tags.update(r.tag for r in base)
     if mode == "psd_invariant":
         assert "hilbert/bounded-shift-consistency" in tags
+
+
+def test_report_keeps_no_dense_shift_stack():
+    # group_as_groupoid 64 at fiber 1: 64 elements whose shifts are 64 x 64, so a
+    # stack of every represented shift alone would hold 64 * 64 * 64 * 16 bytes
+    sg, act, bundle, kernel = generators.generate_instance(
+        "group_as_groupoid", seed=0, mode="psd_invariant", table=sgpd.cyclic_group_table(64))
+    assert set(bundle.dim.values()) == {1}
+    inst = formats.parse_instance(formats.instance_to_doc(sg, act, bundle, kernel), strict=False)
+    tracemalloc.start()
+    try:
+        report = pipelines.report(inst, TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 64 * 64 * 64 * 16
+
+
+def test_report_forms_no_dense_dominant(monkeypatch):
+    # the uniqueness check reads the canonical dominant's part spectra only
+    inst = formats.parse_instance(INSTANCES["hermitian-not-psd"](), strict=False)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report formed the dense canonical dominant")
+
+    monkeypatch.setattr(krein_lin, "canonical_dominant", refuse)
+    report = pipelines.report(inst, TOL)
+    assert report.ok
+    assert "krein/gap-uniqueness" in {r.tag for r in report.records}

@@ -10,6 +10,7 @@ layer agrees with the element-by-element one to rounding, and its derived
 multiplicativity residual bounds the exhaustive one.
 """
 
+import dataclasses
 import itertools
 import re
 
@@ -414,10 +415,16 @@ def test_derived_laws_bound_the_exhaustive_laws(name, lin, act):
 
 @pytest.mark.parametrize("name,lin,act", REPRESENTATIONS, ids=REP_IDS)
 def test_a_corrupted_shift_fails_multiplicativity_and_intertwining(name, lin, act):
+    # the represented shifts are read-only; a mapping put in their place is certified as it is
     rep = kl.represent(lin, act)
     a = next(a for a in act.sg.elements if rep.psi[a].size)
-    rep.psi[a] = rep.psi[a].copy()
-    rep.psi[a][0, 0] += max(1.0, rep.norms[a])
+    with pytest.raises(TypeError):
+        rep.psi[a] = rep.psi[a]
+    with pytest.raises(ValueError):
+        rep.psi[a][0, 0] += 1.0
+    bad = rep.psi[a].copy()
+    bad[0, 0] += max(1.0, rep.norms[a])
+    rep = dataclasses.replace(rep, psi={**rep.psi, a: bad})
     mul, _, inter = kl.krein_representation_laws(rep)
     assert not mul.passed and not inter.passed
     # the derived residual still bounds the exhaustive one
@@ -442,13 +449,48 @@ def test_a_broken_coordinate_identity_fails_multiplicativity():
 
 @pytest.mark.parametrize("name,lin,act", REPRESENTATIONS, ids=REP_IDS)
 def test_partial_isometry_residuals_match_reference(name, lin, act):
+    # every family is inverse with its inverse map as star: with J = I the residual
+    # is the derived bound, at least the exhaustive residual and within the tolerance;
+    # with J != I it is the exhaustive residual
     rep = hilbert_lin.HilbertRepresentation(act, lin, *kl.represented_shifts(lin, act))
     cls = sgpd.classify(act.sg)
+    assert cls.is_inverse and cls.star_matches_inverse
     want = ref.partial_isometry_residuals(rep.psi)
     records = hilbert_lin.partial_isometry_report(rep, cls)
     assert [r.witness[0] for r in records] == list(want)
+    assert hilbert_lin.is_definite(lin) == name.endswith("psd_invariant")
     for r in records:
-        assert close(r.residual, want[r.witness[0]], rep.norms[r.witness[0]] ** 3)
+        a = r.witness[0]
+        if hilbert_lin.is_definite(lin):
+            assert want[a] <= r.residual <= r.tolerance, a
+        else:
+            assert close(r.residual, want[a], rep.norms[a] ** 3), a
+
+
+@pytest.mark.parametrize("name,lin,act", [c for c in REPRESENTATIONS if c[0].endswith("psd_invariant")],
+                         ids=[i for i in REP_IDS if i.endswith("psd_invariant")])
+def test_a_corrupted_shift_fails_the_derived_partial_isometry_law(name, lin, act):
+    rep = hilbert_lin.definite_representation(kl.represent(lin, act, bounded_shift=True))
+    cls = sgpd.classify(act.sg)
+    assert all(r.passed for r in hilbert_lin.partial_isometry_report(rep, cls))
+    a = next(a for a in act.sg.elements if rep.psi[a].size)
+    bad = rep.psi[a].copy()
+    bad[0, 0] += max(1.0, rep.norms[a])
+    broken = dataclasses.replace(rep, psi={**rep.psi, a: bad})
+    records = hilbert_lin.partial_isometry_report(broken, cls)
+    assert not all(r.passed for r in records)
+    want = ref.partial_isometry_residuals(broken.psi)
+    # the derived residual still bounds the exhaustive one on every element
+    assert all(r.residual >= want[r.witness[0]] for r in records)
+
+
+@pytest.mark.parametrize("family,params", SMALL_FAMILIES, ids=[f for f, _ in SMALL_FAMILIES])
+def test_the_pass_forms_the_bounded_shift_constants_of_the_kernel(family, params):
+    # the constants formed in the representation's one pass are those of the kernel,
+    # to the bit, however the two batch their elements
+    sg, act, bundle, k = generators.generate_instance(family, seed=1, **params)
+    rep = hilbert_lin.invariant_representation(k, act, partition_from_action(bundle, act))
+    assert rep.shift_constants == bounded_shift_constants(k, act)
 
 
 @pytest.mark.parametrize("family,params", SMALL_FAMILIES, ids=[f for f, _ in SMALL_FAMILIES])

@@ -178,3 +178,21 @@ def test_malformed_tables_rejected_on_construction():
     with pytest.raises(MalformedTable):
         StarSemigroupoid(symbols=("s",), elements=("a", "a"), d={"a": "s"},
                          c={"a": "s"}, compose={}, star={"a": "a"})
+
+
+def test_a_semigroupoid_is_validated_once(monkeypatch):
+    sg, _ = sgpd.pair_groupoid(("a", "b"))
+    calls = []
+    check = sgpd._check_axioms
+    monkeypatch.setattr(sgpd, "_check_axioms", lambda s: calls.append(1) or check(s))
+    first = sgpd.validate(sg)
+    first.add("X", ("a",), "a violation added by the caller")
+    assert sgpd.validate(sg).ok  # each call returns a fresh report
+    assert sgpd.classify(sg).is_groupoid
+    assert calls == [1]
+    bad = StarSemigroupoid(symbols=("s",), elements=("e",), d={"e": "s"}, c={"e": "s"},
+                           compose={}, star={"e": "e"})
+    assert sgpd.validate(bad).axioms() == ["SG3"]
+    with pytest.raises(InvalidSemigroupoid):
+        sgpd.classify(bad)
+    assert calls == [1, 1]
