@@ -12,7 +12,7 @@ import numpy as np
 from kgl import (
     HilbertBundle,
     OpKernel,
-    canonical_dominant,
+    canonical_dominant_spectra,
     conv_blocks,
     is_partially_psd,
     jordan_split,
@@ -58,9 +58,9 @@ for record in records:
     print(f"  [{'ok' if record.passed else 'FAIL'}] {record.name}: residual {record.residual:.2e}")
 
 # Uniqueness: relative to the canonical dominating PSD kernel, the Gram
-# operator has a spectral gap at zero, which pins the induced space.
-l = canonical_dominant(k, p)
-for record in uniqueness_report(k, l, p):
+# operator has a spectral gap at zero, which pins the induced space. The
+# dominant enters through its part spectra, read from the kernel's own.
+for record in uniqueness_report(k, canonical_dominant_spectra(k, p), p):
     w = record.witness
     print(f"\nuniqueness on part {w['part']}: {record.passed}")
     print(f"  gap below zero {w['gap_neg']}, gap above zero {w['gap_pos']}")

@@ -87,11 +87,8 @@ def definite_representation(rep: krein_lin.KreinRepresentation,
     constant of every element and the record that each defined one equals
     the squared represented norm, to within atol relative to max(1, constant)."""
     act, lin = rep.action, dataclasses.replace(rep.lin, family=HILBERT)
-    kept = krein_lin._kept_laws(rep)
-    constants = kept.constants if kept is not None else None
-    if constants is None:
-        spectra = lin.spectra or {label: numlin.spectrum(g, tol) for label, g in lin.gram.items()}
-        constants = _shift_constants(act, lin.partition, lin.gram, spectra, tol, act.sg.elements)
+    spectra = lin.spectra or {label: numlin.spectrum(g, tol) for label, g in lin.gram.items()}
+    constants = _shift_constants(act, lin.partition, lin.gram, spectra, tol, act.sg.elements)
     resid_bs, wit_bs = 0.0, None
     for a, m in constants.items():
         if m is None:
@@ -113,7 +110,7 @@ def invariant_representation(k: OpKernel, act: LeftAction, p: Partition,
     ok, witness = is_invariant(k, act, tol)
     if not ok:
         raise NotInvariant(f"kernel is not invariant; witness {witness!r}")
-    return definite_representation(krein_lin.represent(lin, act, tol, bounded_shift=True), tol)
+    return definite_representation(krein_lin.represent(lin, act, tol), tol)
 
 
 def partial_isometry_report(rep: HilbertRepresentation, cls: Classification,

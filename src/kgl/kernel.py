@@ -564,16 +564,11 @@ def _shift_constants(act: LeftAction, p: Partition, grams: dict, spectra: dict,
     constants = {}
     for (sd, sc), group in _part_pairs(act.sg, elements).items():
         dim = p.index(sd).total_dim
-        for batch in _batches(group, _constant_bytes(dim)):
+        for batch in _batches(group, 16 * dim * dim):
             c = np.stack([coords[a] for a in batch])
             constants.update(zip(batch, _batch_shift_constants(
                 grams[sc], spectra[sd], spectra[sc].norm, c, tol)))
     return {a: constants[a] for a in elements}
-
-
-def _constant_bytes(dim: int) -> int:
-    """The stacked gather of one element's bounded-shift constant, in bytes."""
-    return 16 * dim * dim
 
 
 def _batch_shift_constants(g_c: np.ndarray, s_d: numlin.Spectrum, norm_c: float,

@@ -43,10 +43,8 @@ from .errors import (
 from .kernel import (
     OpKernel,
     Partition,
-    _batch_shift_constants,
     _batches,
     _carry_spectra,
-    _constant_bytes,
     _gather_index,
     _part_pairs,
     _shift_coordinates,
@@ -154,24 +152,24 @@ class GramData:
     contraction: dict  # label -> operator norm of ghat
 
 
-def gram_operator(k: OpKernel, l, p: Partition,
+def gram_operator(k: OpKernel, spectra_l: dict, p: Partition,
                   tol: Tolerances = DEFAULT_TOL) -> GramData:
     """Compress the kernel's form onto the quotient coordinates of a dominant.
 
-    The result per part is the unique Hermitian matrix with
-    B_L* Ghat B_L = G_K; it is a contraction exactly when -L <= K <= L.
-    Raises KernelNotDominated when L's form kernel is not contained in K's
-    (the quotient is then undefined) or the contraction bound fails. The
-    dominant's factor, its pseudo-inverse and its form kernel come from its
-    part spectra: l is the dominating PSD kernel (part_spectra: the
-    canonical dominant carries them) or those spectra by part label. The
-    norm and gaps of the Gram operator come from its eigenvalues alone. Both
-    residual bounds are atol times ||G_K||, with no floor.
+    The dominating PSD kernel L is given by its part spectra, by part label
+    (part_spectra(l, p, tol); canonical_dominant_spectra(k, p, tol) for the
+    canonical dominant), from which its factor, that factor's
+    pseudo-inverse and its form kernel are read. The result per part is the
+    unique Hermitian matrix with B_L* Ghat B_L = G_K; it is a contraction
+    exactly when -L <= K <= L. Raises KernelNotDominated when L's form
+    kernel is not contained in K's (the quotient is then undefined) or the
+    contraction bound fails. The norm and gaps of the Gram operator come
+    from its eigenvalues alone. Both residual bounds are atol times ||G_K||,
+    with no floor.
     """
     if not is_partially_hermitian(k, p, tol):
         raise NotHermitian("Gram operator needs a partially Hermitian kernel")
     grams_k = conv_blocks(k, p)
-    spectra_l = l if isinstance(l, dict) else part_spectra(l, p, tol)
     factor, ranks, ghat, gaps, contraction = {}, {}, {}, {}, {}
     for label, s_l in spectra_l.items():
         g_k = grams_k[label]
@@ -336,7 +334,7 @@ def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL
             spaces[label] = ik.space
             wmap[label] = ik.pi
     else:
-        gd = gram_operator(k, dominant, p, tol)
+        gd = gram_operator(k, part_spectra(dominant, p, tol), p, tol)
         for label in grams:
             ik = induced_krein(gd.ghat[label], tol)
             spaces[label] = ik.space
@@ -436,10 +434,10 @@ def rk_krein_space(lin, tol: Tolerances = DEFAULT_TOL):
     return view, verify_reproducing(view, tol) + verify_krein_factorization(lin, tol)
 
 
-def uniqueness_report(k: OpKernel, l, p: Partition,
+def uniqueness_report(k: OpKernel, spectra_l: dict, p: Partition,
                       tol: Tolerances = DEFAULT_TOL):
-    """Per-part gap data for the Gram operator and the uniqueness verdict;
-    l is a dominating PSD kernel or its part spectra (see gram_operator).
+    """Per-part gap data for the Gram operator of the dominant whose part
+    spectra are spectra_l (see gram_operator) and the uniqueness verdict.
 
     In finite dimensions every Hermitian contraction has spectrum free of
     an interval on at least one side of zero, so the induced space (hence
@@ -447,7 +445,7 @@ def uniqueness_report(k: OpKernel, l, p: Partition,
     each record carries the witnessing half-gap. Non-uniqueness needs
     infinite-dimensional spectral accumulation at zero from both sides.
     """
-    gd = gram_operator(k, l, p, tol)
+    gd = gram_operator(k, spectra_l, p, tol)
     records = []
     for label, gaps in gd.gaps.items():
         unique, gap_neg, gap_pos = gaps_unique(*gaps)
@@ -528,7 +526,6 @@ class _LawData:
     cols: dict = field(default_factory=dict)  # squared column norms of E_a
     point: dict = field(default_factory=dict)  # norm of each point's column block of E_a
     star: dict = field(default_factory=dict)  # ||psi(a*) - J_d psi(a)* J_c||
-    constants: dict = None  # bounded-shift constant or None, when the pass formed them
     pairs: tuple = None  # _pair_bounds, once read
 
 
@@ -581,16 +578,13 @@ def _star_orbits(sg, elements) -> dict:
     return groups
 
 
-def _law_pass(lin, act: LeftAction, tol: Tolerances, elements, psi=None,
-              bounded_shift: bool = False) -> _LawData:
+def _law_pass(lin, act: LeftAction, tol: Tolerances, elements, psi=None) -> _LawData:
     """The _LawData of elements, whose action values must be usable, read
     in one pass over batches of star orbits (a, a*). A batch's shifts are
     stacked per part pair, a bounded part at a time: W_c[:, c_a] W_d+ (W_d+
     and ||W_c|| from the part spectra on the direct route), or read from a
     given mapping psi. The star residual pairs psi(a) with psi(a*) from the
-    batch. bounded_shift (a partially PSD kernel) also forms the constants
-    of kernel._batch_shift_constants. Only scalars and per-column vectors
-    outlive a batch.
+    batch. Only scalars and per-column vectors outlive a batch.
     """
     sg, p = act.sg, lin.partition
     _require_involution(sg)
@@ -601,9 +595,7 @@ def _law_pass(lin, act: LeftAction, tol: Tolerances, elements, psi=None,
               for label, idx in p.parts.items()}
     jdiag = {label: np.asarray(space.jdiag, dtype=np.float64)
              for label, space in lin.spaces.items()}
-    if bounded_shift:
-        spectra = lin.spectra or {label: numlin.spectrum(g, tol) for label, g in lin.gram.items()}
-    data = _LawData(constants={} if bounded_shift else None)
+    data = _LawData()
 
     def read(part, sd, sc):
         """The stacked shifts of part, of one part pair, with what data reads of them."""
@@ -614,14 +606,8 @@ def _law_pass(lin, act: LeftAction, tol: Tolerances, elements, psi=None,
         return t
 
     def read_batch(groups: dict):
-        """Read a batch of star orbits, grouped by part pair: the bounded-shift
-        constants first, then the shifts, whose star residuals pair them."""
-        if bounded_shift:
-            for (sd, sc), group in groups.items():
-                for part in _batches(group, _constant_bytes(lin.wmap[sd].shape[1])):
-                    data.constants.update(zip(part, _batch_shift_constants(
-                        lin.gram[sc], spectra[sd], spectra[sc].norm,
-                        np.stack([coords[a] for a in part]), tol)))
+        """Read a batch of star orbits, grouped by part pair: the shifts, then
+        the star residuals that pair them."""
         stacks = []  # (part pair, elements, their stacked shifts)
         for (sd, sc), group in groups.items():
             item = 16 * lin.spaces[sc].dim * (2 * lin.wmap[sd].shape[1] + lin.spaces[sd].dim)
@@ -643,8 +629,6 @@ def _law_pass(lin, act: LeftAction, tol: Tolerances, elements, psi=None,
         # a batch keeps its orbits' shifts, in stacks formed a part at a time
         for batch in _batches(orbits, 2 * 16 * lin.spaces[sd].dim * lin.spaces[sc].dim):
             read_batch(_part_pairs(sg, [a for o in batch for a in o]))
-    if bounded_shift:
-        data.constants = {a: data.constants[a] for a in elements}
     return data
 
 
@@ -677,8 +661,7 @@ def _read_pairing(lin, data: _LawData, group, sd, sc, c, t, starts, w_norm: floa
         data.cols[a], data.point[a] = cols[i], per_point[i]
 
 
-def represented_shifts(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL,
-                       bounded_shift: bool = False):
+def represented_shifts(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
     """The represented shift W_c Psi W_d+ of every element, and its norm.
 
     W_c Psi is a column gather of W_c. Invariance makes the shift respect
@@ -692,7 +675,7 @@ def represented_shifts(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL,
     sg, p = act.sg, lin.partition
     coords = _shift_coordinates(act, p)
     usable = [a for a in sg.elements if coords[a].size == 0 or coords[a].min() >= 0]
-    data = _law_pass(lin, act, tol, usable, bounded_shift=bounded_shift)
+    data = _law_pass(lin, act, tol, usable)
     for alpha in sg.elements:
         if alpha not in data.pairing:
             _gather_index(act, p, coords, alpha)
@@ -703,13 +686,10 @@ def represented_shifts(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL,
     return RepresentedShifts(lin, act, tol, data), {a: data.norms[a] for a in sg.elements}
 
 
-def represent(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL,
-              bounded_shift: bool = False) -> KreinRepresentation:
+def represent(lin, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> KreinRepresentation:
     """The shifts of represented_shifts on lin, with rep.records certifying
-    their laws. The kernel lin linearises must be invariant; this is not
-    checked. bounded_shift (a partially PSD kernel only) has the pass form
-    the bounded-shift constants too."""
-    rep = KreinRepresentation(act, lin, *represented_shifts(lin, act, tol, bounded_shift))
+    their laws. The kernel lin linearises must be invariant; this is not checked."""
+    rep = KreinRepresentation(act, lin, *represented_shifts(lin, act, tol))
     rep.records = krein_representation_laws(rep, tol)
     return rep
 
@@ -732,23 +712,15 @@ def invariant_krein_representation(k: OpKernel, act: LeftAction, p: Partition,
     return lin, represent(lin, act, tol)
 
 
-def _kept_laws(rep):
+def _law_data(rep, tol: Tolerances) -> _LawData:
     """The _LawData rep.psi keeps, if it is the RepresentedShifts of rep's
-    own maps and action; else None."""
+    own maps and action, else that of a pass over rep.psi, so that a psi
+    put in place of the represented shifts is certified as it is."""
     psi = rep.psi
     if (isinstance(psi, RepresentedShifts) and psi._lin.wmap is rep.lin.wmap
             and psi._act is rep.action):
         return psi.laws
-    return None
-
-
-def _law_data(rep, tol: Tolerances) -> _LawData:
-    """The kept _LawData, or that of a pass over rep.psi, so that a psi put
-    in place of the represented shifts is certified as it is."""
-    data = _kept_laws(rep)
-    if data is None:
-        data = _law_pass(rep.lin, rep.action, tol, rep.action.sg.elements, psi=rep.psi)
-    return data
+    return _law_pass(rep.lin, rep.action, tol, rep.action.sg.elements, psi=psi)
 
 
 def krein_representation_laws(rep, tol: Tolerances = DEFAULT_TOL):

@@ -144,8 +144,7 @@ def represent(inst, krein: bool, tol=DEFAULT_TOL, dominant=None,
     records = premise(k, p, tol) + [kernel.invariance_record(k, act, tol)]
 
     def laws():
-        rep = krein_lin.represent(krein_lin.krein_linearisation(k, p, tol, dominant), act, tol,
-                                  bounded_shift=not krein)
+        rep = krein_lin.represent(krein_lin.krein_linearisation(k, p, tol, dominant), act, tol)
         if not krein:
             return _hilbert_laws(rep, sgpd.classify(inst.sg), tol)
         if reducibility:
@@ -199,7 +198,7 @@ def report(inst, tol=DEFAULT_TOL) -> Report:
         records += krein_lin.rekey(view_records, krein_lin.KREIN, hilbert_lin.HILBERT)
     if invariant:
         def laws():
-            rep = krein_lin.represent(lin, act, tol, bounded_shift=psd)
+            rep = krein_lin.represent(lin, act, tol)
             return rep.records + (_hilbert_laws(rep, cls, tol) if psd else [])
         families = (krein_lin.KREIN, hilbert_lin.HILBERT) if psd else (krein_lin.KREIN,)
         records += _guarded(laws, families)

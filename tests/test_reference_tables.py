@@ -470,7 +470,7 @@ def test_partial_isometry_residuals_match_reference(name, lin, act):
 @pytest.mark.parametrize("name,lin,act", [c for c in REPRESENTATIONS if c[0].endswith("psd_invariant")],
                          ids=[i for i in REP_IDS if i.endswith("psd_invariant")])
 def test_a_corrupted_shift_fails_the_derived_partial_isometry_law(name, lin, act):
-    rep = hilbert_lin.definite_representation(kl.represent(lin, act, bounded_shift=True))
+    rep = hilbert_lin.definite_representation(kl.represent(lin, act))
     cls = sgpd.classify(act.sg)
     assert all(r.passed for r in hilbert_lin.partial_isometry_report(rep, cls))
     a = next(a for a in act.sg.elements if rep.psi[a].size)
@@ -485,9 +485,8 @@ def test_a_corrupted_shift_fails_the_derived_partial_isometry_law(name, lin, act
 
 
 @pytest.mark.parametrize("family,params", SMALL_FAMILIES, ids=[f for f, _ in SMALL_FAMILIES])
-def test_the_pass_forms_the_bounded_shift_constants_of_the_kernel(family, params):
-    # the constants formed in the representation's one pass are those of the kernel,
-    # to the bit, however the two batch their elements
+def test_a_representation_carries_the_bounded_shift_constants_of_the_kernel(family, params):
+    # the constants of the representation are those of the kernel, to the bit
     sg, act, bundle, k = generators.generate_instance(family, seed=1, **params)
     rep = hilbert_lin.invariant_representation(k, act, partition_from_action(bundle, act))
     assert rep.shift_constants == bounded_shift_constants(k, act)
