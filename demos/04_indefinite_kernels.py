@@ -12,7 +12,7 @@ import numpy as np
 from kgl import (
     HilbertBundle,
     OpKernel,
-    canonical_dominant_spectra,
+    canonical_dominant,
     conv_blocks,
     is_partially_psd,
     jordan_split,
@@ -57,10 +57,10 @@ _view, records = rk_krein_space(lin)
 for record in records:
     print(f"  [{'ok' if record.passed else 'FAIL'}] {record.name}: residual {record.residual:.2e}")
 
-# Uniqueness: relative to the canonical dominating PSD kernel, the Gram
+# Uniqueness: relative to the canonical dominating PSD kernel |G|, the Gram
 # operator has a spectral gap at zero, which pins the induced space. The
-# dominant enters through its part spectra, read from the kernel's own.
-for record in uniqueness_report(k, canonical_dominant_spectra(k, p), p):
+# dominant carries its part spectra, read from the kernel's own.
+for record in uniqueness_report(k, canonical_dominant(k, p), p):
     w = record.witness
     print(f"\nuniqueness on part {w['part']}: {record.passed}")
     print(f"  gap below zero {w['gap_neg']}, gap above zero {w['gap_pos']}")

@@ -59,7 +59,6 @@ from .krein_lin import (
     KreinRepresentation,
     RkKreinView,
     canonical_dominant,
-    canonical_dominant_spectra,
     fundamental_reducibility_check,
     gram_operator,
     invariant_krein_representation,
@@ -109,8 +108,7 @@ __all__ = [
     "hilbert_space", "induced_krein", "krein_adjoint",
     "krein_space", "lift_operator",
     "KreinLinearisation", "KreinRepresentation", "RkKreinView",
-    "canonical_dominant", "canonical_dominant_spectra", "fundamental_reducibility_check",
-    "gram_operator",
+    "canonical_dominant", "fundamental_reducibility_check", "gram_operator",
     "invariant_krein_representation", "j_unitary_equivalence", "jordan_split",
     "krein_linearisation", "krein_representation_laws", "rk_krein_space",
     "split_records", "uniqueness_report", "verify_krein_factorization",

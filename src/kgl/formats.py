@@ -212,6 +212,9 @@ def bundle_from_doc(doc, base=None) -> HilbertBundle:
     for x, n in dims.items():
         if type(n) is not int or n < 1:  # a JSON true is no dimension
             raise ParseError(f"bundle dim of {x!r} must be a positive integer, got {n!r}")
+    if 16 * sum(dims.values()) ** 2 > np.iinfo(np.intp).max:
+        raise ParseError("bundle dims: the dense complex Gram of the total dimension "
+                         "exceeds the largest array numpy can address")
     points = tuple(sorted(dims))
     if base is not None and set(points) != set(base):
         missing = sorted(set(base) - set(points)) + sorted(set(points) - set(base))

@@ -69,7 +69,6 @@ __all__ = [
     "KreinRepresentation",
     "RepresentedShifts",
     "canonical_dominant",
-    "canonical_dominant_spectra",
     "gram_operator",
     "jordan_split",
     "split_records",
@@ -128,14 +127,8 @@ def canonical_dominant(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL)
     spectra = part_spectra(k, p, tol)
     l = kernel_from_part_grams(p, {label: (s.basis * np.abs(s.eigenvalues)) @ s.basis.conj().T
                                    for label, s in spectra.items()})
-    _carry_spectra(l, p, tol, canonical_dominant_spectra(k, p, tol))
+    _carry_spectra(l, p, tol, {label: numlin.abs_spectrum(s) for label, s in spectra.items()})
     return l
-
-
-def canonical_dominant_spectra(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> dict:
-    """The part spectra of canonical_dominant(k, p, tol), read from k's own
-    (numlin.abs_spectrum), with no dense kernel."""
-    return {label: numlin.abs_spectrum(s) for label, s in part_spectra(k, p, tol).items()}
 
 
 @dataclass(eq=False)
@@ -152,14 +145,13 @@ class GramData:
     contraction: dict  # label -> operator norm of ghat
 
 
-def gram_operator(k: OpKernel, spectra_l: dict, p: Partition,
+def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
                   tol: Tolerances = DEFAULT_TOL) -> GramData:
     """Compress the kernel's form onto the quotient coordinates of a dominant.
 
-    The dominating PSD kernel L is given by its part spectra, by part label
-    (part_spectra(l, p, tol); canonical_dominant_spectra(k, p, tol) for the
-    canonical dominant), from which its factor, that factor's
-    pseudo-inverse and its form kernel are read. The result per part is the
+    The factor of the dominating PSD kernel L, that factor's pseudo-inverse
+    and its form kernel are read from L's part spectra (part_spectra, made
+    with tol; canonical_dominant carries them). The result per part is the
     unique Hermitian matrix with B_L* Ghat B_L = G_K; it is a contraction
     exactly when -L <= K <= L. Raises KernelNotDominated when L's form
     kernel is not contained in K's (the quotient is then undefined) or the
@@ -171,7 +163,7 @@ def gram_operator(k: OpKernel, spectra_l: dict, p: Partition,
         raise NotHermitian("Gram operator needs a partially Hermitian kernel")
     grams_k = conv_blocks(k, p)
     factor, ranks, ghat, gaps, contraction = {}, {}, {}, {}, {}
-    for label, s_l in spectra_l.items():
+    for label, s_l in part_spectra(l, p, tol).items():
         g_k = grams_k[label]
         if not s_l.is_psd:
             raise KernelNotDominated(f"part {label!r}: the dominant is not PSD")
@@ -334,7 +326,7 @@ def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL
             spaces[label] = ik.space
             wmap[label] = ik.pi
     else:
-        gd = gram_operator(k, part_spectra(dominant, p, tol), p, tol)
+        gd = gram_operator(k, dominant, p, tol)
         for label in grams:
             ik = induced_krein(gd.ghat[label], tol)
             spaces[label] = ik.space
@@ -434,10 +426,9 @@ def rk_krein_space(lin, tol: Tolerances = DEFAULT_TOL):
     return view, verify_reproducing(view, tol) + verify_krein_factorization(lin, tol)
 
 
-def uniqueness_report(k: OpKernel, spectra_l: dict, p: Partition,
-                      tol: Tolerances = DEFAULT_TOL):
-    """Per-part gap data for the Gram operator of the dominant whose part
-    spectra are spectra_l (see gram_operator) and the uniqueness verdict.
+def uniqueness_report(k: OpKernel, l: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
+    """Per part, the uniqueness verdict from the gaps at zero of the Gram
+    operator of the dominating kernel l (see gram_operator).
 
     In finite dimensions every Hermitian contraction has spectrum free of
     an interval on at least one side of zero, so the induced space (hence
@@ -445,22 +436,24 @@ def uniqueness_report(k: OpKernel, spectra_l: dict, p: Partition,
     each record carries the witnessing half-gap. Non-uniqueness needs
     infinite-dimensional spectral accumulation at zero from both sides.
     """
-    gd = gram_operator(k, spectra_l, p, tol)
-    records = []
-    for label, gaps in gd.gaps.items():
-        unique, gap_neg, gap_pos = gaps_unique(*gaps)
-        finite_gaps = [g for g in (gap_neg, gap_pos) if g is not None]
-        eps = min(finite_gaps) if finite_gaps else 1.0
-        note = ("finite-dimensional collapse: the Gram operator has finitely many "
-                "eigenvalues, so a one-sided spectral gap at zero always exists; "
-                "the non-uniqueness alternative needs spectral accumulation at "
-                "zero from both sides and is unreachable in finite dimensions")
-        records.append(Record("induced space unique up to J-unitary equivalence",
-                              "krein/gap-uniqueness",
-                              0.0 if unique else 1.0, 0.5, unique,
-                              witness={"part": label, "gap_neg": gap_neg,
-                                       "gap_pos": gap_pos, "eps": eps, "note": note}))
-    return records
+    return [_uniqueness_record(label, *gaps)
+            for label, gaps in gram_operator(k, l, p, tol).gaps.items()]
+
+
+def _uniqueness_record(label, gap_neg, gap_pos) -> Record:
+    """The krein/gap-uniqueness record of a part whose Gram operator has
+    these gaps at zero (None for a side with no spectrum)."""
+    unique = gaps_unique(gap_neg, gap_pos)[0]
+    finite_gaps = [g for g in (gap_neg, gap_pos) if g is not None]
+    eps = min(finite_gaps) if finite_gaps else 1.0
+    note = ("finite-dimensional collapse: the Gram operator has finitely many "
+            "eigenvalues, so a one-sided spectral gap at zero always exists; "
+            "the non-uniqueness alternative needs spectral accumulation at "
+            "zero from both sides and is unreachable in finite dimensions")
+    return Record("induced space unique up to J-unitary equivalence", "krein/gap-uniqueness",
+                  0.0 if unique else 1.0, 0.5, unique,
+                  witness={"part": label, "gap_neg": gap_neg, "gap_pos": gap_pos, "eps": eps,
+                           "note": note})
 
 
 @dataclass(eq=False)

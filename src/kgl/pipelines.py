@@ -61,7 +61,7 @@ def _classification_record(witness) -> Record:
                   0.0, 0.5, True, witness=witness)
 
 
-def _guarded(check, families=(krein_lin.KREIN,)) -> list:
+def _guarded(check, families) -> list:
     """The records of check(), or failing records when a guard of the
     construction rejects the instance: one for a kernel the dominant does
     not dominate, or, for a shift that does not descend to the quotient,
@@ -189,9 +189,12 @@ def report(inst, tol=DEFAULT_TOL) -> Report:
     records += krein_lin.split_records(k, p, tol)[2]
     view_records = krein_lin.rk_krein_space(lin, tol)[1]
     records += view_records
-    # the check reads only the canonical dominant's part spectra, and keeps none of them
-    records += _guarded(lambda: krein_lin.uniqueness_report(
-        k, krein_lin.canonical_dominant_spectra(k, p, tol), p, tol))
+    # against the canonical dominant |G| the Gram operator is sign(w) on the
+    # range: each side of a part's signature has gap exactly 1
+    for label, space in lin.spaces.items():
+        r_plus, r_minus = space.signature
+        records.append(krein_lin._uniqueness_record(label, 1.0 if r_minus else None,
+                                                    1.0 if r_plus else None))
 
     # a partially PSD kernel's Hilbert records are its Krein records, rekeyed
     if psd:

@@ -4,7 +4,7 @@ import numpy as np
 
 from kgl.bundle import HilbertBundle
 from kgl.kernel import OpKernel
-from kgl.sgpd import LeftAction, StarSemigroupoid
+from kgl.sgpd import LeftAction, StarSemigroupoid, pair_groupoid
 
 
 def z2_group():
@@ -88,3 +88,22 @@ def trivial_group():
         units={"s": "e"},
     )
     return sg
+
+
+def guard_instance(eps):
+    """Pair groupoid on a, b acting on itself, scalar fibers. Part a has the
+    Gram matrix [[1, 1], [1, 1]], part b the same plus eps v v* with
+    v = (1, -1)/sqrt2: invariant within tolerance, but part b sees a
+    direction that the rank-one quotient of part a does not have.
+    Returns (sg, act, bundle, kernel)."""
+    sg, act = pair_groupoid(("a", "b"))
+    bundle = scalar_bundle(act.base)
+    v = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    grams = {"a": np.ones((2, 2)), "b": np.ones((2, 2)) + eps * np.outer(v, v)}
+    blocks = {}
+    for s, g in grams.items():
+        pts = [x for x in act.base if act.anchor[x] == s]
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                blocks[(x, y)] = np.array([[g[i, j]]])
+    return sg, act, bundle, OpKernel(bundle, blocks)

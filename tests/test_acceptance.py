@@ -19,7 +19,6 @@ from kgl import (
     HilbertBundle,
     RkKreinView,
     canonical_dominant,
-    canonical_dominant_spectra,
     classify,
     conv_blocks,
     fundamental_reducibility_check,
@@ -269,7 +268,7 @@ def test_09_invariant_dominants_give_reducing_symmetries():
 
 def test_10_induced_space_uniqueness_always_decided():
     for k, p in _hermitian_corpus():
-        for r in uniqueness_report(k, canonical_dominant_spectra(k, p), p):
+        for r in uniqueness_report(k, canonical_dominant(k, p), p):
             assert r.passed
             w = r.witness
             assert w["eps"] > 0

@@ -309,9 +309,10 @@ def _set(path, value):
     _set(("kernel", "entries", 0, "re"), [[True]]),
     _set(("kernel", "entries", 0, "im"), [[False]]),
     _set(("kernel", "entries", 0, "re"), [["1.5"]]),
+    _set(("bundle", "dims", "x1"), 10**400),  # a dense Gram numpy could not address
 ], ids=["entry-row-list", "entries-number", "entry-number", "dims-list", "dim-true",
         "element-id-list", "elements-number", "anchor-value-list", "act-row-number",
-        "entry-re-true", "entry-im-false", "entry-re-string"])
+        "entry-re-true", "entry-im-false", "entry-re-string", "dim-unaddressable"])
 def test_wrong_json_type_exits_2(circulant_instance, tmp_path, capsys, edit):
     with open(circulant_instance) as fh:
         doc = json.load(fh)
@@ -394,27 +395,10 @@ def test_lift_digest_addresses_content(tmp_path, capsys):
 
 
 def _guard_instance(tmp_path, eps):
-    """Pair groupoid on a, b acting on itself, scalar fibers. Part a has the
-    Gram matrix [[1, 1], [1, 1]], part b the same plus eps v v* with
-    v = (1, -1)/sqrt2: invariant within tolerance, but part b sees a
-    direction that the rank-one quotient of part a does not have."""
-    from kgl import sgpd
-    from kgl.bundle import HilbertBundle
-    from kgl.kernel import OpKernel
-
-    sg, act = sgpd.pair_groupoid(("a", "b"))
-    bundle = HilbertBundle(points=act.base, dim={x: 1 for x in act.base})
-    v = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    grams = {"a": np.ones((2, 2)), "b": np.ones((2, 2)) + eps * np.outer(v, v)}
-    blocks = {}
-    for s, g in grams.items():
-        pts = [x for x in act.base if act.anchor[x] == s]
-        for i, x in enumerate(pts):
-            for j, y in enumerate(pts):
-                blocks[(x, y)] = np.array([[g[i, j]]])
+    """helpers.guard_instance(eps), saved."""
+    from helpers import guard_instance
     path = tmp_path / "guard.json"
-    formats.save_instance(formats.instance_to_doc(sg, act, bundle, OpKernel(bundle, blocks)),
-                          path)
+    formats.save_instance(formats.instance_to_doc(*guard_instance(eps)), path)
     return str(path)
 
 
@@ -422,8 +406,7 @@ def _guard_instance(tmp_path, eps):
 def test_guard_failures_are_failing_records(tmp_path, capsys, eps):
     path = _guard_instance(tmp_path, eps)
     guards = {("represented shifts are well defined", "krein/representation"),
-              ("represented shifts are well defined", "hilbert/representation"),
-              ("dominant kernel dominates the instance kernel", "krein/gram")}
+              ("represented shifts are well defined", "hilbert/representation")}
     for argv in (["report"], ["represent", "--krein"], ["represent", "--hilbert"]):
         code, rep = run_json(capsys, argv + [path])
         assert code == 1, argv
@@ -432,6 +415,22 @@ def test_guard_failures_are_failing_records(tmp_path, capsys, eps):
         for r in rep["records"]:
             if not r["pass"]:
                 assert r["witness"], r["name"]
+
+
+@pytest.mark.parametrize("eps", [5e-10, 1e-9])
+def test_report_reads_uniqueness_from_the_signature_on_guard_instances(tmp_path, capsys, eps):
+    # the Gram operator of |G| is sign(w) on the range; formed at cond ~ 1/eps, its
+    # norm exceeded 1 by rounding, and report printed a failing krein/gram record
+    code, rep = run_json(capsys, ["report", _guard_instance(tmp_path, eps)])
+    assert code == 1  # the well-defined guards fail
+    assert "krein/gram" not in {r["tag"] for r in rep["records"]}
+    unique = [r for r in rep["records"]
+              if r["name"] == "induced space unique up to J-unitary equivalence"]
+    assert [r["witness"]["part"] for r in unique] == ["a", "b"]
+    for r in unique:
+        assert r["pass"] and r["tag"] == "krein/gap-uniqueness"
+        gaps = [r["witness"][key] for key in ("gap_neg", "gap_pos", "eps")]
+        assert [g for g in gaps if g is not None] == [1.0, 1.0]
 
 
 def _part(witness):

@@ -51,7 +51,7 @@ def test_gram_operator_frozen():
     k = swap_gram_kernel()
     p = kn.single_partition(k.bundle)
     l = kl.canonical_dominant(k, p, TOL)
-    data = kl.gram_operator(k, kn.part_spectra(l, p, TOL), p, TOL)
+    data = kl.gram_operator(k, l, p, TOL)
     ghat = data.ghat["all"]
     # against the canonical dominant the Gram operator is a symmetry
     assert frob(ghat @ ghat - np.eye(ghat.shape[0])) <= 1e-12
@@ -62,12 +62,12 @@ def test_gram_operator_frozen():
     assert gp == pytest.approx(1.0, abs=1e-9)
 
     kp = circulant_kernel(2.0, 1.0)
-    data2 = kl.gram_operator(kp, kn.part_spectra(kp, p, TOL), p, TOL)
+    data2 = kl.gram_operator(kp, kp, p, TOL)
     r = data2.ghat["all"].shape[0]
     assert frob(data2.ghat["all"] - np.eye(r)) <= 1e-12
 
     half = kn.kernel_lincomb([0.5], [kp])
-    data3 = kl.gram_operator(half, kn.part_spectra(kp, p, TOL), p, TOL)
+    data3 = kl.gram_operator(half, kp, p, TOL)
     assert frob(data3.ghat["all"] - 0.5 * np.eye(r)) <= 1e-12
     gn3, gp3 = data3.gaps["all"]
     assert gn3 is None and gp3 == pytest.approx(0.5, abs=1e-9)
@@ -77,10 +77,10 @@ def test_gram_operator_rejects_non_dominating():
     k = swap_gram_kernel()
     p = kn.single_partition(k.bundle)
     with pytest.raises(KernelNotDominated):
-        kl.gram_operator(k, kn.part_spectra(kn.zero_kernel(k.bundle), p, TOL), p, TOL)  # inclusion
+        kl.gram_operator(k, kn.zero_kernel(k.bundle), p, TOL)  # inclusion
     small = kn.kernel_lincomb([0.5], [kl.canonical_dominant(k, p, TOL)])
     with pytest.raises(KernelNotDominated):
-        kl.gram_operator(k, kn.part_spectra(small, p, TOL), p, TOL)  # contraction
+        kl.gram_operator(k, small, p, TOL)  # contraction
 
 
 def test_jordan_split_frozen():
@@ -196,7 +196,7 @@ def test_uniqueness_report_frozen():
     k = swap_gram_kernel()
     p = kn.single_partition(k.bundle)
     l = kl.canonical_dominant(k, p, TOL)
-    recs = kl.uniqueness_report(k, kn.part_spectra(l, p, TOL), p, TOL)
+    recs = kl.uniqueness_report(k, l, p, TOL)
     assert len(recs) == 1
     r = recs[0]
     assert r.passed
@@ -206,12 +206,12 @@ def test_uniqueness_report_frozen():
     assert "collapse" in r.witness["note"]
 
     kp = circulant_kernel(2.0, 1.0)
-    recs2 = kl.uniqueness_report(kp, kn.part_spectra(kp, p, TOL), p, TOL)
+    recs2 = kl.uniqueness_report(kp, kp, p, TOL)
     w = recs2[0].witness
     assert w["gap_neg"] is None and w["gap_pos"] == pytest.approx(1.0, abs=1e-9)
 
     half = kn.kernel_lincomb([0.5], [kp])
-    recs3 = kl.uniqueness_report(half, kn.part_spectra(kp, p, TOL), p, TOL)
+    recs3 = kl.uniqueness_report(half, kp, p, TOL)
     w3 = recs3[0].witness
     assert w3["gap_neg"] is None and w3["gap_pos"] == pytest.approx(0.5, abs=1e-9)
     assert w3["eps"] == pytest.approx(0.5, abs=1e-9)
@@ -375,8 +375,8 @@ def test_canonical_dominant_carries_the_spectra_of_its_part_grams():
             fresh = kn.part_spectra(fresh_l, p, TOL)[label]
             assert s is not fresh
             assert np.allclose(s.eigenvalues, fresh.eigenvalues, atol=1e-12 * fresh.norm)
-        data = kl.gram_operator(k, carried, p, TOL)
-        again = kl.gram_operator(k, kn.part_spectra(fresh_l, p, TOL), p, TOL)
+        data = kl.gram_operator(k, l, p, TOL)
+        again = kl.gram_operator(k, fresh_l, p, TOL)
         for label in p.parts:
             assert data.dominant_rank[label] == again.dominant_rank[label]
             assert np.allclose(np.sort(np.linalg.eigvalsh(data.ghat[label])),
@@ -450,26 +450,13 @@ def test_gram_operator_guards_do_not_depend_on_the_scale(c):
     k = kn.OpKernel(b, {("x", "x"): c * np.eye(2)})
     l = kn.OpKernel(b, {("x", "x"): c * np.diag([1.0, 0.0])})
     with pytest.raises(KernelNotDominated):
-        kl.gram_operator(k, kn.part_spectra(l, p, TOL), p, TOL)
+        kl.gram_operator(k, l, p, TOL)
     with pytest.raises(KernelNotDominated):
         kl.krein_linearisation(k, p, TOL, dominant=l)
     # a dominant that does dominate passes at every c
     l2 = kn.OpKernel(b, {("x", "x"): 2 * c * np.eye(2)})
-    data = kl.gram_operator(k, kn.part_spectra(l2, p, TOL), p, TOL)
+    data = kl.gram_operator(k, l2, p, TOL)
     assert data.dominant_rank["all"] == 2 and abs(data.contraction["all"] - 0.5) < 1e-12
-
-
-def test_canonical_dominant_spectra_are_those_the_dominant_carries():
-    # the uniqueness check of a report reads them with no dense dominant kernel
-    rng = np.random.default_rng(5)
-    k, p = random_hermitian_instance(rng)
-    spectra = kl.canonical_dominant_spectra(k, p, TOL)
-    carried = kn.part_spectra(kl.canonical_dominant(k, p, TOL), p, TOL)
-    data = kl.gram_operator(k, carried, p, TOL)
-    again = kl.gram_operator(k, spectra, p, TOL)
-    assert np.array_equal(data.ghat["all"], again.ghat["all"])
-    assert data.gaps == again.gaps and data.contraction == again.contraction
-    assert kl.uniqueness_report(k, spectra, p, TOL) == kl.uniqueness_report(k, carried, p, TOL)
 
 
 def test_represented_shifts_are_a_read_only_mapping_rebuilt_on_access():

@@ -144,14 +144,39 @@ def test_report_keeps_no_dense_shift_stack():
     assert peak < 64 * 64 * 64 * 16
 
 
-def test_report_forms_no_dense_dominant(monkeypatch):
-    # the uniqueness check reads the canonical dominant's part spectra only
+def test_report_forms_no_dominant_and_no_gram_operator(monkeypatch):
+    # the uniqueness records are read from the signature of the direct linearisation
     inst = formats.parse_instance(INSTANCES["hermitian-not-psd"](), strict=False)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("report formed the dense canonical dominant")
+        raise AssertionError("report formed a dominant or its Gram operator")
 
-    monkeypatch.setattr(krein_lin, "canonical_dominant", refuse)
+    for name in ("canonical_dominant", "gram_operator", "uniqueness_report"):
+        monkeypatch.setattr(krein_lin, name, refuse)
     report = pipelines.report(inst, TOL)
     assert report.ok
     assert "krein/gap-uniqueness" in {r.tag for r in report.records}
+
+
+@pytest.mark.parametrize("family", ["pair_groupoid", "group_action", "partial_bijections",
+                                    "group_as_groupoid"])
+@pytest.mark.parametrize("mode", ["psd_invariant", "hermitian_invariant"])
+def test_report_reads_the_uniqueness_records_the_gram_operator_gives(family, mode):
+    # the Gram operator of the canonical dominant |G| is sign(w) on the range:
+    # formed, its gaps are 1 up to rounding; read from the signature, exactly 1
+    inst = formats.parse_instance(_generated(family, mode), strict=False)
+    k, p = inst.kernel, inst.partition
+    read = [r for r in pipelines.report(inst, TOL).records
+            if r.name == "induced space unique up to J-unitary equivalence"]
+    formed = krein_lin.uniqueness_report(k, krein_lin.canonical_dominant(k, p, TOL), p, TOL)
+    assert len(read) == len(formed) == len(p.parts)
+    for r, f in zip(read, formed):
+        assert (r.name, r.tag, r.residual, r.tolerance, r.passed) == (
+            f.name, f.tag, f.residual, f.tolerance, f.passed)
+        assert (r.witness["part"], r.witness["note"]) == (f.witness["part"], f.witness["note"])
+        for key in ("gap_neg", "gap_pos", "eps"):
+            if f.witness[key] is None:
+                assert r.witness[key] is None
+            else:
+                assert r.witness[key] == 1.0
+                assert f.witness[key] == pytest.approx(1.0, abs=1e-9)

@@ -104,12 +104,12 @@ def count_linalg(monkeypatch):
 
 
 @pytest.mark.parametrize("mode, budget", [
-    # eigh: the part Gram; eigvalsh: the split's sum, the Gram operator and, for a
-    # PSD kernel, one batched call for the compressions whose top eigenvalues are
-    # the bounded-shift constants (3 elements, one part pair); SVD values: the
+    # eigh: the part Gram; eigvalsh: the split's sum and, for a PSD kernel, one
+    # batched call for the compressions whose top eigenvalues are the
+    # bounded-shift constants (3 elements, one part pair); SVD values: the
     # minimality record and one batched call for the represented shifts' norms
-    ("hermitian_invariant", {"eigh": 1, "eigvalsh": 2, "svd": 2}),
-    ("psd_invariant", {"eigh": 1, "eigvalsh": 3, "svd": 2}),
+    ("hermitian_invariant", {"eigh": 1, "eigvalsh": 1, "svd": 2}),
+    ("psd_invariant", {"eigh": 1, "eigvalsh": 2, "svd": 2}),
 ])
 def test_report_decomposes_the_part_gram_once(tmp_path, capsys, monkeypatch, mode, budget):
     path = write_instance(tmp_path, "group_action", mode)

@@ -10,7 +10,10 @@ in-process and with one BLAS thread:
 plus `generate` for every family and mode, `represent --krein --dominant`,
 with and without `--reducibility`, on generated invariant dominant pairs, and
 `lift` on generated quadruples, as generated and with S moved by 1e-3, each
-scaled by c in {1e-6, 1, 1e6}. It also runs the six demos of the checkout
+scaled by c in {1e-6, 1, 1e6}, and `report`, `represent --krein` and
+`represent --hilbert` on three instances whose shifts fail to descend to
+the quotient (`guard_instance` in `tests/helpers.py`), so that the guard
+records are compared too. It also runs the six demos of the checkout
 that holds `--src` (its `demos/`), each as a script with that `src` on the
 path. The output JSON maps each run to the SHA-256 of its (exit code, stdout, stderr)
 and to the short hashes and the numbers of its parts (see `parts`; a demo's
@@ -53,7 +56,8 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 import traceback  # noqa: E402
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PERFBENCH, TESTS = os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests")
 
 COMMANDS = (
     ("report",),
@@ -76,6 +80,8 @@ SECTIONS = ("corpus", "content", "outputs", "demos")  # file bytes, instance dig
 DOMINANT_SEEDS = range(6)
 LIFT_SEEDS = range(3)
 LIFT_SCALES = (1e-6, 1.0, 1e6)
+GUARD_EPS = (3e-10, 5e-10, 1e-9)
+GUARD_COMMANDS = (("report",), ("represent", "--krein"), ("represent", "--hilbert"))
 
 
 def _short(value) -> str:
@@ -204,6 +210,17 @@ def lift_outputs(scratch, result):
                 result["outputs"][key] = run(("lift", path), scratch)
 
 
+def guard_outputs(scratch, result):
+    from helpers import guard_instance
+    from kgl import formats
+    for eps in GUARD_EPS:
+        path = os.path.join(scratch, f"guard-{eps:g}.json")
+        formats.save_instance(formats.instance_to_doc(*guard_instance(eps)), path)
+        for command in GUARD_COMMANDS:
+            result["outputs"][f"guard eps={eps:g} {' '.join(command)}"] = run(
+                command + (path,), scratch)
+
+
 def demo_parts(code, out, err) -> dict:
     """Short hashes of the parts of one demo run: its exit code, its stderr
     and each blank-line-separated section of its stdout (`stdout 1`, ...)."""
@@ -242,11 +259,13 @@ def demo_outputs(src, scratch, result):
 def fingerprint(src, out):
     sys.path.insert(0, os.path.abspath(src))
     sys.path.insert(0, os.path.abspath(PERFBENCH))
+    sys.path.insert(0, os.path.abspath(TESTS))
     result = {"seeds": list(SEEDS), "corpus": {}, "content": {}, "outputs": {}, "demos": {}}
     with tempfile.TemporaryDirectory(prefix="kgl-compare-") as scratch:
         corpus_outputs(scratch, result)
         generated_outputs(scratch, result)
         lift_outputs(scratch, result)
+        guard_outputs(scratch, result)
         demo_outputs(src, scratch, result)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
