@@ -2,7 +2,8 @@
 
 An instance file is one JSON object holding the four documents. Complex
 matrices are stored as separate real and imaginary coefficient arrays of
-JSON numbers. Labels are strings, and a label or document part of another
+JSON numbers, read into one flat float64 buffer as a file is decoded
+(_Matrices). Labels are strings, and a label or document part of another
 JSON type raises ParseError, as does a matrix entry that is not a JSON
 number: a JSON true or false, or a string such as "1.5" (numpy would read
 them as 1.0, 0.0 and 1.5). Omitted kernel entries are zero
@@ -22,6 +23,7 @@ to the same digest.
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -70,8 +72,14 @@ def matrix_to_doc(m) -> dict:
 
 
 def matrix_from_doc(doc, where="matrix") -> np.ndarray:
+    if isinstance(doc, dict) and "re" in doc:  # not read while decoding
+        doc = _Matrices().read({k: doc[k] for k in ("re", "im") if k in doc})
+    if type(doc) is _Block:
+        re, im = doc.array()
+        return re + 1j * im
     if not isinstance(doc, dict) or "re" not in doc:
         raise ParseError(f"{where}: expected an object with 're' (and optional 'im')")
+    doc = {k: _decoded(v) for k, v in doc.items()}  # integer entries, or a fault to name
     try:
         re = np.asarray(doc["re"], dtype=np.float64)
         im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=np.float64)
@@ -89,6 +97,77 @@ def matrix_from_doc(doc, where="matrix") -> np.ndarray:
     return re + 1j * im
 
 
+def _decoded(value):
+    """value with each _Block in it, in lists at any depth, as the object it was read from."""
+    if type(value) is _Block:
+        return value.doc()
+    return [_decoded(v) for v in value] if type(value) is list else value
+
+
+class _Block:
+    """A matrix object read by _Matrices: 're' at offset in source.values,
+    then 'im' (zeros when absent), each of shape (p, q); keys are the
+    object's keys in order, row and col its labels (None when absent)."""
+
+    __slots__ = ("source", "offset", "shape", "keys", "row", "col")
+
+    def __init__(self, *fields):
+        self.source, self.offset, self.shape, self.keys, self.row, self.col = fields
+
+    def array(self) -> np.ndarray:
+        """'re' and 'im' stacked, a (2, p, q) view of the buffer."""
+        p, q = self.shape
+        return np.frombuffer(self.source.values, count=2 * p * q,
+                             offset=8 * self.offset).reshape(2, p, q)
+
+    def doc(self) -> dict:
+        """The object it was read from."""
+        re, im = self.array().tolist()
+        found = {"row": self.row, "col": self.col, "re": re, "im": im}
+        return {k: found[k] for k in self.keys}
+
+    def __repr__(self):
+        return repr(self.doc())
+
+
+class _Matrices:
+    """Matrix objects read into one flat float64 buffer, values. read is the
+    object_pairs_hook of every decode, so an object's lists and floats are
+    freed as soon as it closes; labels, shapes and key orders are kept once."""
+
+    def __init__(self):
+        self.values, self.shared = array("d"), {}
+
+    def read(self, pairs):
+        """The object of pairs (a dict or its items; a key given twice raises), a
+        _Block if its keys are among row, col, re, im, its labels strings and
+        re and im (if given) lists of p >= 1 lists of q floats each."""
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            _unique_keys(pairs)
+        re, im = obj.get("re"), obj.get("im", [])
+        if not (type(re) is list and re and type(im) is list
+                and obj.keys() <= {"row", "col", "re", "im"}
+                and type(obj.get("row", "")) is str and type(obj.get("col", "")) is str):
+            return obj
+        rows = re + im
+        try:
+            (q,) = set(map(len, rows))
+        except (TypeError, ValueError):  # a row without a length, or rows of two lengths
+            return obj
+        flat = list(chain.from_iterable(rows))
+        if ("im" in obj and len(im) != len(re) or not q and set(map(type, rows)) != {list}
+                or not set(map(type, flat)) <= {float}):
+            return obj
+        start = len(self.values)
+        self.values.fromlist(flat)
+        if "im" not in obj:
+            self.values.frombytes(bytes(8 * len(re) * q))
+        share, keys, row, col = self.shared.setdefault, tuple(obj), obj.get("row"), obj.get("col")
+        return _Block(self, start, share((len(re), q), (len(re), q)), share(keys, keys),
+                      share(row, row), share(col, col))
+
+
 def semigroupoid_to_doc(sg: StarSemigroupoid) -> dict:
     doc = {
         "symbols": sorted(sg.symbols),
@@ -102,7 +181,10 @@ def semigroupoid_to_doc(sg: StarSemigroupoid) -> dict:
 
 
 def _expect(value, kind, where):
-    """value, if it has the type kind: dict (a JSON object), list (an array) or str."""
+    """value, if it has the type kind: dict (a JSON object), list (an array)
+    or str. A _Block is the object it was read from."""
+    if type(value) is _Block:
+        value = value.doc()
     if not isinstance(value, kind):
         raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
@@ -134,7 +216,7 @@ def _element_rows(rows, n, known, where):
 
 
 def _require_keys(doc, keys, where):
-    _expect(doc, dict, where)
+    doc = _expect(doc, dict, where)
     for k in keys:
         if k not in doc:
             raise ParseError(f"{where}: missing required key {k!r}")
@@ -232,85 +314,49 @@ def kernel_to_doc(k: OpKernel) -> dict:
 
 
 def kernel_from_doc(doc, bundle: HilbertBundle) -> OpKernel:
-    """The kernel whose entries doc lists. The entries are parsed per fiber
-    shape (_scatter_groups); when a scan of that fails, each block is
-    checked and written into the Gram as it is read, so the first faulty
-    entry in document order raises. A NaN or Inf raises once every entry
-    has been read."""
+    """The kernel whose entries doc lists, checked in document order so the
+    first faulty entry raises. Blocks in a flat buffer (_Matrices) are
+    written into the Gram per buffer and fiber shape, any other as it is
+    read. A NaN or Inf raises once every entry has been read."""
     _require_keys(doc, ("field", "entries"), "kernel")
     if doc["field"] != "complex":
         raise ParseError(f"kernel field must be 'complex', got {doc['field']!r}")
-    entries = _expect(doc["entries"], list, "kernel entries")
-    index = part_index(bundle, bundle.points)
-    gram = _scatter_groups(entries, bundle, index)
-    if gram is None:
-        gram = _scatter_entries(entries, bundle, index)
-    return _from_gram(index, gram)
-
-
-def _scatter_groups(entries: list, bundle: HilbertBundle, index):
-    """The Gram of the entries, or None when a whole-table scan fails.
-
-    The labels, keys and duplicates are checked by scans over all entries;
-    then each group of entries whose blocks share a fiber shape is read with
-    one np.array call over its (re, im) pairs, checked by one shape test and
-    one type scan, and scattered into the Gram.
-    """
-    if not set(map(type, entries)) <= {dict}:
-        return None
-    try:
-        rows = [e["row"] for e in entries]
-        cols = [e["col"] for e in entries]
-        res = [e["re"] for e in entries]
-    except KeyError:
-        return None
-    dim, offset = bundle.dim, index.offsets
-    if not (set(map(type, rows)) | set(map(type, cols)) <= {str}
-            and dim.keys() >= set(rows).union(cols)
-            and len(set(zip(rows, cols))) == len(entries)):
-        return None
-    groups = {}
-    for i, (x, y) in enumerate(zip(rows, cols)):
-        groups.setdefault((dim[x], dim[y]), []).append(i)
+    read, index, dim = _Matrices().read, part_index(bundle, bundle.points), bundle.dim
     gram = np.zeros((index.total_dim, index.total_dim), dtype=np.complex128)
-    for (p, q), members in groups.items():
-        zero = [[0] * q] * p
-        pairs = [(res[i], entries[i].get("im", zero)) for i in members]
-        try:
-            a = np.array(pairs, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        # numpy would read a JSON true or false as 1.0 or 0.0, and "1.5" as 1.5
-        if a.shape != (len(members), 2, p, q) or not set(map(type, chain.from_iterable(
-                chain.from_iterable(chain.from_iterable(pairs))))) <= {int, float}:
-            return None
-        r = np.array([offset[rows[i]] for i in members])[:, None, None] + np.arange(p)[:, None]
-        c = np.array([offset[cols[i]] for i in members])[:, None, None] + np.arange(q)
-        gram[r, c] = a[:, 0] + 1j * a[:, 1]
-    return gram
-
-
-def _scatter_entries(entries: list, bundle: HilbertBundle, index):
-    """The Gram of the entries, read one entry at a time; the first faulty
-    entry in document order raises."""
-    pts = set(bundle.points)
-    gram = np.zeros((index.total_dim, index.total_dim), dtype=np.complex128)
-    seen = set()
-    for entry in entries:
-        _require_keys(entry, ("row", "col", "re"), "kernel entry")
-        x = _expect(entry["row"], str, "kernel entry row")
-        y = _expect(entry["col"], str, "kernel entry col")
-        if x not in pts or y not in pts:
+    seen, groups = set(), {}
+    for entry in _expect(doc["entries"], list, "kernel entries"):
+        entry = read(entry) if type(entry) is dict else entry
+        x, y = (entry.row, entry.col) if type(entry) is _Block else (None, None)
+        if x is None or y is None:
+            _require_keys(entry, ("row", "col", "re"), "kernel entry")
+            x = _expect(entry["row"], str, "kernel entry row")
+            y = _expect(entry["col"], str, "kernel entry col")
+        if x not in dim or y not in dim:
             raise CrossRefError(f"kernel entry ({x!r},{y!r}) references an unknown point")
         if (x, y) in seen:
             raise ParseError(f"kernel entry ({x!r},{y!r}) appears twice")
         seen.add((x, y))
-        block = matrix_from_doc(entry, where=f"kernel entry ({x!r},{y!r})")
-        want = (bundle.dim[x], bundle.dim[y])
+        block = entry if type(entry) is _Block else matrix_from_doc(
+            entry, where=f"kernel entry ({x!r},{y!r})")
+        want = (dim[x], dim[y])
         if block.shape != want:
             raise CrossRefError(f"block ({x!r},{y!r}) has shape {block.shape}, expected {want}")
-        gram[index.slice_of(x), index.slice_of(y)] = block
-    return gram
+        if block is entry:
+            groups.setdefault((entry.source, want), []).append(
+                (index.offsets[x], index.offsets[y], entry.offset))
+        else:  # a block with integer entries
+            gram[index.slice_of(x), index.slice_of(y)] = block
+    for (source, (p, q)), members in groups.items():
+        x0, y0, at = np.array(members).T[:, :, None, None]
+        r, c = x0 + np.arange(p)[:, None], y0 + np.arange(q)
+        at = at + np.arange(p * q).reshape(p, q)
+        values = np.frombuffer(source.values)
+        re, im = values[at], values[at + p * q]
+        re += np.copysign(0.0, im)  # the signed zeros of re + 1j * im
+        im += 0.0
+        gram.real[r, c] = re
+        gram.imag[r, c] = im
+    return _from_gram(index, gram)
 
 
 @dataclass(eq=False)
@@ -398,10 +444,11 @@ def _unique_keys(pairs) -> dict:
 
 
 def _read_json(path):
-    """Parse a JSON file; a key repeated inside one object is an error."""
+    """Parse a JSON file, its matrix objects read into one flat buffer
+    (_Matrices); a key repeated inside one object is an error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            doc = json.load(fh, object_pairs_hook=_Matrices().read)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     except ParseError as exc:
@@ -410,6 +457,7 @@ def _read_json(path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}")
+    return doc.doc() if type(doc) is _Block else doc
 
 
 def load(paths, strict: bool = True) -> Instance:
@@ -436,7 +484,7 @@ def load(paths, strict: bool = True) -> Instance:
 
 def loads(text: str, strict: bool = True) -> Instance:
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=_Matrices().read)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}")
     return parse_instance(doc, strict=strict)

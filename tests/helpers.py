@@ -1,7 +1,12 @@
 """Hand-built instances shared across test modules."""
 
+import functools
+import json
+import random
+
 import numpy as np
 
+from kgl import formats, generators
 from kgl.bundle import HilbertBundle
 from kgl.kernel import OpKernel
 from kgl.sgpd import LeftAction, StarSemigroupoid, pair_groupoid
@@ -107,3 +112,74 @@ def guard_instance(eps):
             for j, y in enumerate(pts):
                 blocks[(x, y)] = np.array([[g[i, j]]])
     return sg, act, bundle, OpKernel(bundle, blocks)
+
+
+MUTATIONS = ("drop", "duplicate", "true", "string", "null", "list", "ragged", "label",
+             "truncate", "dim")
+FAMILIES = ("pair_groupoid", "group_action", "partial_bijections", "group_as_groupoid")
+
+
+@functools.lru_cache(maxsize=None)
+def _small_instance_text(family, seed):
+    return formats._canonical_text(formats.instance_to_doc(
+        *generators.generate_instance(family, seed=seed)))
+
+
+def _nodes(value):
+    """(container, key, child) for every value inside a JSON document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield value, key, child
+        if isinstance(child, (dict, list)):
+            yield from _nodes(child)
+
+
+def _text(value, twice=None):
+    """Compact JSON text of value; the key twice[1] of the object twice[0]
+    (by identity) is written twice."""
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}:{_text(v, twice)}" for k, v in value.items()]
+        if twice and value is twice[0]:
+            items.append(f"{json.dumps(twice[1])}:{_text(value[twice[1]], twice)}")
+        return "{" + ",".join(items) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(_text(v, twice) for v in value) + "]"
+    return json.dumps(value)
+
+
+def malformed_text(seed):
+    """A small generated instance's text with one seeded mutation, of the
+    kind MUTATIONS[seed % 10]: a key dropped or written twice; a number
+    turned into true, "1.5", null or a list; a row one entry longer; a
+    label renamed; the text cut short; or a bundle dim set to 0, -1 or
+    10**400 (never a large finite dim, whose Gram would be allocated)."""
+    rng = random.Random(seed)
+    kind = MUTATIONS[seed % len(MUTATIONS)]
+    doc = json.loads(_small_instance_text(rng.choice(FAMILIES), rng.randrange(3)))
+    nodes = list(_nodes(doc))
+    twice = None
+    if kind == "truncate":
+        text = _text(doc)
+        return text[:rng.randrange(len(text))]
+    if kind == "dim":
+        dims = doc["bundle"]["dims"]
+        dims[rng.choice(sorted(dims))] = rng.choice((0, -1, 10 ** 400))
+    elif kind in ("drop", "duplicate"):
+        obj = rng.choice([v for _, _, v in nodes if isinstance(v, dict) and v])
+        key = rng.choice(sorted(obj))
+        if kind == "drop":
+            del obj[key]
+        else:
+            twice = (obj, key)
+    elif kind == "ragged":
+        rows = rng.choice([v for _, _, v in nodes
+                           if isinstance(v, list) and v and all(isinstance(r, list) for r in v)])
+        row = rng.choice(rows)
+        row.append(row[-1] if row else 0.0)
+    else:
+        want = str if kind == "label" else (int, float)
+        container, key, value = rng.choice(
+            [n for n in nodes if isinstance(n[2], want) and not isinstance(n[2], bool)])
+        container[key] = {"true": True, "string": "1.5", "null": None, "list": [1.0],
+                          "label": f"{value}'"}[kind]
+    return _text(doc, twice)

@@ -78,6 +78,35 @@ def test_diff_without_recorded_numbers_says_so(tool, tmp_path, capsys):
             "(numbers differ in count or are not recorded)") in capsys.readouterr().out
 
 
+def test_diff_gives_the_largest_difference_over_the_comparable_outputs(tool, tmp_path, capsys):
+    # in one output the part has a number more on one side: it is counted, not a veto
+    doc = json.loads(report(2e-10))
+    doc["records"].append(doc["records"][-1])
+    longer = json.dumps(doc)
+    sides = {"old.json": {"a": report(1e-9), "b": report(1e-9)},
+             "new.json": {"a": report(2e-10), "b": longer}}
+    for name, outs in sides.items():
+        (tmp_path / name).write_text(json.dumps({"outputs": {
+            key: {"sha": out, "parts": tool.parts(0, out, ""),
+                  "numbers": tool.part_numbers(0, out, "")} for key, out in outs.items()}}))
+    assert tool.diff(str(tmp_path / "old.json"), str(tmp_path / "new.json")) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "part kernel/psd tolerance: differs in 2 outputs" in out
+    assert ("part kernel/psd tolerance: largest relative difference 0.8 over 1 outputs; "
+            "1 not comparable (numbers differ in count or are not recorded)") in out
+
+
+def test_malformed_runs_are_fingerprinted(tool, tmp_path):
+    import helpers
+    result = {"outputs": {}}
+    tool.malformed_outputs(str(tmp_path), result)
+    assert len(result["outputs"]) == len(tool.MALFORMED_SEEDS) == 30
+    kinds = {key.split()[2] for key in result["outputs"]}
+    assert kinds == set(helpers.MUTATIONS)
+    exits = [json.loads(json.dumps(v))["numbers"]["exit"] for v in result["outputs"].values()]
+    assert [2] in exits
+
+
 def test_demo_fingerprint_masks_temporary_directories(tool, tmp_path, capsys):
     checkout = tmp_path / "checkout"
     (checkout / "src").mkdir(parents=True)

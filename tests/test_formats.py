@@ -1,12 +1,16 @@
+import gc
 import hashlib
 import itertools
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import z2_swap
-from kgl import formats, generators
+from helpers import _text, z2_swap
+from kgl import formats, generators, sgpd
+from kgl.bundle import HilbertBundle
 from kgl.errors import AxiomError, CrossRefError, NonFinite, ParseError
 from kgl.kernel import OpKernel
 from kgl.numlin import DEFAULT_TOL as TOL
@@ -409,3 +413,206 @@ def test_table_faults_name_the_first_faulty_row(section, table):
         with pytest.raises(kind, match=message) as exc:
             formats.parse_instance(bad, strict=False)
         assert f"row {rows[1]!r} " in str(exc.value)
+
+
+def parity_doc():
+    """Z2 swapping two points with fiber 2: four 2x2 entries, in the order
+    (x1,x1), (x1,x2), (x2,x1), (x2,x2)."""
+    sg, act = z2_swap()
+    bundle = HilbertBundle(points=("x1", "x2"), dim={"x1": 2, "x2": 2})
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    blocks = {(x, y): np.array([[2.0, 0.5], [0.5, 1.0]]) + (0.25j * skew if x != y else 0)
+              for x in ("x1", "x2") for y in ("x1", "x2")}
+    return formats.instance_to_doc(sg, act, bundle, OpKernel(bundle, blocks))
+
+
+def spoil(doc, i, fault):
+    """Put one fault into entry i of doc; returns the (object, key) to write
+    twice, for the duplicate key."""
+    e = doc["kernel"]["entries"][i]
+    if fault == "boolean":
+        e["re"][0][1] = True
+    elif fault == "numeric string":
+        e["im"][1][0] = "1.5"
+    elif fault == "ragged row":
+        e["re"][1].append(0.0)
+    elif fault == "re/im shapes":
+        e["im"] = [[0.0, 0.0]]
+    elif fault == "block shape":
+        e["re"], e["im"] = ([row + [0.0] for row in e[k]] for k in ("re", "im"))
+    elif fault == "unknown point":
+        e["row"] = "ghost"
+    elif fault == "repeated pair":
+        e["row"], e["col"] = "x1", "x1"
+    elif fault == "nan":
+        e["re"][0][0] = float("nan")
+    elif fault == "duplicate key":
+        return e, "re"
+
+
+def raised(text, tmp_path):
+    """(type name, message) that loads and load raise on text, the path read as <path>."""
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    out = []
+    for load, arg in ((formats.loads, text), (formats.load, str(path))):
+        with pytest.raises(Exception) as exc:
+            load(arg, strict=False)
+        out.append((type(exc.value).__name__, str(exc.value).replace(str(path), "<path>")))
+    return out
+
+
+NUMPY_RAGGED = "setting an array element with a sequence"
+# each kernel entry fault of entry (x1,x2), and the message of the parse that read
+# entries into nested lists (frozen); duplicate keys name the file when one is read
+ENTRY_FAULTS = {
+    "boolean": ("ParseError", "kernel entry ('x1','x2'): not an array of numbers "
+                              "(found a boolean)"),
+    "numeric string": ("ParseError", "kernel entry ('x1','x2'): not an array of numbers "
+                                     "(found a string)"),
+    "ragged row": ("ParseError", f"kernel entry ('x1','x2'): not an array of numbers "
+                                 f"({NUMPY_RAGGED}"),
+    "re/im shapes": ("ParseError", "kernel entry ('x1','x2'): 're' shape (2, 2) differs "
+                                   "from 'im' shape (1, 2)"),
+    "block shape": ("CrossRefError", "block ('x1','x2') has shape (2, 3), expected (2, 2)"),
+    "duplicate key": ("ParseError", "key 're' appears twice in one object"),
+    "unknown point": ("CrossRefError", "kernel entry ('ghost','x2') references an unknown point"),
+    "repeated pair": ("ParseError", "kernel entry ('x1','x1') appears twice"),
+    "nan": ("NonFinite", "kernel has NaN or Inf entries"),
+}
+
+
+def assert_raised(got, want):
+    kind, message = want
+    for (got_kind, got_message), prefix in zip(got, ("", "<path>: ")):
+        assert got_kind == kind
+        if NUMPY_RAGGED in message:  # the rest of numpy's text depends on its version
+            assert got_message.startswith(message)
+        else:
+            assert got_message == (prefix if message.startswith("key ") else "") + message
+
+
+@pytest.mark.parametrize("fault", ENTRY_FAULTS)
+def test_kernel_entry_faults_keep_their_exception_and_message(fault, tmp_path):
+    doc = parity_doc()
+    twice = spoil(doc, 1, fault)
+    assert_raised(raised(_text(doc, twice), tmp_path), ENTRY_FAULTS[fault])
+
+
+@pytest.mark.parametrize("first, second", [("boolean", "unknown point"),
+                                           ("unknown point", "boolean"),
+                                           ("nan", "ragged row"), ("block shape", "nan"),
+                                           ("duplicate key", "boolean")])
+def test_of_two_faulty_entries_the_first_in_document_order_raises(first, second, tmp_path):
+    doc = parity_doc()
+    twice = spoil(doc, 1, first) or spoil(doc, 2, second)
+    if first == "nan":  # a NaN raises only once every entry has been read
+        want = ENTRY_FAULTS[second][0], ENTRY_FAULTS[second][1].replace("'x1','x2'", "'x2','x1'")
+    else:
+        want = ENTRY_FAULTS[first]
+    assert_raised(raised(_text(doc, twice), tmp_path), want)
+
+
+def test_a_faulty_table_row_is_named_before_a_faulty_kernel_entry(tmp_path):
+    doc = parity_doc()
+    spoil(doc, 1, "boolean")
+    doc["semigroupoid"]["compose"][1][2] = "zz"
+    assert_raised(raised(_text(doc), tmp_path), (
+        "CrossRefError", "compose row ['e', 'g', 'zz'] references unknown element 'zz'"))
+
+
+def test_a_matrix_object_out_of_place_reads_as_the_object_it_was(tmp_path):
+    m = {"re": [[1.5, -0.0]], "im": [[2.0, 0.25]]}
+    shown = "{'re': [[1.5, -0.0]], 'im': [[2.0, 0.25]]}"
+    cases = [
+        (lambda d: d.__setitem__("bundle", m), "bundle: missing required key 'dims'"),
+        (lambda d: d["action"].__setitem__("anchor", {"re": [[1.0]]}),
+         "anchor of 're': expected str, got list"),
+        (lambda d: d["bundle"].__setitem__("dims", {"re": [[1.0]], "x1": 2}),
+         "bundle dim of 're' must be a positive integer, got [[1.0]]"),
+        (lambda d: d["semigroupoid"]["compose"][1].__setitem__(1, m),
+         f"compose row ['e', {shown}, 'g'] is not a triple of labels"),
+        (lambda d: d["kernel"].__setitem__("field", m),
+         f"kernel field must be 'complex', got {shown}"),
+        (lambda d: d["kernel"].__setitem__("entries", m),
+         "kernel entries: expected list, got dict"),
+        (lambda d: d["kernel"]["entries"][1]["re"][0].__setitem__(0, {"re": [[1.0]]}),
+         "kernel entry ('x1','x2'): not an array of numbers (float() argument must be a "
+         "string or a real number, not 'dict')"),
+        (lambda d: d["kernel"]["entries"][1].__setitem__("row", m),
+         "kernel entry row: expected str, got dict"),
+        (lambda d: d["kernel"]["entries"][1].pop("row"), "kernel entry: missing required key 'row'"),
+    ]
+    for edit, message in cases:
+        doc = parity_doc()
+        edit(doc)
+        assert_raised(raised(_text(doc), tmp_path), ("ParseError", message))
+    with pytest.raises(ParseError, match=re.escape("instance: missing required key 'semigroupoid'")):
+        formats.loads(json.dumps(m))
+
+
+def test_the_flat_buffer_gives_the_bits_of_re_plus_1j_im():
+    # signed zeros in every combination: the Gram holds re + 1j * im bit for bit
+    values = [0.0, -0.0, 1.5, -2.0]
+    pairs = np.array(list(itertools.product(values, values)))
+    sg, act = z2_swap()
+    bundle = HilbertBundle(points=("x1", "x2"), dim={"x1": 4, "x2": 4})
+    rng = np.random.default_rng(0)
+    doc = formats.instance_to_doc(sg, act, bundle, OpKernel(bundle, {}))
+    want = np.zeros((8, 8), dtype=np.complex128)
+    for x, y in itertools.product(("x1", "x2"), repeat=2):
+        re_part, im_part = pairs[rng.integers(0, len(pairs), 16)].T.reshape(2, 4, 4)
+        doc["kernel"]["entries"].append(
+            {"row": x, "col": y, "re": re_part.tolist(), "im": im_part.tolist()})
+        block = np.array(re_part.tolist()) + 1j * np.array(im_part.tolist())
+        want[4 * (x == "x2"):][:4, 4 * (y == "x2"):][:, :4] = block
+        assert formats.matrix_from_doc(doc["kernel"]["entries"][-1]).tobytes() == block.tobytes()
+    assert formats.kernel_from_doc(doc["kernel"], bundle).gram.tobytes() == want.tobytes()
+    assert formats.loads(json.dumps(doc)).kernel.gram.tobytes() == want.tobytes()
+    assert np.signbit(want.real[want.real == 0]).any()
+
+
+def spectral_sized_doc():
+    """Z2 shifting 8 points by 4, fiber 16: one part of dimension 128, the
+    smallest shape of perfbench's `spectral` workload."""
+    base = tuple(f"x{k}" for k in range(8))
+    sg, act = sgpd.generate("group_action", table=sgpd.cyclic_group_table(2), base=base,
+                            action_map={(f"g{i}", f"x{k}"): f"x{(k + 4 * i) % 8}"
+                                        for i in range(2) for k in range(8)})
+    bundle = HilbertBundle(points=base, dim={x: 16 for x in base})
+    return formats.instance_to_doc(sg, act, bundle,
+                                   generators.generate_kernel(act, bundle, "psd_invariant", 1))
+
+
+def group_as_groupoid_32_doc():
+    """The cyclic group of order 32 acting on itself, fiber 2: 1024 entries of 2x2."""
+    seed = next(s for s in range(100) if int(generators.rng_for(s).integers(1, 4)) == 2)
+    return formats.instance_to_doc(*generators.generate_instance(
+        "group_as_groupoid", seed=seed, table=sgpd.cyclic_group_table(32)))
+
+
+def traced_peak(path):
+    formats.load(path, strict=False)  # first use of each code path out of the figure
+    gc.collect()  # and its objects freed, whatever the collector's schedule
+    tracemalloc.start()
+    try:
+        formats.load(path, strict=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [spectral_sized_doc, group_as_groupoid_32_doc])
+def test_the_kernel_adds_at_most_its_text_and_two_grams_to_the_load_peak(build, tmp_path):
+    """What the kernel adds to the traced peak of formats.load stays within
+    its text and 2 * 16 * N**2 bytes for total dimension N: the flat buffer
+    and the Gram. Nested lists of Python floats took 2.4 to 4.5 times the
+    kernel's text, and 6 to 14 Grams."""
+    doc = build()
+    n = sum(doc["bundle"]["dims"].values())
+    full, bare = tmp_path / "full.json", tmp_path / "bare.json"
+    formats.save_instance(doc, full)
+    formats.save_instance(dict(doc, kernel={"field": "complex", "entries": []}), bare)
+    kernel_text = full.stat().st_size - bare.stat().st_size
+    added = traced_peak(str(full)) - traced_peak(str(bare))
+    assert added <= kernel_text + 2 * 16 * n ** 2

@@ -13,7 +13,10 @@ with and without `--reducibility`, on generated invariant dominant pairs, and
 scaled by c in {1e-6, 1, 1e6}, and `report`, `represent --krein` and
 `represent --hilbert` on three instances whose shifts fail to descend to
 the quotient (`guard_instance` in `tests/helpers.py`), so that the guard
-records are compared too. It also runs the six demos of the checkout
+records are compared too, and `report` on 30 malformed instances, the
+first seeds of the fuzz in `tests/test_fuzz.py` (`malformed_text` in
+`tests/helpers.py`), so that the loader's errors (exit code and stderr)
+are compared as well. It also runs the six demos of the checkout
 that holds `--src` (its `demos/`), each as a script with that `src` on the
 path. The output JSON maps each run to the SHA-256 of its (exit code, stdout, stderr)
 and to the short hashes and the numbers of its parts (see `parts`; a demo's
@@ -35,7 +38,9 @@ and field, such as `kernel/psd tolerance`), then a count per section and per
 differing part, and exits 1 if there are any. For each differing part it
 also prints the largest relative difference |x - y| / max(|x|, |y|) between
 the numbers of the two sides, which each fingerprint keeps per part (0 means
-only something other than a number differs).
+only something other than a number differs), over the outputs whose part
+has as many numbers on both sides, and how many outputs it is not
+comparable in.
 """
 
 import os
@@ -82,6 +87,7 @@ LIFT_SEEDS = range(3)
 LIFT_SCALES = (1e-6, 1.0, 1e6)
 GUARD_EPS = (3e-10, 5e-10, 1e-9)
 GUARD_COMMANDS = (("report",), ("represent", "--krein"), ("represent", "--hilbert"))
+MALFORMED_SEEDS = range(30)
 
 
 def _short(value) -> str:
@@ -221,6 +227,16 @@ def guard_outputs(scratch, result):
                 command + (path,), scratch)
 
 
+def malformed_outputs(scratch, result):
+    from helpers import MUTATIONS, malformed_text
+    path = os.path.join(scratch, "malformed.json")
+    for seed in MALFORMED_SEEDS:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(malformed_text(seed))
+        kind = MUTATIONS[seed % len(MUTATIONS)]
+        result["outputs"][f"malformed {seed} {kind} report"] = run(("report", path), scratch)
+
+
 def demo_parts(code, out, err) -> dict:
     """Short hashes of the parts of one demo run: its exit code, its stderr
     and each blank-line-separated section of its stdout (`stdout 1`, ...)."""
@@ -266,6 +282,7 @@ def fingerprint(src, out):
         generated_outputs(scratch, result)
         lift_outputs(scratch, result)
         guard_outputs(scratch, result)
+        malformed_outputs(scratch, result)
         demo_outputs(src, scratch, result)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
@@ -294,7 +311,7 @@ def diff(path_a, path_b) -> int:
         a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
-    counts, by_part, largest = [], collections.Counter(), {}
+    counts, by_part, largest, uncomparable = [], collections.Counter(), {}, collections.Counter()
     for section in SECTIONS:
         sa, sb = a.get(section, {}), b.get(section, {})
         keys = sorted(set(sa) | set(sb))
@@ -315,8 +332,10 @@ def diff(path_a, path_b) -> int:
                     if "numbers" in va and "numbers" in vb:
                         rel = relative_difference(va["numbers"].get(name, []),
                                                   vb["numbers"].get(name, []))
-                    seen = largest.get(name, 0.0)
-                    largest[name] = None if rel is None or seen is None else max(seen, rel)
+                    if rel is None:
+                        uncomparable[name] += 1
+                    else:
+                        largest[name] = max(largest.get(name, 0.0), rel)
             else:
                 print(f"{section}: {key}")
         counts.append((section, differ, len(keys)))
@@ -324,10 +343,11 @@ def diff(path_a, path_b) -> int:
         print(f"{section}: {differ} of {total} differ")
     for name, n in sorted(by_part.items()):
         print(f"part {name}: differs in {n} outputs")
-        rel = largest[name]
-        print(f"part {name}: largest relative difference "
-              + ("not comparable (numbers differ in count or are not recorded)"
-                 if rel is None else f"{rel:.3g}"))
+        odd = uncomparable[name]
+        figure = "not comparable" if name not in largest else f"{largest[name]:.3g}" + (
+            f" over {n - odd} outputs; {odd} not comparable" if odd else "")
+        print(f"part {name}: largest relative difference {figure}"
+              + (" (numbers differ in count or are not recorded)" if odd else ""))
     return 1 if any(differ for _, differ, _ in counts) else 0
 
 
