@@ -103,7 +103,7 @@ def test_malformed_runs_are_fingerprinted(tool, tmp_path):
     assert len(result["outputs"]) == len(tool.MALFORMED_SEEDS) == 30
     kinds = {key.split()[2] for key in result["outputs"]}
     assert kinds == set(helpers.MUTATIONS)
-    exits = [json.loads(json.dumps(v))["numbers"]["exit"] for v in result["outputs"].values()]
+    exits = [v["numbers"]["exit"] for v in result["outputs"].values()]
     assert [2] in exits
 
 
