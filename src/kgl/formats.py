@@ -72,8 +72,6 @@ def matrix_to_doc(m) -> dict:
 
 
 def matrix_from_doc(doc, where="matrix") -> np.ndarray:
-    if isinstance(doc, dict) and "re" in doc:  # not read while decoding
-        doc = _Matrices().read({k: doc[k] for k in ("re", "im") if k in doc})
     if type(doc) is _Block:
         re, im = doc.array()
         return re + 1j * im
@@ -97,11 +95,12 @@ def matrix_from_doc(doc, where="matrix") -> np.ndarray:
     return re + 1j * im
 
 
-def _decoded(value):
-    """value with each _Block in it, in lists at any depth, as the object it was read from."""
+def _decoded(value, depth=65):
+    """value with each _Block in it, in lists up to depth deep, as the object
+    it was read from; numpy reads no list past its 64 dimensions."""
     if type(value) is _Block:
         return value.doc()
-    return [_decoded(v) for v in value] if type(value) is list else value
+    return [_decoded(v, depth - 1) for v in value] if type(value) is list and depth else value
 
 
 class _Block:
@@ -216,6 +215,7 @@ def _element_rows(rows, n, known, where):
 
 
 def _require_keys(doc, keys, where):
+    """Raise unless doc, a _Block taken as its object, is a dict holding keys."""
     doc = _expect(doc, dict, where)
     for k in keys:
         if k not in doc:
@@ -344,7 +344,7 @@ def kernel_from_doc(doc, bundle: HilbertBundle) -> OpKernel:
         if block is entry:
             groups.setdefault((entry.source, want), []).append(
                 (index.offsets[x], index.offsets[y], entry.offset))
-        else:  # a block with integer entries
+        else:  # an entry not read into the flat buffer
             gram[index.slice_of(x), index.slice_of(y)] = block
     for (source, (p, q)), members in groups.items():
         x0, y0, at = np.array(members).T[:, :, None, None]

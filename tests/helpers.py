@@ -137,6 +137,8 @@ def _nodes(value):
 def _text(value, twice=None):
     """Compact JSON text of value; the key twice[1] of the object twice[0]
     (by identity) is written twice."""
+    if twice is None:
+        return json.dumps(value, separators=(",", ":"))
     if isinstance(value, dict):
         items = [f"{json.dumps(k)}:{_text(v, twice)}" for k, v in value.items()]
         if twice and value is twice[0]:

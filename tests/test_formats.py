@@ -448,6 +448,10 @@ def spoil(doc, i, fault):
         e["re"][0][0] = float("nan")
     elif fault == "duplicate key":
         return e, "re"
+    elif fault == "nested 600 deep":
+        e["re"] = {"re": [[1.0]]}  # a matrix object, read into the flat buffer
+        for _ in range(600):
+            e["re"] = [e["re"]]
 
 
 def raised(text, tmp_path):
@@ -479,6 +483,8 @@ ENTRY_FAULTS = {
     "unknown point": ("CrossRefError", "kernel entry ('ghost','x2') references an unknown point"),
     "repeated pair": ("ParseError", "kernel entry ('x1','x1') appears twice"),
     "nan": ("NonFinite", "kernel has NaN or Inf entries"),
+    "nested 600 deep": ("ParseError", f"kernel entry ('x1','x2'): not an array of numbers "
+                                      f"({NUMPY_RAGGED}"),
 }
 
 
