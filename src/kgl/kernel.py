@@ -495,7 +495,8 @@ def is_invariant(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
         ay = coords[astar] if swaps else np.full(p.index(sc).total_dim, -1)
         bad = np.zeros((len(xs), len(ys)), dtype=bool)
         if ys:
-            diff = grams[sc][np.maximum(ax, 0)] - grams[sd][:, np.maximum(ay, 0)]
+            diff = grams[sc][np.maximum(ax, 0)]
+            diff -= grams[sd][:, np.maximum(ay, 0)]
             sq = np.add.reduceat(diff.real ** 2 + diff.imag ** 2, starts[sd], axis=0)
             bad = np.sqrt(np.add.reduceat(sq, starts[sc], axis=1)) > bounds[alpha]
         # in (alpha, x, y) order, alpha.x is needed from row x on and each

@@ -55,7 +55,7 @@ from .kernel import (
     part_spectra,
 )
 from .krein_core import gaps_unique, induced_from_spectrum, induced_krein, krein_adjoint
-from .numlin import DEFAULT_TOL, Tolerances, frob, frobs, opnorm
+from .numlin import DEFAULT_TOL, Tolerances, frob, frobs
 from .reports import Record
 from .sgpd import LeftAction
 
@@ -198,53 +198,45 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
     return GramData(p, factor, ranks, ghat, gaps, contraction)
 
 
-def jordan_split(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
-    """Split K = K_plus - K_minus with both parts PSD and range-disjoint.
+def _split_certificate(s) -> dict:
+    """The ranks of the split sides U diag(w+-) U* of a part Gram's spectrum
+    (w, U) and of their sum U|w|U*, counted at the Gram's own scale; additive
+    ranks mean the ranges intersect trivially (disjointness)."""
+    r_plus, r_minus = s.signature
+    return {"rank_plus": r_plus, "rank_minus": r_minus, "rank_sum": s.rank,
+            "disjoint": r_plus + r_minus == s.rank}
 
-    The split is spectral per part. The certificate records, per part, the
-    ranks of the two sides and of their sum; additivity of ranks means the
-    ranges intersect trivially, which is the finite-dimensional form of
-    disjointness of the decomposition.
-    """
+
+def jordan_split(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
+    """Split K = K_plus - K_minus with both parts PSD and range-disjoint,
+    spectrally per part; cert holds each part's _split_certificate."""
     plus, minus, cert = {}, {}, {}
     for label, s in part_spectra(k, p, tol).items():
         w, u = s.eigenvalues, s.basis
-        g_plus = (u * np.clip(w, 0.0, None)) @ u.conj().T
-        g_minus = (u * np.clip(-w, 0.0, None)) @ u.conj().T
-        plus[label] = g_plus
-        minus[label] = g_minus
-        # ranks counted at the scale of the whole Gram matrix; a side that
-        # is pure rounding noise must count as zero, not as its own scale
-        r_plus, r_minus = s.signature
-        r_sum = numlin.spectrum_values(g_plus + g_minus, tol).rank
-        cert[label] = {
-            "rank_plus": r_plus,
-            "rank_minus": r_minus,
-            "rank_sum": r_sum,
-            "disjoint": r_plus + r_minus == r_sum,
-        }
+        plus[label] = (u * np.clip(w, 0.0, None)) @ u.conj().T
+        minus[label] = (u * np.clip(-w, 0.0, None)) @ u.conj().T
+        cert[label] = _split_certificate(s)
     return kernel_from_part_grams(p, plus), kernel_from_part_grams(p, minus), cert
 
 
-def split_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
-    """The Jordan split with its krein/split records.
-
-    Returns (k_plus, k_minus, records): per part, that K_plus - K_minus
-    reconstructs the kernel and that the ranks of the two sides add up.
-    """
-    k_plus, k_minus, cert = jordan_split(k, p, tol)
-    grams_p, grams_m = conv_blocks(k_plus, p), conv_blocks(k_minus, p)
-    records = []
-    for label, g in conv_blocks(k, p).items():
-        resid = frob(g - (grams_p[label] - grams_m[label]))
+def split_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> list:
+    """The krein/split records, read from the part spectra (w, U) with no
+    split kernel built: per part, that K_plus - K_minus = U diag(w) U*
+    reconstructs the kernel and that the ranks of the sides add up."""
+    grams, records = conv_blocks(k, p), []
+    for label, s in part_spectra(k, p, tol).items():
+        g, u = grams[label], s.basis
+        recon = u @ (u.conj() * s.eigenvalues).T  # U diag(w) U*
+        recon -= g
+        resid = frob(recon)
         bound = tol.atol * max(1.0, frob(g))
-        c = cert[label]
+        c = _split_certificate(s)
         records.append(Record("split reconstructs the kernel", "krein/split",
                               resid, bound, resid <= bound, witness=label))
         records.append(Record("split parts have disjoint ranges", "krein/split",
                               float(abs(c["rank_plus"] + c["rank_minus"] - c["rank_sum"])),
                               0.5, c["disjoint"], witness={"part": label, **c}))
-    return k_plus, k_minus, records
+    return records
 
 
 @dataclass(eq=False)
@@ -284,21 +276,24 @@ class KreinLinearisation:
         s = self._spectrum(label)
         return numlin.pinv(self.wmap[label], tol) if s is None else s.factor_pinv
 
+    def singular_values(self, label) -> np.ndarray:
+        """The singular values of a part's W: sqrt|w_k| over the retained
+        eigenvalues of its spectrum (in the spectrum's order), else those of
+        a values-only SVD (descending)."""
+        s, w = self._spectrum(label), self.wmap[label]
+        if s is not None:
+            return np.sqrt(np.abs(s.eigenvalues[s.retained]))
+        return np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
+
     def norm(self, label) -> float:
-        """||W|| of a part: sqrt(max|w|) from its spectrum, else an SVD."""
-        s = self._spectrum(label)
-        return opnorm(self.wmap[label]) if s is None else float(np.sqrt(s.norm))
+        """||W|| of a part, its largest singular value (0.0 for dimension 0)."""
+        return float(self.singular_values(label).max(initial=0.0))
 
     def sigma_min(self, label) -> float:
         """The smallest singular value of a part's W, positive since a minimal
-        W has full row rank (0.0 for a part of dimension 0): sqrt(min|w_k|)
-        over the retained eigenvalues of its spectrum, else a values-only SVD."""
-        s = self._spectrum(label)
-        if s is not None:
-            w = np.abs(s.eigenvalues[s.retained])
-            return float(np.sqrt(w.min())) if w.size else 0.0
-        w = self.wmap[label]
-        return float(np.linalg.svd(w, compute_uv=False)[-1]) if w.size else 0.0
+        W has full row rank (0.0 for a part of dimension 0)."""
+        sv = self.singular_values(label)
+        return float(sv.min()) if sv.size else 0.0
 
 
 def feature_maps(p: Partition, wmap: dict) -> dict:
@@ -335,24 +330,55 @@ def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL
                               dominant=dominant, spectra=spectra)
 
 
-def verify_krein_factorization(lin, tol: Tolerances = DEFAULT_TOL):
-    """Records certifying reconstruction and minimality of a linearisation."""
-    records = []
-    for label in lin.partition.parts:
-        w = lin.wmap[label]
-        g = lin.gram[label]
-        j = lin.spaces[label].matrix
+def _view_records(view, tol: Tolerances) -> list:
+    """Per part, its (members, reproducing, factorization, minimality) records.
+
+    One E = W*(JW) - G, J applied as its +-1 vector, gives the factorization
+    residual ||E|| and the member residual max_x ||E[:, x]||: the member
+    represented by V_x h stacks to W*JV_x h, the kernel column to G[:, x] h.
+    The reproducing identity is read on three deterministic members W*J f,
+    one batch of matrix-vector products (each rounded as W*J f alone), at
+    every stacked coordinate (x, h) against the pairing [V_x h, f]_J of the
+    feature column with f, summed coordinate by coordinate. Minimality
+    counts W's singular values above the singular-value cutoff
+    (singular_values: no SVD while W is its spectrum's).
+    """
+    lin = view.lin
+    rng = np.random.Generator(np.random.Philox(67890))
+    rows = []
+    for label, idx in lin.partition.parts.items():
+        w, g, dim = lin.wmap[label], lin.gram[label], lin.spaces[label].dim
+        jdiag = np.asarray(lin.spaces[label].jdiag, dtype=np.float64)
         bound = tol.atol * max(1.0, frob(g))
-        records.append(_record(lin.family, "factorization",
-                               frob(w.conj().T @ j @ w - g), bound, label))
-        dim = lin.spaces[label].dim
-        if w.size:
-            s = np.linalg.svd(w, compute_uv=False)
-            span = int(np.count_nonzero(s > tol.rank_rel * s[0]))
-        else:
-            span = 0
-        records.append(_record(lin.family, "minimality", float(abs(span - dim)), 0.5, label))
-    return records
+        jw = w.conj() * jdiag[:, None]  # conj(JW), so that W*J is jw.T
+        e = jw.T @ w
+        e -= g
+        col_resid = max((frob(e[:, idx.slice_of(x)]) for x in idx.part), default=0.0)
+        factor_resid = frob(e)
+        del e
+
+        rep_resid = 0.0
+        if dim:
+            trials = np.stack([rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                               for _ in range(3)])
+            members = (jw.T @ trials[:, :, None])[:, :, 0]
+            pairing = np.hstack([lin.features[x] for x in idx.part]).conj()
+            for f, lhs in zip(trials, members):
+                rhs = np.sum(pairing * (jdiag * f)[:, None], axis=0)
+                rep_resid = max(rep_resid, float(np.max(np.abs(lhs - rhs), initial=0.0)))
+
+        sv = lin.singular_values(label)
+        span = int(np.count_nonzero(sv > tol.rank_rel * sv.max(initial=0.0)))
+        rows.append((_record(lin.family, "members", col_resid, bound, label),
+                     _record(lin.family, "reproducing", rep_resid, bound, label),
+                     _record(lin.family, "factorization", factor_resid, bound, label),
+                     _record(lin.family, "minimality", float(abs(span - dim)), 0.5, label)))
+    return rows
+
+
+def verify_krein_factorization(lin, tol: Tolerances = DEFAULT_TOL):
+    """Records certifying reconstruction and minimality (_view_records)."""
+    return [r for row in _view_records(RkKreinView(lin), tol) for r in row[2:]]
 
 
 @dataclass(eq=False)
@@ -369,8 +395,8 @@ class RkKreinView:
 
     def member(self, label, f) -> Section:
         w = self.lin.wmap[label]
-        j = self.lin.spaces[label].matrix
-        vec = w.conj().T @ (j @ np.asarray(f, dtype=np.complex128).reshape(-1))
+        jdiag = np.asarray(self.lin.spaces[label].jdiag, dtype=np.float64)
+        vec = w.conj().T @ (jdiag * np.asarray(f, dtype=np.complex128).reshape(-1))
         return unstack(vec, self.lin.partition.index(label))
 
     def kernel_column(self, x, h) -> Section:
@@ -382,48 +408,19 @@ class RkKreinView:
 
 
 def verify_reproducing(view: RkKreinView, tol: Tolerances = DEFAULT_TOL):
-    """Certify the reproducing-kernel identities of the view.
-
-    Per part: kernel columns are members (the member represented by V_x h
-    stacks to the Gram column at x), and the reproducing identity holds on
-    a deterministic batch of three members: each member, read at every
-    stacked coordinate (x, h), against the pairing [V_x h, f]_J of the
-    feature column with f, summed coordinate by coordinate.
-    """
-    lin = view.lin
-    rng = np.random.Generator(np.random.Philox(67890))
-    records = []
-    for label, idx in lin.partition.parts.items():
-        w = lin.wmap[label]
-        g = lin.gram[label]
-        wj = w.conj().T @ lin.spaces[label].matrix
-        bound = tol.atol * max(1.0, frob(g))
-        col_resid = 0.0
-        for x in idx.part:
-            col_resid = max(col_resid, frob(wj @ w[:, idx.slice_of(x)] - g[:, idx.slice_of(x)]))
-        records.append(_record(lin.family, "members", col_resid, bound, label))
-
-        rep_resid = 0.0
-        m = lin.spaces[label].dim
-        jdiag = np.asarray(lin.spaces[label].jdiag, dtype=np.float64)
-        trials = [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(3)] if m else []
-        columns = np.hstack([lin.features[x] for x in idx.part]) if idx.part else w
-        for f in trials:
-            lhs = stack(view.member(label, f), idx)
-            rhs = np.sum(columns.conj() * (jdiag * f)[:, None], axis=0)
-            rep_resid = max(rep_resid, float(np.max(np.abs(lhs - rhs), initial=0.0)))
-        records.append(_record(lin.family, "reproducing", rep_resid, bound, label))
-    return records
+    """Records certifying the reproducing-kernel identities (_view_records)."""
+    return [r for row in _view_records(view, tol) for r in row[:2]]
 
 
 def rk_krein_space(lin, tol: Tolerances = DEFAULT_TOL):
     """The reproducing-kernel view of a linearisation, plus its certificates.
 
     Returns (view, records): the records of verify_reproducing, then those
-    of verify_krein_factorization.
+    of verify_krein_factorization, from one pass over the parts.
     """
     view = RkKreinView(lin)
-    return view, verify_reproducing(view, tol) + verify_krein_factorization(lin, tol)
+    rows = _view_records(view, tol)
+    return view, [r for row in rows for r in row[:2]] + [r for row in rows for r in row[2:]]
 
 
 def uniqueness_report(k: OpKernel, l: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL):
@@ -856,11 +853,11 @@ def fundamental_reducibility_check(rep: KreinRepresentation, tol: Tolerances = D
                        witness={"invariance_witness": witness})]
     records = []
     sg = rep.action.sg
+    jdiag = {label: np.asarray(space.jdiag, dtype=np.float64)
+             for label, space in rep.lin.spaces.items()}
     for a, m in rep.psi.items():
-        j_d = rep.lin.spaces[sg.d[a]].matrix
-        j_c = rep.lin.spaces[sg.c[a]].matrix
         scale = max(1.0, rep.norms[a])
-        resid = frob(j_c @ m - m @ j_d)
+        resid = frob(jdiag[sg.c[a]][:, None] * m - m * jdiag[sg.d[a]])
         records.append(Record("represented shift commutes with the symmetry bundle",
                               "krein/reducibility", resid, tol.atol * scale,
                               resid <= tol.atol * scale, witness=(a,)))

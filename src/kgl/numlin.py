@@ -19,8 +19,8 @@ Two thresholds decide, each in one place:
   counts no negative direction. The cutoff scales with the matrix, so
   neither decision depends on the matrix's overall scale;
 - the singular-value cutoff ``rank_rel * largest singular value``, which
-  applies only to ``pinv`` and to the minimality records that count
-  singular values the same way.
+  applies only to ``pinv`` and to the minimality records (singular values
+  of a spectrum's ``factor`` are sqrt|w_k|, read with no SVD).
 
 A :class:`Spectrum` carries one canonical decomposition with the cutoff's
 decisions read from it, and everything that is a spectral function of the
@@ -129,14 +129,16 @@ def opnorm(a) -> float:
 
 
 def _require_hermitian(a, tol: Tolerances) -> np.ndarray:
-    """Validate Hermitian-ness and return the symmetrized matrix."""
+    """Validate Hermitian-ness and return the symmetrized matrix (in the residual's buffer)."""
     m = as_cmatrix(a)
     if m.shape[0] != m.shape[1]:
         raise NotHermitian(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    resid = frob(m - m.conj().T)
+    adj = m.conj().T
+    out = m - adj
+    resid = frob(out)
     if resid > tol.atol * frob(m):
         raise NotHermitian(f"Hermitian residual {resid:.3e} above tolerance")
-    return 0.5 * (m + m.conj().T)
+    return np.multiply(np.add(m, adj, out=out), 0.5, out=out)
 
 
 def _normalize_phases(u: np.ndarray) -> np.ndarray:

@@ -122,8 +122,8 @@ def split(inst, tol=DEFAULT_TOL) -> Report:
     k, p = inst.kernel, inst.partition
     records = kernel.hermitian_records(k, p, tol)
     if all(r.passed for r in records):
-        k_plus, k_minus, split_records = krein_lin.split_records(k, p, tol)
-        records += split_records
+        records += krein_lin.split_records(k, p, tol)
+        k_plus, k_minus, _ = krein_lin.jordan_split(k, p, tol)
         for label, plus, minus in zip(p.parts, kernel.psd_records(k_plus, p, tol),
                                       kernel.psd_records(k_minus, p, tol)):
             both_psd = plus.passed and minus.passed
@@ -186,7 +186,7 @@ def report(inst, tol=DEFAULT_TOL) -> Report:
     if not hermitian:
         return _report("report", inst.digest, tol, records)
 
-    records += krein_lin.split_records(k, p, tol)[2]
+    records += krein_lin.split_records(k, p, tol)
     view_records = krein_lin.rk_krein_space(lin, tol)[1]
     records += view_records
     # against the canonical dominant |G| the Gram operator is sign(w) on the

@@ -329,7 +329,7 @@ def test_value_error_during_analysis_is_not_bad_input(circulant_instance, monkey
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(krein_lin, "jordan_split", broken)
+    monkeypatch.setattr(krein_lin, "split_records", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["report", circulant_instance])
 

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +193,30 @@ def test_is_invariant_frozen():
     ky = scalar_kernel(("y",), {("y", "y"): 3.0})
     ok, wit = kn.is_invariant(ky, act3, TOL)
     assert ok
+
+
+@pytest.mark.parametrize("mode", ["hermitian_invariant", "arbitrary"])
+def test_the_invariance_check_holds_two_gathered_grams_at_most(mode):
+    """is_invariant on one part of dimension N = 128 adds at most 2.75 * 16 *
+    N**2 bytes to the traced peak: the gathered rows alpha.x, differenced in
+    place with the gathered columns alpha*.y, and their squared moduli. An
+    out-of-place difference held a third Gram (3.55 * 16 * N**2)."""
+    base = tuple(f"x{k}" for k in range(8))
+    sg, act = sgpd.generate("group_action", table=sgpd.cyclic_group_table(2), base=base,
+                            action_map={(f"g{i}", f"x{k}"): f"x{(k + 4 * i) % 8}"
+                                        for i in range(2) for k in range(8)})
+    bundle = HilbertBundle(points=base, dim={x: 16 for x in base})
+    k = generators.generate_kernel(act, bundle, mode, 1)
+    verdict = kn.is_invariant(k, act, TOL)  # first use of each code path out of the figure
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert kn.is_invariant(k, act, TOL) == verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict[0] == (mode != "arbitrary")
+    assert peak <= 2.75 * 16 * 128 ** 2
 
 
 def test_bounded_shift_constant_frozen():

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import circulant_kernel, scalar_bundle, swap_gram_kernel, z2_swap
+from helpers import FAMILIES, circulant_kernel, scalar_bundle, swap_gram_kernel, z2_swap
+from kgl import generators
 from kgl import hilbert_lin as hl
 from kgl import kernel as kn
 from kgl import krein_lin as kl
+from kgl import numlin
 from kgl.bundle import HilbertBundle
 from kgl.errors import KernelNotDominated, NotInvariant, RankMismatch
 from kgl.numlin import DEFAULT_TOL as TOL, frob, opnorm
@@ -487,3 +489,70 @@ def test_the_representation_needs_a_star_that_is_an_involution():
     lin = kl.krein_linearisation(k, kn.partition_from_action(k.bundle, bad_act), TOL)
     with pytest.raises(InvalidSemigroupoid, match="star of 'g' is not an involution"):
         kl.represent(lin, bad_act, TOL)
+
+
+def _old_readings(k, p, lin, label):
+    """The split's rank sum, split residual, member residual, factorization
+    residual and minimality span of a part, each computed directly: the
+    eigvalsh of G+ + G-, the split kernels' difference, W*J W_x per point
+    with a dense J, and the SVD of W."""
+    s = kn.part_spectra(k, p, TOL)[label]
+    w, u, g, idx = s.eigenvalues, s.basis, lin.gram[label], p.index(label)
+    g_plus = (u * np.clip(w, 0.0, None)) @ u.conj().T
+    g_minus = (u * np.clip(-w, 0.0, None)) @ u.conj().T
+    wj = lin.wmap[label].conj().T @ lin.spaces[label].matrix
+    sv = np.linalg.svd(lin.wmap[label], compute_uv=False)
+    return (numlin.spectrum_values(g_plus + g_minus, TOL).rank,
+            frob(g - (g_plus - g_minus)),
+            max(frob(wj @ lin.features[x] - g[:, idx.slice_of(x)]) for x in idx.part),
+            frob(wj @ lin.wmap[label] - g),
+            int(np.count_nonzero(sv > TOL.rank_rel * sv[0])) if sv.size else 0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("mode", ("psd_invariant", "hermitian_invariant", "arbitrary"))
+def test_spectrum_readings_match_the_direct_computations(family, mode):
+    # the split and view records read from the part spectrum and one
+    # E = W*JW - G per part give the ranks, spans and verdicts of the direct
+    # computations, with residuals equal to rounding
+    for seed in (1, 2):
+        _, act, bundle, k = generators.generate_instance(family, seed=seed, mode=mode)
+        p = kn.partition_from_action(bundle, act)
+        lin = kl.krein_linearisation(k, p, TOL)
+        n = len(p.parts)
+        split = kl.split_records(k, p, TOL)
+        view = kl.rk_krein_space(lin, TOL)[1]
+        for i, label in enumerate(p.parts):
+            rank_sum, split_resid, member, factor, span = _old_readings(k, p, lin, label)
+            scale = max(1.0, frob(lin.gram[label]))
+            recon, ranks = split[2 * i], split[2 * i + 1]
+            assert ranks.witness["rank_sum"] == rank_sum and ranks.passed
+            for record, old in ((recon, split_resid), (view[2 * i], member),
+                                (view[2 * n + 2 * i], factor)):
+                assert abs(record.residual - old) <= 1e-13 * scale, (label, record.name)
+                assert record.passed == (old <= record.tolerance)
+            minimality = view[2 * n + 2 * i + 1]
+            assert minimality.residual == abs(span - lin.spaces[label].dim)
+            assert minimality.passed
+
+
+def test_a_corrupted_map_fails_minimality_factorization_and_members():
+    # a W put into lin.wmap is no longer its spectrum's map: its span is an SVD's
+    k, p = random_hermitian_instance(np.random.Generator(np.random.Philox(67)), n_points=4)
+    lin = kl.krein_linearisation(k, p, TOL)
+    w = lin.wmap["all"].copy()
+    w[1] = w[0]  # one rank short of the space's dimension
+    lin.wmap["all"] = w
+    assert lin.sigma_min("all") <= 1e-12 * lin.norm("all")
+    records = {r.name: r for r in kl.rk_krein_space(lin, TOL)[1]}
+    factorization, minimality, members = (records[kl.KREIN[c][0]]
+                                          for c in ("factorization", "minimality", "members"))
+    assert not factorization.passed
+    assert minimality.residual == 1.0 and not minimality.passed
+    # the member residual is the largest per-point residual W*J W_x - G[:, x]
+    g, idx = lin.gram["all"], p.index("all")
+    wj = w.conj().T @ lin.spaces["all"].matrix
+    per_point = [frob(wj @ w[:, idx.slice_of(x)] - g[:, idx.slice_of(x)]) for x in idx.part]
+    assert int(np.argmax(per_point)) > 0
+    assert members.residual == pytest.approx(max(per_point), rel=1e-12)
+    assert not members.passed

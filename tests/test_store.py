@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from kgl import cli, formats, generators, numlin, pipelines
+from kgl import cli, formats, generators, krein_core, numlin, pipelines
 from kgl.kernel import conv_blocks
 from kgl.numlin import DEFAULT_TOL as TOL
 
@@ -79,9 +79,13 @@ def test_report_decomposes_each_matrix_once(tmp_path, capsys, monkeypatch, famil
     assert inputs
     assert len(inputs) == len(set(inputs))
     assert len(herm) == len(inputs)
-    # the eigenvalue-only checks (split ranks, Gram operator) decompose matrices of their own
-    assert values
-    assert len(inputs + values) == len(set(inputs + values))
+    # report decomposes only the part Grams (eigh, symmetrized as herm_eig does) and, for
+    # a PSD kernel, the stacked compressions of the bounded-shift constants (eigvalsh)
+    inst = formats.load(path)
+    grams = conv_blocks(inst.kernel, inst.partition).values()
+    assert set(inputs) == {_content(0.5 * (g + g.conj().T)) for g in grams}
+    assert bool(values) == (mode == "psd_invariant")
+    assert all(len(shape) == 3 for shape, _ in values)
 
 
 def count_linalg(monkeypatch):
@@ -104,20 +108,24 @@ def count_linalg(monkeypatch):
 
 
 @pytest.mark.parametrize("mode, budget", [
-    # eigh: the part Gram; eigvalsh: the split's sum and, for a PSD kernel, one
-    # batched call for the compressions whose top eigenvalues are the
-    # bounded-shift constants (3 elements, one part pair); SVD values: the
-    # minimality record and one batched call for the represented shifts' norms
-    ("hermitian_invariant", {"eigh": 1, "eigvalsh": 1, "svd": 2}),
-    ("psd_invariant", {"eigh": 1, "eigvalsh": 2, "svd": 2}),
+    # eigh: the part Gram, from whose spectrum the split and minimality are read;
+    # eigvalsh: for a PSD kernel, one batched call for the compressions whose top
+    # eigenvalues are the bounded-shift constants (3 elements, one part pair); SVD
+    # values: one batched call for the represented shifts' norms
+    ("hermitian_invariant", {"eigh": 1, "svd": 1}),
+    ("psd_invariant", {"eigh": 1, "eigvalsh": 1, "svd": 1}),
 ])
 def test_report_decomposes_the_part_gram_once(tmp_path, capsys, monkeypatch, mode, budget):
     path = write_instance(tmp_path, "group_action", mode)
     assert len(formats.load(path).partition.parts) == 1
     counts = count_linalg(monkeypatch)
+    dense_j = []
+    monkeypatch.setattr(krein_core.KreinSpace, "matrix",
+                        property(lambda space: dense_j.append(1)))
     code, _, _ = run(capsys, ["report", path])
     assert code == 0
     assert dict(counts) == budget  # no pinv, no SVD with vectors
+    assert dense_j == []  # J is applied as its +-1 vector
 
 
 def test_report_calls_no_unique(tmp_path, capsys, monkeypatch):
