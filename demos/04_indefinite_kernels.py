@@ -47,7 +47,7 @@ lin = krein_linearisation(k, p)
 space = lin.spaces["s"]
 print(f"\nfactor space dimension {space.dim}, signature {space.signature}")
 worst = max(
-    frob(lin.features[a].conj().T @ space.matrix @ lin.features[b] - k.block(a, b))
+    frob(lin.features[a].conj().T @ np.diag(space.jdiag) @ lin.features[b] - k.block(a, b))
     for a in bundle.points
     for b in bundle.points
 )

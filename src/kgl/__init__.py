@@ -71,7 +71,7 @@ from .krein_lin import (
     uniqueness_report,
     verify_krein_factorization,
 )
-from .numlin import DEFAULT_TOL, Tolerances, decomposition_store
+from .numlin import DEFAULT_TOL, Tolerances
 from .reports import Record, Report, report_to_json, save_report
 from .sgpd import (
     Classification,
@@ -112,7 +112,7 @@ __all__ = [
     "invariant_krein_representation", "j_unitary_equivalence", "jordan_split",
     "krein_linearisation", "krein_representation_laws", "rk_krein_space",
     "split_records", "uniqueness_report", "verify_krein_factorization",
-    "DEFAULT_TOL", "Tolerances", "decomposition_store",
+    "DEFAULT_TOL", "Tolerances",
     "Record", "Report", "report_to_json", "save_report",
     "Classification", "LeftAction", "StarSemigroupoid",
     "classify", "generate", "group_action", "group_as_groupoid",

@@ -13,6 +13,7 @@ there: the invariance check, the bounded-shift constants and the
 represented shifts. No dense 0/1 shift matrix is built.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,15 +255,42 @@ def _gather_part_grams(k: OpKernel, p: Partition) -> dict:
 
 
 def part_spectra(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> dict:
-    """Per part label, the canonical Spectrum of the part's Gram matrix
-    (numlin.spectrum), computed once per kernel, partition layout and
-    tolerances; a kernel built from spectra carries them (_carry_spectra)."""
+    """Per part label, the canonical Spectrum of the part's Gram matrix.
+
+    This is the one place a kernel's part Grams are decomposed: once per
+    kernel, partition layout and tolerances, parts whose Grams are equal
+    sharing one Spectrum; a kernel built from spectra carries them
+    (_carry_spectra). Each part's Hermitian verdict is hermitian_records':
+    a part that fails it raises NotHermitian, and the others are decomposed
+    with no second check (numlin.checked_spectrum).
+    """
+    spectra = _hermitian_spectra(k, p, tol)
+    if len(spectra) < len(p.parts):
+        bad = next(r for r in _hermitian_parts(k, p, tol) if not r.passed)
+        raise NotHermitian(f"part {bad.witness!r}: Hermitian residual {bad.residual:.3e} "
+                           "above tolerance")
+    return dict(spectra)
+
+
+def _hermitian_spectra(k: OpKernel, p: Partition, tol: Tolerances) -> dict:
+    """part_spectra's spectra of the parts that pass hermitian_records (all
+    of them for a carried set), in part order. With more than one part,
+    equal Grams are found by shape and a SHA-256 digest of their bytes."""
     key = _layout(p), tol
     spectra = k._spectra.get(key)
     if spectra is None:
-        spectra = k._spectra[key] = {label: numlin.spectrum(g, tol)
-                                     for label, g in conv_blocks(k, p).items()}
-    return dict(spectra)
+        grams = conv_blocks(k, p)
+        shared = {}  # (shape, digest), or the label of a single part -> Spectrum
+        spectra = {}
+        for herm, (label, g) in zip(_hermitian_parts(k, p, tol), grams.items()):
+            if herm.passed:
+                content = (g.shape, hashlib.sha256(np.ascontiguousarray(g).data).digest()
+                           if len(grams) > 1 else label)
+                if content not in shared:
+                    shared[content] = numlin.checked_spectrum(g, tol)
+                spectra[label] = shared[content]
+        k._spectra[key] = spectra
+    return spectra
 
 
 def _carry_spectra(k: OpKernel, p: Partition, tol: Tolerances, spectra: dict):
@@ -297,14 +325,14 @@ def psd_records(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL) -> lis
     """One kernel/psd record per part: how far its lowest eigenvalue lies
     below zero, against the eigenvalue cutoff. A part that is not Hermitian
     fails with its Hermitian residual."""
-    records = []
-    for herm, g in zip(hermitian_records(k, p, tol), conv_blocks(k, p).values()):
+    spectra, records = _hermitian_spectra(k, p, tol), []
+    for herm in hermitian_records(k, p, tol):
         if not herm.passed:
             records.append(Record("kernel is PSD on the part", "kernel/psd",
                                   herm.residual, herm.tolerance, False,
                                   witness={"part": herm.witness, "reason": "not Hermitian"}))
             continue
-        s = numlin.spectrum(g, tol)
+        s = spectra[herm.witness]
         records.append(Record("kernel is PSD on the part", "kernel/psd",
                               s.psd_violation, s.cutoff, s.is_psd, witness=herm.witness))
     return records

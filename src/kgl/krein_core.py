@@ -53,11 +53,6 @@ class KreinSpace:
         p = sum(1 for e in self.jdiag if e == 1)
         return p, self.dim - p
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.asarray(self.jdiag, dtype=np.complex128)) if self.dim else np.zeros(
-            (0, 0), dtype=np.complex128)
-
     def pairing(self, u, v) -> complex:
         """The indefinite inner product [u, v] (second argument conjugated)."""
         uu = np.asarray(u, dtype=np.complex128).reshape(-1)

@@ -29,16 +29,11 @@ canonical map and that map's pseudo-inverse U_k / sqrt|w_k| (no SVD), and
 the canonical spectrum of |G| = U|w|U* (``abs_spectrum``). A check that
 reads only the eigenvalues of a matrix of its own uses ``spectrum_values``
 (``np.linalg.eigvalsh``, no eigenvectors), or ``stack_eigenvalues`` for a
-stack of them. Inside a
-:func:`decomposition_store` scope (every ``kgl`` command runs in one) each
-distinct matrix is decomposed, and each pseudo-inverse computed, once:
-results are looked up by a digest of the matrix content. Outside a scope
-every call computes afresh.
+stack of them. Every call computes afresh: nothing here keeps a result,
+and a decomposition is made once by whoever holds the matrix (a kernel
+holds its part spectra, see ``kernel.part_spectra``).
 """
 
-import contextlib
-import contextvars
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,7 +52,7 @@ __all__ = [
     "opnorm",
     "herm_eig",
     "spectrum",
-    "decomposition_store",
+    "checked_spectrum",
     "herm_abs",
     "spectral_projections",
     "pinv",
@@ -176,11 +171,25 @@ def _order_ties(w: np.ndarray, u: np.ndarray):
     return w, u[:, order]
 
 
+def _symmetrized(g: np.ndarray) -> np.ndarray:
+    """0.5*(g + g^H) in one new array, the matrix _require_hermitian returns
+    for g, with no check."""
+    m = g.conj().T
+    m += g
+    m *= 0.5
+    return m
+
+
 def herm_eig(a, tol: Tolerances = DEFAULT_TOL):
     """Canonical eigendecomposition (w, u) of a Hermitian matrix: the real
     eigenvalues w ascending, the eigenvectors as the columns of the unitary
-    u, in canonical phase and tie order."""
-    m = _require_hermitian(a, tol)
+    u, in canonical phase and tie order.
+
+    a is checked (NotHermitian) and symmetrized first. With tol None, a is
+    a finite square complex128 matrix whose Hermitian residual was already
+    accepted (checked_spectrum), and is only symmetrized.
+    """
+    m = _symmetrized(a) if tol is None else _require_hermitian(a, tol)
     if m.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
     w, u = np.linalg.eigh(m)
@@ -277,89 +286,41 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The open store, if any: content key -> Spectrum or pseudo-inverse.
-_STORE = contextvars.ContextVar("kgl_decomposition_store", default=None)
-
-
-@contextlib.contextmanager
-def decomposition_store():
-    """Scope in which each distinct matrix is decomposed once.
-
-    Within it, spectrum and pinv look results up by the matrix content
-    (shape, dtype and a SHA-256 digest of the bytes) and the tolerances,
-    so a matrix equal in content to one seen before costs a hash, not a
-    decomposition. A nested scope uses the outer store. Yields the store,
-    a dict that is emptied and dropped when the outermost scope exits.
-    """
-    store = _STORE.get()
-    if store is not None:
-        yield store
-        return
-    store = {}
-    token = _STORE.set(store)
-    try:
-        yield store
-    finally:
-        _STORE.reset(token)
-        store.clear()
-
-
-def _content_key(m: np.ndarray):
-    m = np.ascontiguousarray(m)
-    return m.shape, m.dtype.str, hashlib.sha256(m.data).digest()
-
-
 def spectrum(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """The canonical decomposition of a Hermitian matrix (see herm_eig).
+    """The canonical decomposition of a Hermitian matrix (see herm_eig),
+    which checks and symmetrizes it, once."""
+    return _spectrum_of(*herm_eig(a, tol), tol)
 
-    herm_eig checks and symmetrizes the matrix, once. Inside a
-    decomposition_store scope, the Spectrum is stored under the matrix
-    content, so every later call on the same content and tolerances returns
-    it without calling herm_eig.
-    """
-    m = as_cmatrix(a)
-    return _stored(("spectrum", tol), m, lambda: _spectrum_of(*herm_eig(m, tol), tol))
+
+def checked_spectrum(g: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+    """spectrum of g, a finite square complex128 matrix whose Hermitian
+    residual was already accepted at tol: the same decomposition of
+    0.5*(g + g^H), with no second check and no copy of g."""
+    return _spectrum_of(*herm_eig(g, None), tol)
 
 
 def spectrum_values(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """The eigenvalues of a Hermitian matrix (np.linalg.eigvalsh, no
     eigenvectors) with the cutoff's decisions: a Spectrum whose basis is
-    None, for a check that reads eigenvalues only. Stored like spectrum's,
-    apart from them."""
+    None, for a check that reads eigenvalues only."""
     m = _require_hermitian(a, tol)
-    return _stored(("values", tol), m, lambda: _spectrum_of(
-        np.linalg.eigvalsh(m) if m.shape[0] else np.zeros(0), None, tol))
+    return _spectrum_of(np.linalg.eigvalsh(m) if m.shape[0] else np.zeros(0), None, tol)
 
 
 def stack_eigenvalues(a) -> np.ndarray:
     """The ascending eigenvalues of each matrix of a stack of Hermitian
-    matrices, symmetrized first: one batched np.linalg.eigvalsh, read-only,
-    stored like spectrum_values's. The matrices are not checked to be
-    Hermitian."""
+    matrices, symmetrized first: one batched np.linalg.eigvalsh, read-only.
+    The matrices are not checked to be Hermitian."""
     m = np.asarray(a, dtype=np.complex128)
     m = m + adjoints(m)
     m *= 0.5
-    return _stored(("stack values",), m, lambda: _frozen(
-        np.linalg.eigvalsh(m) if m.shape[-1] else np.zeros(m.shape[:-1])))
+    return _frozen(np.linalg.eigvalsh(m) if m.shape[-1] else np.zeros(m.shape[:-1]))
 
 
 def _spectrum_of(w: np.ndarray, basis, tol: Tolerances) -> Spectrum:
     w = _frozen(w)
     top = float(np.max(np.abs(w), initial=0.0))
     return Spectrum(w, None if basis is None else _frozen(basis), tol.rank_rel * top)
-
-
-def _stored(kind: tuple, m: np.ndarray, compute):
-    """compute(); inside a decomposition_store scope, the result stored under
-    kind and m's content, computed on the first call only."""
-    store = _STORE.get()
-    if store is None:
-        return compute()
-    key = kind + _content_key(m)
-    found = store.get(key)
-    if found is None:
-        found = store[key] = compute()
-    return found
 
 
 def abs_spectrum(s: Spectrum) -> Spectrum:
@@ -400,14 +361,8 @@ def spectral_projections(a, tol: Tolerances = DEFAULT_TOL):
 
 
 def pinv(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the singular-value cutoff, read-only.
-
-    Inside a decomposition_store scope the result is stored by content.
-    """
+    """Moore-Penrose pseudoinverse with the singular-value cutoff, read-only."""
     m = as_cmatrix(a)
-
-    def invert():
-        if m.size == 0:
-            return _frozen(np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128))
-        return _frozen(np.linalg.pinv(m, rcond=tol.rank_rel))
-    return _stored(("pinv", tol.rank_rel), m, invert)
+    if m.size == 0:
+        return _frozen(np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128))
+    return _frozen(np.linalg.pinv(m, rcond=tol.rank_rel))

@@ -3,14 +3,14 @@
 Every function takes a loaded instance (lift: its four matrices) and
 Tolerances, and returns the Report whose JSON the command of its name
 prints: report_to_json(report(load(path, strict=False))) is the stdout of
-`kgl report path`. Each call runs in a numlin.decomposition_store of its
-own, so it decomposes every distinct matrix once, as the command does.
+`kgl report path`. No call leaves state behind in the package: each
+kernel holds its own part Grams and part spectra (kernel.part_spectra), so
+what a call decomposes lives as long as the kernels it was given or built.
 """
 
 import dataclasses
-import functools
 
-from . import formats, hilbert_lin, kernel, krein_core, krein_lin, numlin, sgpd
+from . import formats, hilbert_lin, kernel, krein_core, krein_lin, sgpd
 from .errors import KernelNotDominated, PairingViolated
 from .numlin import DEFAULT_TOL
 from .reports import Record, Report, digest_of
@@ -25,15 +25,6 @@ CHECKS = {
     "invariant": lambda inst, tol: [kernel.invariance_record(inst.kernel, inst.action, tol)],
     "bounded-shift": lambda inst, tol: kernel.bounded_shift_records(inst.kernel, inst.action, tol),
 }
-
-
-def _stored(command):
-    """command, run in a decomposition store of its own."""
-    @functools.wraps(command)
-    def run(*args, **kwargs):
-        with numlin.decomposition_store():
-            return command(*args, **kwargs)
-    return run
 
 
 def _report(command, digest, tol, records) -> Report:
@@ -84,13 +75,11 @@ def _hilbert_laws(rep, cls, tol) -> list:
     return hrep.records + hilbert_lin.partial_isometry_report(hrep, cls, tol)
 
 
-@_stored
 def validate(inst, tol=DEFAULT_TOL) -> Report:
     """`kgl validate`: the semigroupoid and action axioms."""
     return _report("validate", inst.digest, tol, _validation_records(inst))
 
 
-@_stored
 def classify(inst, tol=DEFAULT_TOL) -> Report:
     """`kgl classify`: the unit, transitivity, inverse and groupoid flags."""
     witness = dataclasses.asdict(sgpd.classify(inst.sg))
@@ -98,13 +87,11 @@ def classify(inst, tol=DEFAULT_TOL) -> Report:
     return _report("classify", inst.digest, tol, [_classification_record(witness)])
 
 
-@_stored
 def check(inst, what: str, tol=DEFAULT_TOL) -> Report:
     """`kgl check <what>`, what one of CHECKS."""
     return _report(f"check {what}", inst.digest, tol, CHECKS[what](inst, tol))
 
 
-@_stored
 def linearize(inst, krein: bool, tol=DEFAULT_TOL) -> Report:
     """`kgl linearize --krein|--hilbert`: the premise, then the linearisation."""
     premise, family, route = _route(krein)
@@ -116,7 +103,6 @@ def linearize(inst, krein: bool, tol=DEFAULT_TOL) -> Report:
     return _report(f"linearize --{route}", inst.digest, tol, records)
 
 
-@_stored
 def split(inst, tol=DEFAULT_TOL) -> Report:
     """`kgl split`: the Jordan split, and per part that both sides are PSD."""
     k, p = inst.kernel, inst.partition
@@ -132,7 +118,6 @@ def split(inst, tol=DEFAULT_TOL) -> Report:
     return _report("split", inst.digest, tol, records)
 
 
-@_stored
 def represent(inst, krein: bool, tol=DEFAULT_TOL, dominant=None,
               reducibility: bool = False) -> Report:
     """`kgl represent --krein|--hilbert`: the premise and invariance, then the
@@ -156,7 +141,6 @@ def represent(inst, krein: bool, tol=DEFAULT_TOL, dominant=None,
     return _report(f"represent --{route}", inst.digest, tol, records)
 
 
-@_stored
 def lift(a, b, t, s, tol=DEFAULT_TOL) -> Report:
     """`kgl lift`: the krein/lift records, under the digest of the matrices."""
     docs = {name: formats.matrix_to_doc(m) for name, m in zip("abts", (a, b, t, s))}
@@ -164,7 +148,6 @@ def lift(a, b, t, s, tol=DEFAULT_TOL) -> Report:
     return _report("lift", digest, tol, krein_core.lift_operator(a, b, t, s, tol).records)
 
 
-@_stored
 def report(inst, tol=DEFAULT_TOL) -> Report:
     """`kgl report`: validation, then the profile of valid tables and every
     record it admits: split, linearisations, uniqueness, representations."""

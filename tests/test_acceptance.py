@@ -196,7 +196,7 @@ def test_06_hermitian_split_and_indefinite_factorization():
         lin = krein_linearisation(k, p)
         for label, idx in p.parts.items():
             scale = max(1.0, frob(gk[label]))
-            j = lin.spaces[label].matrix
+            j = np.diag(lin.spaces[label].jdiag)
             for x in idx.part:
                 for y in idx.part:
                     r = frob(lin.features[x].conj().T @ j @ lin.features[y] - k.block(x, y))

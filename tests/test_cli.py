@@ -595,3 +595,47 @@ def test_check_bounded_shift_does_not_depend_on_the_kernel_scale(tmp_path, capsy
         verdicts.add((code, undefined))
     assert len(verdicts) == 1, verdicts
     assert verdicts.pop()[0] == 1
+
+
+def _orbit_unitary_change(sg, act, bundle, k, seed):
+    """k with each block K(x, y) replaced by U_x* K(x, y) U_y, for one random
+    unitary U per orbit of the action (points joined by any action step)."""
+    from kgl.kernel import OpKernel
+
+    root = {x: x for x in act.base}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for (_, x), y in act.act.items():
+        root[find(x)] = find(y)
+    rng = np.random.default_rng(seed)
+    unitary = {}
+    for x in act.base:
+        r, n = find(x), bundle.dim[x]
+        if r not in unitary:
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            unitary[r] = np.linalg.qr(z)[0]
+    u = {x: unitary[find(x)] for x in act.base}
+    return OpKernel(bundle, {(x, y): u[x].conj().T @ blk @ u[y]
+                             for (x, y), blk in k.blocks.items()})
+
+
+@pytest.mark.parametrize("family", ["pair_groupoid", "group_action", "partial_bijections",
+                                    "group_as_groupoid"])
+@pytest.mark.parametrize("mode", ["psd_invariant", "hermitian_invariant", "arbitrary"])
+def test_report_verdict_does_not_depend_on_the_fiber_basis(tmp_path, capsys, family, mode):
+    # a unitary change of basis in the fibers, constant on each orbit, keeps the kernel's
+    # invariance, so every record's verdict and the profile flags stay as they are
+    sg, act, bundle, k = generators.generate_instance(family, seed=1, mode=mode)
+    verdicts = []
+    for seed, kernel in ((None, k), (1, None), (2, None)):
+        kernel = kernel or _orbit_unitary_change(sg, act, bundle, k, seed)
+        path = tmp_path / f"basis-{seed}.json"
+        formats.save_instance(formats.instance_to_doc(sg, act, bundle, kernel), path)
+        code, doc = run_json(capsys, ["report", str(path)])
+        profile = [r["witness"] for r in doc["records"] if r["tag"] == "axioms/classification"]
+        verdicts.append((code, [(r["tag"], r["pass"]) for r in doc["records"]], profile))
+    assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]

@@ -143,7 +143,7 @@ def test_krein_linearisation_swap_frozen():
     lin = kl.krein_linearisation(k, p, TOL)
     assert lin.spaces["all"].dim == 2
     assert lin.spaces["all"].signature == (1, 1)
-    j = lin.spaces["all"].matrix
+    j = np.diag(lin.spaces["all"].jdiag)
     for x in ("x1", "x2"):
         for y in ("x1", "x2"):
             vx, vy = lin.features[x], lin.features[y]
@@ -229,7 +229,7 @@ def test_j_unitary_equivalence_routes():
         assert res.ok, [r.residual for r in res.records]
         # the map is J-unitary for the part's symmetry
         for label, u in res.maps.items():
-            j = direct.spaces[label].matrix
+            j = np.diag(direct.spaces[label].jdiag)
             assert frob(u.conj().T @ j @ u - j) <= 1e-8 * max(1.0, opnorm(u) ** 2)
 
 
@@ -247,7 +247,7 @@ def test_invariant_krein_representation_swap_frozen():
     p = kn.partition_from_action(k.bundle, act)
     lin, rep = kl.invariant_krein_representation(k, act, p, TOL)
     psi_g = rep.psi["g"]
-    j = lin.spaces["s"].matrix
+    j = np.diag(lin.spaces["s"].jdiag)
     # J-unitary: psi* J psi = J, and an involution
     assert frob(psi_g.conj().T @ j @ psi_g - j) <= 1e-10
     assert frob(psi_g @ psi_g - np.eye(2)) <= 1e-10
@@ -500,7 +500,7 @@ def _old_readings(k, p, lin, label):
     w, u, g, idx = s.eigenvalues, s.basis, lin.gram[label], p.index(label)
     g_plus = (u * np.clip(w, 0.0, None)) @ u.conj().T
     g_minus = (u * np.clip(-w, 0.0, None)) @ u.conj().T
-    wj = lin.wmap[label].conj().T @ lin.spaces[label].matrix
+    wj = lin.wmap[label].conj().T @ np.diag(lin.spaces[label].jdiag)
     sv = np.linalg.svd(lin.wmap[label], compute_uv=False)
     return (numlin.spectrum_values(g_plus + g_minus, TOL).rank,
             frob(g - (g_plus - g_minus)),
@@ -551,7 +551,7 @@ def test_a_corrupted_map_fails_minimality_factorization_and_members():
     assert minimality.residual == 1.0 and not minimality.passed
     # the member residual is the largest per-point residual W*J W_x - G[:, x]
     g, idx = lin.gram["all"], p.index("all")
-    wj = w.conj().T @ lin.spaces["all"].matrix
+    wj = w.conj().T @ np.diag(lin.spaces["all"].jdiag)
     per_point = [frob(wj @ w[:, idx.slice_of(x)] - g[:, idx.slice_of(x)]) for x in idx.part]
     assert int(np.argmax(per_point)) > 0
     assert members.residual == pytest.approx(max(per_point), rel=1e-12)

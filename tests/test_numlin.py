@@ -330,11 +330,39 @@ def test_spectrum_checks_and_symmetrizes_its_input_once(monkeypatch):
     monkeypatch.setattr(numlin, "_require_hermitian",
                         lambda a, tol: calls.append(1) or check(a, tol))
     m = np.array([[2.0, 1.0 - 1e-12j], [1.0 + 1e-12j, 3.0]])
-    with numlin.decomposition_store():
-        s = numlin.spectrum(m, TOL)
-        assert numlin.spectrum(m.copy(), TOL) is s  # stored by content
+    s = numlin.spectrum(m, TOL)
     assert calls == [1]
     w, u = numlin.herm_eig(m, TOL)
     assert np.array_equal(s.eigenvalues, w) and np.array_equal(s.basis, u)
     with pytest.raises(NotHermitian):
         numlin.spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]), TOL)
+
+
+def test_checked_spectrum_decomposes_with_no_second_check(monkeypatch):
+    # a matrix whose Hermitian residual was accepted elsewhere gets spectrum's bytes
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    m = x @ x.conj().T - 2.0 * np.eye(6)
+    m += 1e-13 * rng.standard_normal((6, 6))  # not exactly Hermitian
+    m.setflags(write=False)
+    fresh = numlin.spectrum(m, TOL)
+    calls = []
+    check = numlin._require_hermitian
+    monkeypatch.setattr(numlin, "_require_hermitian",
+                        lambda a, tol: calls.append(1) or check(a, tol))
+    s = numlin.checked_spectrum(m, TOL)
+    assert calls == []
+    assert np.array_equal(s.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(s.basis, fresh.basis)
+    assert s.cutoff == fresh.cutoff
+    assert numlin.checked_spectrum(np.zeros((0, 0), dtype=complex), TOL).rank == 0
+
+
+def test_spectrum_arrays_are_read_only():
+    g = np.array([[2.0, 1.0], [1.0, -2.0]], dtype=complex)
+    s, v = numlin.spectrum(g, TOL), numlin.spectrum_values(g, TOL)
+    for a in (s.eigenvalues, s.basis, s.kernel_basis, s.positive, s.negative, s.retained,
+              s.factor, s.factor_pinv, v.eigenvalues, numlin.abs_spectrum(s).basis,
+              numlin.stack_eigenvalues(np.stack([g, g])), numlin.pinv(g, TOL)):
+        with pytest.raises(ValueError):
+            a[...] = 0

@@ -1,8 +1,8 @@
-"""The decomposition store: each distinct matrix decomposed once per command,
-with no effect on report bytes and nothing kept after the command."""
+"""Each part Gram decomposed once per command, by data flow: a kernel holds
+its part spectra (kernel.part_spectra), parts with equal Grams share one,
+and no command leaves state behind that a later one could read."""
 
 import collections
-import contextlib
 import hashlib
 import importlib
 import json
@@ -13,8 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from kgl import cli, formats, generators, krein_core, numlin, pipelines
-from kgl.kernel import conv_blocks
+from kgl import cli, formats, generators, krein_lin, numlin, pipelines
+from kgl.errors import NotHermitian
+from kgl.kernel import conv_blocks, kernel_from_part_grams, part_spectra, psd_records
 from kgl.numlin import DEFAULT_TOL as TOL
 
 FAMILIES = {
@@ -29,7 +30,7 @@ MODES = ("psd_invariant", "hermitian_invariant", "arbitrary")
 def write_instance(tmp_path, family, mode, seed=1):
     sg, act, bundle, kernel = generators.generate_instance(
         family, seed=seed, mode=mode, **FAMILIES[family])
-    path = tmp_path / f"{family}-{mode}.json"
+    path = tmp_path / f"{family}-{mode}-{seed}.json"
     formats.save_instance(formats.instance_to_doc(sg, act, bundle, kernel), path)
     return str(path)
 
@@ -119,13 +120,9 @@ def test_report_decomposes_the_part_gram_once(tmp_path, capsys, monkeypatch, mod
     path = write_instance(tmp_path, "group_action", mode)
     assert len(formats.load(path).partition.parts) == 1
     counts = count_linalg(monkeypatch)
-    dense_j = []
-    monkeypatch.setattr(krein_core.KreinSpace, "matrix",
-                        property(lambda space: dense_j.append(1)))
     code, _, _ = run(capsys, ["report", path])
     assert code == 0
     assert dict(counts) == budget  # no pinv, no SVD with vectors
-    assert dense_j == []  # J is applied as its +-1 vector
 
 
 def test_report_calls_no_unique(tmp_path, capsys, monkeypatch):
@@ -263,50 +260,74 @@ def test_psd_report_builds_one_linearisation_and_one_representation(tmp_path, ca
     assert tuple(counts[name] for name in REPRESENTATION_WORK) == (1, 1, 1, 0)
 
 
+def symmetrized_part_grams(*kernels_and_partitions) -> set:
+    """The contents of the eigh inputs herm_eig makes of the part Grams."""
+    return {_content(0.5 * (g + g.conj().T))
+            for k, p in kernels_and_partitions for g in conv_blocks(k, p).values()}
+
+
+@pytest.mark.parametrize("family", ["pair_groupoid", "partial_bijections"])
+@pytest.mark.parametrize("argv, mode", [
+    (["check", "psd"], "psd_invariant"),
+    (["linearize", "--hilbert"], "psd_invariant"),
+    (["represent", "--hilbert"], "psd_invariant"),
+    (["check", "bounded-shift"], "psd_invariant"),
+    (["split"], "hermitian_invariant"),
+])
+def test_each_command_decomposes_each_distinct_part_gram_once(tmp_path, capsys, monkeypatch,
+                                                              family, argv, mode):
+    # pair_groupoid's four part Grams are equal, so they share one eigh;
+    # split also decomposes the part Grams of both sides, to decide that they are PSD
+    path = write_instance(tmp_path, family, mode)
+    inst = formats.load(path)
+    k, p = inst.kernel, inst.partition
+    expected = symmetrized_part_grams((k, p))
+    if argv == ["split"]:
+        k_plus, k_minus, _ = krein_lin.jordan_split(k, p, TOL)
+        expected |= symmetrized_part_grams((k_plus, p), (k_minus, p))
+    if family == "pair_groupoid":  # four equal part Grams per kernel
+        assert len(expected) == (3 if argv == ["split"] else 1)
+    inputs, herm, _ = count_decompositions(monkeypatch)
+    code, _, _ = run(capsys, argv + [path])
+    assert code == 0
+    assert sorted(inputs) == sorted(expected)
+    assert len(herm) == len(inputs)
+
+
+def test_equal_part_grams_share_one_spectrum(monkeypatch):
+    from kgl.bundle import HilbertBundle
+    from kgl.kernel import partition_from_anchor
+
+    b = HilbertBundle(points=("x1", "x2", "x3", "x4"), dim={"x1": 2, "x2": 2, "x3": 2, "x4": 1})
+    p = partition_from_anchor(b, {"x1": "s", "x2": "t", "x3": "u", "x4": "v"})
+    g = np.array([[2.0, 1j], [-1j, -1.0]])
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    inputs, herm, _ = count_decompositions(monkeypatch)
+    k = kernel_from_part_grams(p, {"s": g, "t": g.copy(), "u": 2 * g, "v": [[3.0]]})
+    spectra = part_spectra(k, p, TOL)
+    assert spectra["s"] is spectra["t"] and spectra["u"] is not spectra["s"]
+    assert len(inputs) == len(herm) == 3
+    assert part_spectra(k, p, TOL)["s"] is spectra["s"] and len(inputs) == 3
+    # a part that is not Hermitian: part_spectra raises, and psd_records still
+    # decides the other parts, decomposing each distinct Hermitian part Gram once
+    bad = kernel_from_part_grams(p, {"s": g, "t": skew, "u": g, "v": [[3.0]]})
+    with pytest.raises(NotHermitian, match="part 't'"):
+        part_spectra(bad, p, TOL)
+    records = psd_records(bad, p, TOL)
+    assert [r.passed for r in records] == [False, False, False, True]
+    assert records[1].witness == {"part": "t", "reason": "not Hermitian"}
+    assert len(inputs) == 5
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("mode", MODES)
-def test_report_bytes_do_not_depend_on_the_store(tmp_path, capsys, monkeypatch, family, mode):
-    path = write_instance(tmp_path, family, mode)
-    stored = run(capsys, ["report", path])
-    monkeypatch.setattr(numlin, "decomposition_store", contextlib.nullcontext)
-    assert run(capsys, ["report", path]) == stored
-
-
-def test_store_is_emptied_when_the_command_returns(tmp_path, capsys, monkeypatch):
-    path = write_instance(tmp_path, "pair_groupoid", "psd_invariant")
-    sizes, stores = [], []
-    opened = numlin.decomposition_store
-
-    @contextlib.contextmanager
-    def watched():
-        with opened() as store:
-            stores.append(store)
-            yield store
-            sizes.append(len(store))
-
-    monkeypatch.setattr(numlin, "decomposition_store", watched)
-    assert run(capsys, ["report", path])[0] == 0
-    assert sizes[0] > 0
-    assert stores[0] == {}
-    # outside the command every call decomposes afresh
-    inputs, _, _ = count_decompositions(monkeypatch)
-    g = np.diag([2.0, 1.0]).astype(complex)
-    numlin.spectrum(g, TOL)
-    numlin.spectrum(g, TOL)
-    assert len(inputs) == 2
-
-
-def test_stored_arrays_are_read_only():
-    g = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    with numlin.decomposition_store():
-        s = numlin.spectrum(g, TOL)
-        assert numlin.spectrum(g.copy(), TOL) is s
-        p = numlin.pinv(g, TOL)
-        assert numlin.pinv(g.copy(), TOL) is p
-        for a in (s.eigenvalues, s.basis, s.kernel_basis, s.positive, s.negative, s.retained,
-                  s.factor, s.factor_pinv, p):
-            with pytest.raises(ValueError):
-                a[...] = 0
+def test_report_leaves_no_state_behind(tmp_path, capsys, family, mode):
+    # the same bytes twice in one process, with a report on another instance of
+    # the same shapes in between: nothing one command computes reaches the next
+    path, other = write_instance(tmp_path, family, mode), write_instance(tmp_path, family, mode, 2)
+    first = run(capsys, ["report", path])
+    assert run(capsys, ["report", other]) != first
+    assert run(capsys, ["report", path]) == first
 
 
 def test_kernel_gram_and_part_grams_are_read_only():
