@@ -55,7 +55,6 @@ __all__ = [
     "is_partially_psd",
     "kernel_inner",
     "dominates",
-    "invariance_bounds",
     "is_invariant",
     "invariance_record",
     "bounded_shift_constants",
@@ -465,18 +464,6 @@ def _batches(items: list, item_bytes: int):
         yield items[lo:lo + step]
 
 
-def invariance_bounds(grams: dict, sg: StarSemigroupoid,
-                      tol: Tolerances = DEFAULT_TOL) -> dict:
-    """Per element, the bound its invariance residuals are compared against.
-
-    atol times the larger Frobenius norm of the element's domain and
-    codomain part Gram matrices, so the verdict does not depend on the
-    kernel's scale; the bound is 0 only where both Grams are exactly 0.
-    """
-    scale = {s: frob(g) for s, g in grams.items()}
-    return {a: tol.atol * max(scale[sg.d[a]], scale[sg.c[a]]) for a in sg.elements}
-
-
 def _first_false(mask):
     miss = np.flatnonzero(~mask)
     return int(miss[0]) if miss.size else None
@@ -501,12 +488,25 @@ def is_invariant(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
     difference is reduced to one Frobenius norm per (x, y) block. An action
     value that is undefined, or lands outside the part it should, raises
     InvalidSemigroupoid where the loop order reaches it.
+
+    A block fails when its norm exceeds alpha's bound: atol times the larger
+    Frobenius norm of alpha's domain and codomain part Grams, so the verdict
+    does not depend on the kernel's scale.
     """
+    witness = _invariance_check(k, act, tol)[0]
+    return witness is None, witness
+
+
+def _invariance_check(k: OpKernel, act: LeftAction, tol: Tolerances):
+    """is_invariant's comparison as (witness, residual, bound): the first
+    failing triple with its block's residual and alpha's bound, or None,
+    0.0 and atol times the largest Frobenius norm of a part Gram."""
     _require_orbit_trivial(act, k.bundle)
     p = partition_from_action(k.bundle, act)
     grams = conv_blocks(k, p)
     sg = act.sg
-    bounds = invariance_bounds(grams, sg, tol)
+    scale = {s: frob(g) for s, g in grams.items()}
+    bounds = {a: tol.atol * max(scale[sg.d[a]], scale[sg.c[a]]) for a in sg.elements}
     coords = _shift_coordinates(act, p)
     starts = {label: np.array([idx.offsets[x] for x in idx.part], dtype=np.int64)
               for label, idx in p.parts.items()}
@@ -526,7 +526,8 @@ def is_invariant(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
             diff = grams[sc][np.maximum(ax, 0)]
             diff -= grams[sd][:, np.maximum(ay, 0)]
             sq = np.add.reduceat(diff.real ** 2 + diff.imag ** 2, starts[sd], axis=0)
-            bad = np.sqrt(np.add.reduceat(sq, starts[sc], axis=1)) > bounds[alpha]
+            resid = np.sqrt(np.add.reduceat(sq, starts[sc], axis=1))
+            bad = resid > bounds[alpha]
         # in (alpha, x, y) order, alpha.x is needed from row x on and each
         # alpha*.y from the first row on: no block after an unusable value counts
         u = _first_false(ax[starts[sd]] >= 0)
@@ -539,34 +540,21 @@ def is_invariant(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL):
         hits = np.flatnonzero(bad)
         if hits.size:
             r, q = divmod(int(hits[0]), len(ys))
-            return False, (alpha, xs[r], ys[q])
+            return (alpha, xs[r], ys[q]), float(resid[r, q]), bounds[alpha]
         if u == 0 or (u is not None and v is None):
             _raise_unusable(act, alpha, xs[u], sc)
         if v is not None:
             _raise_unusable(act, astar, ys[v], sd)
-    return True, None
+    return None, 0.0, tol.atol * max(scale.values(), default=0.0)
 
 
 def invariance_record(k: OpKernel, act: LeftAction, tol: Tolerances = DEFAULT_TOL) -> Record:
-    """The kernel/invariant record of is_invariant.
-
-    A pass carries the bound atol * max(every part's Frobenius norm); a
-    failure carries the witness (alpha, x, y), the residual of its block
-    and the bound of alpha (see invariance_bounds).
-    """
-    ok, wit = is_invariant(k, act, tol)
-    grams = conv_blocks(k, partition_from_action(k.bundle, act))
-    if ok:
-        bound = tol.atol * max([frob(g) for g in grams.values()], default=0.0)
-        return Record("kernel is invariant under the action", "kernel/invariant",
-                      0.0, bound, True)
-    alpha, x, y = wit
-    ax = act.apply(alpha, x)
-    ay = act.apply(act.sg.star[alpha], y)
-    resid = frob(k.block(ax, y) - k.block(x, ay))
-    return Record("kernel is invariant under the action", "kernel/invariant",
-                  resid, invariance_bounds(grams, act.sg, tol)[alpha], False,
-                  witness={"element": alpha, "x": x, "y": y})
+    """The kernel/invariant record of is_invariant, with the residual and
+    bound it compared: a pass carries the bound atol * max(every part's
+    Frobenius norm), a failure its witness (alpha, x, y)."""
+    witness, resid, bound = _invariance_check(k, act, tol)
+    return Record("kernel is invariant under the action", "kernel/invariant", resid, bound,
+                  witness is None, witness=witness and dict(zip(("element", "x", "y"), witness)))
 
 
 def _psd_parts(l: OpKernel, act: LeftAction, tol: Tolerances):

@@ -10,6 +10,7 @@ the induced space is.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "hilbert_space",
     "krein_adjoint",
     "induced_krein",
-    "induced_from_spectrum",
     "lift_operator",
     "gaps_unique",
 ]
@@ -100,18 +100,28 @@ def krein_adjoint(t, j_dom: KreinSpace, j_cod: KreinSpace) -> np.ndarray:
     return jd[:, None] * m.conj().T * jc[None, :]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class InducedKrein:
-    """A Krein space carrying the form of a Hermitian matrix.
+    """The Krein space induced by a Hermitian matrix, read from the
+    matrix's canonical spectrum.
 
-    The canonical map sends a source vector h to Pi h; the pairing of
-    images recovers the form: Pi* J Pi equals the inducing matrix. The map
-    is onto, so the space has dimension the rank of the matrix, positive
-    directions listed first.
+    The canonical map pi (the spectrum's factor, shape (space.dim, source
+    dimension)) sends a source vector h to Pi h; the pairing of images
+    recovers the form: Pi* J Pi equals the inducing matrix. The map is
+    onto, so the space has dimension the rank of the matrix, positive
+    directions listed first. Pi+ and both norms are the spectrum's too.
     """
 
-    space: KreinSpace
-    pi: np.ndarray  # (space.dim, source dimension)
+    spectrum: numlin.Spectrum
+
+    @cached_property
+    def space(self) -> KreinSpace:
+        p, n = self.spectrum.signature
+        return KreinSpace((1,) * p + (-1,) * n)
+
+    @property
+    def pi(self) -> np.ndarray:
+        return self.spectrum.factor
 
 
 def induced_krein(a, tol: Tolerances = DEFAULT_TOL) -> InducedKrein:
@@ -121,14 +131,7 @@ def induced_krein(a, tol: Tolerances = DEFAULT_TOL) -> InducedKrein:
     to the form's kernel and are dropped. Rows of the canonical map are
     sqrt(|eigenvalue|) times the adjoint eigenvector, positives first.
     """
-    return induced_from_spectrum(numlin.spectrum(a, tol))
-
-
-def induced_from_spectrum(s: numlin.Spectrum) -> InducedKrein:
-    """induced_krein of the matrix whose canonical spectrum is s: the map is
-    s.factor, its pseudo-inverse s.factor_pinv."""
-    p, n = s.signature
-    return InducedKrein(KreinSpace((1,) * p + (-1,) * n), s.factor)
+    return InducedKrein(numlin.spectrum(a, tol))
 
 
 @dataclass(eq=False)
@@ -169,7 +172,8 @@ def lift_operator(a, b, t, s, tol: Tolerances = DEFAULT_TOL) -> LiftedPair:
     ||S|| ||A||), ||Pi_B|| ||T|| and max(||Pi_B|| ||T|| ||Pi_A+||,
     ||Pi_A|| ||S|| ||Pi_B+||), the scales of the two lifted products, so
     a pair with one side zero (T = 0 and S into the form kernel of A, say)
-    is not held to a bound of zero.
+    is not held to a bound of zero. The canonical maps, their
+    pseudo-inverses and their norms are read from the spectra of A and B.
     """
     am = numlin.as_cmatrix(a)
     bm = numlin.as_cmatrix(b)
@@ -183,7 +187,8 @@ def lift_operator(a, b, t, s, tol: Tolerances = DEFAULT_TOL) -> LiftedPair:
     def record(name, resid, bound):
         return Record(name, "krein/lift", resid, bound, resid <= bound)
 
-    scale = max(opnorm(bm) * opnorm(tm), opnorm(sm) * opnorm(am))
+    t_norm, s_norm = opnorm(tm), opnorm(sm)
+    scale = max(opnorm(bm) * t_norm, s_norm * opnorm(am))
     records = [record("compatibility identity holds",
                       frob(bm @ tm - sm.conj().T @ am), tol.atol * scale)]
     if not records[0].passed:
@@ -191,15 +196,12 @@ def lift_operator(a, b, t, s, tol: Tolerances = DEFAULT_TOL) -> LiftedPair:
 
     ika = induced_krein(am, tol)
     ikb = induced_krein(bm, tol)
-    pinv_a = numlin.pinv(ika.pi, tol)
-    pinv_b = numlin.pinv(ikb.pi, tol)
-    t_lift = ikb.pi @ tm @ pinv_a
-    s_lift = ika.pi @ sm @ pinv_b
+    (pi_a, pinv_a), (pi_b, pinv_b) = ika.spectrum.factor_norms, ikb.spectrum.factor_norms
+    t_lift = ikb.pi @ tm @ ika.spectrum.factor_pinv
+    s_lift = ika.pi @ sm @ ikb.spectrum.factor_pinv
     records.append(record("lift factors through the canonical maps",
-                          frob(t_lift @ ika.pi - ikb.pi @ tm),
-                          tol.atol * opnorm(ikb.pi) * opnorm(tm)))
-    lift_scale = max(opnorm(ikb.pi) * opnorm(tm) * opnorm(pinv_a),
-                     opnorm(ika.pi) * opnorm(sm) * opnorm(pinv_b))
+                          frob(t_lift @ ika.pi - ikb.pi @ tm), tol.atol * pi_b * t_norm))
+    lift_scale = max(pi_b * t_norm * pinv_a, pi_a * s_norm * pinv_b)
     records.append(record("lifted pair are indefinite adjoints",
                           frob(krein_adjoint(t_lift, ika.space, ikb.space) - s_lift),
                           tol.atol * lift_scale))

@@ -24,7 +24,6 @@ A representation is built from a linearisation that already exists
 (represent), once the kernel's invariance has been decided.
 """
 
-import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -54,7 +53,7 @@ from .kernel import (
     kernel_from_part_grams,
     part_spectra,
 )
-from .krein_core import gaps_unique, induced_from_spectrum, induced_krein, krein_adjoint
+from .krein_core import InducedKrein, gaps_unique, krein_adjoint
 from .numlin import DEFAULT_TOL, Tolerances, frob, frobs
 from .reports import Record
 from .sgpd import LeftAction
@@ -134,13 +133,14 @@ def canonical_dominant(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL)
 @dataclass(eq=False)
 class GramData:
     """Per part: the dominant's factor, the kernel's Gram operator on the
-    quotient, its gaps at zero and contraction norm (both read from its
-    eigenvalues)."""
+    quotient with its canonical spectrum, and the gaps at zero and
+    contraction norm read from that spectrum."""
 
     partition: Partition
     dominant_factor: dict  # label -> B_L, shape (r_L, total_dim)
     dominant_rank: dict  # label -> r_L
     ghat: dict  # label -> Hermitian contraction, shape (r_L, r_L)
+    spectra: dict  # label -> Spectrum of ghat
     gaps: dict  # label -> (gap_neg or None, gap_pos or None)
     contraction: dict  # label -> operator norm of ghat
 
@@ -155,14 +155,15 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
     unique Hermitian matrix with B_L* Ghat B_L = G_K; it is a contraction
     exactly when -L <= K <= L. Raises KernelNotDominated when L's form
     kernel is not contained in K's (the quotient is then undefined) or the
-    contraction bound fails. The norm and gaps of the Gram operator come
-    from its eigenvalues alone. Both residual bounds are atol times ||G_K||,
-    with no floor.
+    contraction bound fails. The Gram operator is decomposed once
+    (numlin.spectrum): its norm, its gaps and, in krein_linearisation, its
+    induced space are read from that spectrum. Both residual bounds are atol
+    times ||G_K||, with no floor.
     """
     if not is_partially_hermitian(k, p, tol):
         raise NotHermitian("Gram operator needs a partially Hermitian kernel")
     grams_k = conv_blocks(k, p)
-    factor, ranks, ghat, gaps, contraction = {}, {}, {}, {}, {}
+    factor, ranks, ghat, spectra, gaps, contraction = {}, {}, {}, {}, {}, {}
     for label, s_l in part_spectra(l, p, tol).items():
         g_k = grams_k[label]
         if not s_l.is_psd:
@@ -179,7 +180,7 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
         bp = s_l.factor_pinv
         gh = bp.conj().T @ g_k @ bp
         gh = 0.5 * (gh + gh.conj().T)
-        s_gh = numlin.spectrum_values(gh, tol)
+        s_gh = numlin.spectrum(gh, tol)
         norm = s_gh.norm  # ||ghat||, ghat Hermitian
         if norm > 1.0 + tol.atol:
             raise KernelNotDominated(
@@ -192,10 +193,9 @@ def gram_operator(k: OpKernel, l: OpKernel, p: Partition,
                 f"(residual {resid:.3e})")
         factor[label] = b_l
         ranks[label] = r_l
-        ghat[label] = gh
-        gaps[label] = s_gh.gaps
-        contraction[label] = norm
-    return GramData(p, factor, ranks, ghat, gaps, contraction)
+        ghat[label], spectra[label] = gh, s_gh
+        gaps[label], contraction[label] = s_gh.gaps, norm
+    return GramData(p, factor, ranks, ghat, spectra, gaps, contraction)
 
 
 def _split_certificate(s) -> dict:
@@ -258,6 +258,7 @@ class KreinLinearisation:
     dominant: OpKernel = None
     family: dict = field(default_factory=lambda: KREIN)
     spectra: dict = None  # label -> Spectrum of G_K with W its factor (direct route)
+    _of_map: dict = field(default_factory=dict, init=False, repr=False)  # see _computed
 
     @property
     def provenance(self) -> str:
@@ -270,20 +271,31 @@ class KreinLinearisation:
         s = (self.spectra or {}).get(label)
         return s if s is not None and s.factor is self.wmap[label] else None
 
+    def _computed(self, label, what, compute):
+        """compute(W) of a part's W, computed once while W is the part's map."""
+        held = self._of_map.get((label, what))
+        if held is None or held[0] is not self.wmap[label]:
+            held = self._of_map[label, what] = (self.wmap[label], compute(self.wmap[label]))
+        return held[1]
+
     def pinv(self, label, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """W+ of a part: U_k / sqrt|w_k| from its spectrum on the direct
-        route, numlin.pinv (an SVD) where W has no spectrum."""
+        route, numlin.pinv (an SVD, once per W and tolerances) where W has
+        no spectrum."""
         s = self._spectrum(label)
-        return numlin.pinv(self.wmap[label], tol) if s is None else s.factor_pinv
+        if s is not None:
+            return s.factor_pinv
+        return self._computed(label, tol, lambda w: numlin.pinv(w, tol))
 
     def singular_values(self, label) -> np.ndarray:
         """The singular values of a part's W: sqrt|w_k| over the retained
         eigenvalues of its spectrum (in the spectrum's order), else those of
-        a values-only SVD (descending)."""
-        s, w = self._spectrum(label), self.wmap[label]
+        a values-only SVD (descending, once per W)."""
+        s = self._spectrum(label)
         if s is not None:
             return np.sqrt(np.abs(s.eigenvalues[s.retained]))
-        return np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
+        return self._computed(label, "singular values", lambda w: (
+            np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)))
 
     def norm(self, label) -> float:
         """||W|| of a part, its largest singular value (0.0 for dimension 0)."""
@@ -311,22 +323,15 @@ def krein_linearisation(k: OpKernel, p: Partition, tol: Tolerances = DEFAULT_TOL
     through the Gram operator of that dominating PSD kernel (such as
     canonical_dominant(k, p)); the two routes agree up to a J-unitary map.
     """
-    grams = conv_blocks(k, p)
-    spaces, wmap = {}, {}
-    spectra = None
     if dominant is None:
-        spectra = part_spectra(k, p, tol)
-        for label, s in spectra.items():
-            ik = induced_from_spectrum(s)
-            spaces[label] = ik.space
-            wmap[label] = ik.pi
+        spectra = induced = part_spectra(k, p, tol)
+        wmap = {label: s.factor for label, s in spectra.items()}
     else:
-        gd = gram_operator(k, dominant, p, tol)
-        for label in grams:
-            ik = induced_krein(gd.ghat[label], tol)
-            spaces[label] = ik.space
-            wmap[label] = ik.pi @ gd.dominant_factor[label]
-    return KreinLinearisation(p, grams, spaces, wmap, feature_maps(p, wmap),
+        gd, spectra = gram_operator(k, dominant, p, tol), None
+        induced = gd.spectra
+        wmap = {label: s.factor @ gd.dominant_factor[label] for label, s in induced.items()}
+    spaces = {label: InducedKrein(s).space for label, s in induced.items()}
+    return KreinLinearisation(p, conv_blocks(k, p), spaces, wmap, feature_maps(p, wmap),
                               dominant=dominant, spectra=spectra)
 
 
@@ -525,15 +530,14 @@ class RepresentedShifts(Mapping):
     that built it read of the shifts."""
 
     def __init__(self, lin, act: LeftAction, tol: Tolerances, laws: _LawData):
-        self._lin, self._act, self.laws = lin, act, laws
+        self._lin, self._act, self._tol, self.laws = lin, act, tol, laws
         self._coords = _shift_coordinates(act, lin.partition)
-        self._pinv = functools.cache(lambda label: lin.pinv(label, tol))
 
     def __getitem__(self, a) -> np.ndarray:
         sg = self._act.sg
         if a not in self._coords:
             raise KeyError(a)
-        t = self._lin.wmap[sg.c[a]][:, self._coords[a]] @ self._pinv(sg.d[a])
+        t = self._lin.wmap[sg.c[a]][:, self._coords[a]] @ self._lin.pinv(sg.d[a], self._tol)
         t.setflags(write=False)
         return t
 
@@ -579,8 +583,6 @@ def _law_pass(lin, act: LeftAction, tol: Tolerances, elements, psi=None) -> _Law
     sg, p = act.sg, lin.partition
     _require_involution(sg)
     coords = _shift_coordinates(act, p)
-    w_pinv = functools.cache(lambda s: lin.pinv(s, tol))
-    w_norm = functools.cache(lin.norm)
     starts = {label: np.array([idx.offsets[x] for x in idx.part], dtype=np.int64)
               for label, idx in p.parts.items()}
     jdiag = {label: np.asarray(space.jdiag, dtype=np.float64)
@@ -590,9 +592,9 @@ def _law_pass(lin, act: LeftAction, tol: Tolerances, elements, psi=None) -> _Law
     def read(part, sd, sc):
         """The stacked shifts of part, of one part pair, with what data reads of them."""
         c = np.stack([coords[a] for a in part])
-        t = (lin.wmap[sc][:, c].transpose(1, 0, 2) @ w_pinv(sd) if psi is None
+        t = (lin.wmap[sc][:, c].transpose(1, 0, 2) @ lin.pinv(sd, tol) if psi is None
              else np.stack([psi[a] for a in part]))
-        _read_pairing(lin, data, part, sd, sc, c, t, starts[sd], w_norm(sc))
+        _read_pairing(lin, data, part, sd, sc, c, t, starts[sd], lin.norm(sc))
         return t
 
     def read_batch(groups: dict):
@@ -804,7 +806,6 @@ def _pair_bounds(act: LeftAction, lin, data: _LawData):
                      np.stack([data.cols[a] for a in members]))
     norm = np.array([data.norms[a] for a in sg.elements])
     eres = np.array([float(np.sqrt(data.cols[a].sum())) for a in sg.elements])
-    sigma = functools.cache(lin.sigma_min)
     resid = np.zeros(len(ka))
     margin = np.zeros(len(ka))
     key = code.c[kb].astype(np.int64) * n_sym + code.d[kb]
@@ -814,7 +815,7 @@ def _pair_bounds(act: LeftAction, lin, data: _LawData):
             continue  # psi(a)psi(b) - psi(ab) has no columns
         c_mid, q_mid = stacks[mid]
         c_dom = stacks[dom][0]
-        s_min = sigma(dom)
+        s_min = lin.sigma_min(dom)
         sel = np.flatnonzero(key == k)
         for batch in _batches(sel, 8 * (2 * c_mid.shape[1] + 3 * c_dom.shape[1])):
             a, b, ab = ka[batch], kb[batch], kab[batch]

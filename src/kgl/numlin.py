@@ -25,13 +25,14 @@ Two thresholds decide, each in one place:
 A :class:`Spectrum` carries one canonical decomposition with the cutoff's
 decisions read from it, and everything that is a spectral function of the
 matrix is read from it rather than decomposed again: its norm max|w|, its
-canonical map and that map's pseudo-inverse U_k / sqrt|w_k| (no SVD), and
-the canonical spectrum of |G| = U|w|U* (``abs_spectrum``). A check that
-reads only the eigenvalues of a matrix of its own uses ``spectrum_values``
-(``np.linalg.eigvalsh``, no eigenvectors), or ``stack_eigenvalues`` for a
-stack of them. Every call computes afresh: nothing here keeps a result,
-and a decomposition is made once by whoever holds the matrix (a kernel
-holds its part spectra, see ``kernel.part_spectra``).
+canonical map and that map's pseudo-inverse U_k / sqrt|w_k| (no SVD) with
+their operator norms, and the canonical spectrum of |G| = U|w|U*
+(``abs_spectrum``). A check that reads only the eigenvalues of a stack of
+matrices of its own uses ``stack_eigenvalues`` (one batched
+``np.linalg.eigvalsh``). Every call computes afresh: nothing here keeps a
+result, and a decomposition is made once by whoever holds the matrix (a
+kernel holds its part spectra, see ``kernel.part_spectra``; an induced
+space, the spectrum of its matrix).
 """
 
 from dataclasses import dataclass
@@ -56,7 +57,6 @@ __all__ = [
     "herm_abs",
     "spectral_projections",
     "pinv",
-    "spectrum_values",
     "stack_eigenvalues",
     "abs_spectrum",
 ]
@@ -201,9 +201,9 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL):
 class Spectrum:
     """A canonical eigendecomposition with the decisions read from it.
 
-    eigenvalues and basis are those of herm_eig, read-only; basis is None
-    for the eigenvalues alone (spectrum_values). cutoff is the eigenvalue
-    cutoff rank_rel * max|eigenvalue| of the tolerances it was made with.
+    eigenvalues and basis are those of herm_eig, read-only. cutoff is the
+    eigenvalue cutoff rank_rel * max|eigenvalue| of the tolerances it was
+    made with.
     """
 
     eigenvalues: np.ndarray
@@ -247,6 +247,13 @@ class Spectrum:
         """The pseudo-inverse U_k / sqrt|w_k| of factor, with no SVD, read-only."""
         k = self.retained
         return _frozen(self.basis[:, k] / np.sqrt(np.abs(self.eigenvalues[k])))
+
+    @property
+    def factor_norms(self):
+        """(||factor||, ||factor_pinv||) with no SVD: sqrt max|w|, and 1/sqrt
+        of the least retained |w_k| (0.0 with none retained)."""
+        kept = np.abs(self.eigenvalues[self.retained])
+        return float(np.sqrt(self.norm)), float(1.0 / np.sqrt(kept.min())) if kept.size else 0.0
 
     @property
     def signature(self):
@@ -299,14 +306,6 @@ def checked_spectrum(g: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return _spectrum_of(*herm_eig(g, None), tol)
 
 
-def spectrum_values(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """The eigenvalues of a Hermitian matrix (np.linalg.eigvalsh, no
-    eigenvectors) with the cutoff's decisions: a Spectrum whose basis is
-    None, for a check that reads eigenvalues only."""
-    m = _require_hermitian(a, tol)
-    return _spectrum_of(np.linalg.eigvalsh(m) if m.shape[0] else np.zeros(0), None, tol)
-
-
 def stack_eigenvalues(a) -> np.ndarray:
     """The ascending eigenvalues of each matrix of a stack of Hermitian
     matrices, symmetrized first: one batched np.linalg.eigvalsh, read-only.
@@ -317,10 +316,10 @@ def stack_eigenvalues(a) -> np.ndarray:
     return _frozen(np.linalg.eigvalsh(m) if m.shape[-1] else np.zeros(m.shape[:-1]))
 
 
-def _spectrum_of(w: np.ndarray, basis, tol: Tolerances) -> Spectrum:
+def _spectrum_of(w: np.ndarray, basis: np.ndarray, tol: Tolerances) -> Spectrum:
     w = _frozen(w)
     top = float(np.max(np.abs(w), initial=0.0))
-    return Spectrum(w, None if basis is None else _frozen(basis), tol.rank_rel * top)
+    return Spectrum(w, _frozen(basis), tol.rank_rel * top)
 
 
 def abs_spectrum(s: Spectrum) -> Spectrum:

@@ -171,6 +171,27 @@ def test_split_command(tmp_path, capsys):
     assert any(r["tag"] == "krein/split" for r in rep["records"])
 
 
+@pytest.mark.parametrize("family", ["pair_groupoid", "group_action", "partial_bijections",
+                                    "group_as_groupoid"])
+def test_split_sides_are_psd_at_a_cutoff_below_rounding(tmp_path, capsys, family):
+    # the sides U diag(max(+-w, 0)) U* of a part spectrum have no eigenvalue below
+    # zero, whatever the cutoff: split reads that from the spectrum, and its other
+    # krein/split verdicts are report's at the same tolerances
+    path = tmp_path / f"{family}.json"
+    formats.save_instance(formats.instance_to_doc(*generators.generate_instance(
+        family, seed=1, mode="hermitian_invariant")), path)
+    argv = ["--rank-rel", "1e-17", str(path)]
+    code, split = run_json(capsys, ["split"] + argv)
+    both = [r for r in split["records"] if r["name"] == "both split parts are PSD"]
+    assert len(both) == len(formats.load(str(path)).partition.parts)
+    assert all(r["pass"] for r in both)
+    assert code == 0 and split["pass"]
+    _, report = run_json(capsys, ["report"] + argv)
+    assert ([r["pass"] for r in split["records"]
+             if r["tag"] == "krein/split" and r["name"] != "both split parts are PSD"]
+            == [r["pass"] for r in report["records"] if r["tag"] == "krein/split"])
+
+
 def test_represent_hilbert_circulant(circulant_instance, capsys):
     # hand-checkable instance: every residual well under the tolerance
     code, rep = run_json(capsys, ["represent", "--hilbert", circulant_instance])

@@ -494,7 +494,7 @@ def test_the_representation_needs_a_star_that_is_an_involution():
 def _old_readings(k, p, lin, label):
     """The split's rank sum, split residual, member residual, factorization
     residual and minimality span of a part, each computed directly: the
-    eigvalsh of G+ + G-, the split kernels' difference, W*J W_x per point
+    spectrum of G+ + G-, the split kernels' difference, W*J W_x per point
     with a dense J, and the SVD of W."""
     s = kn.part_spectra(k, p, TOL)[label]
     w, u, g, idx = s.eigenvalues, s.basis, lin.gram[label], p.index(label)
@@ -502,7 +502,7 @@ def _old_readings(k, p, lin, label):
     g_minus = (u * np.clip(-w, 0.0, None)) @ u.conj().T
     wj = lin.wmap[label].conj().T @ np.diag(lin.spaces[label].jdiag)
     sv = np.linalg.svd(lin.wmap[label], compute_uv=False)
-    return (numlin.spectrum_values(g_plus + g_minus, TOL).rank,
+    return (numlin.spectrum(g_plus + g_minus, TOL).rank,
             frob(g - (g_plus - g_minus)),
             max(frob(wj @ lin.features[x] - g[:, idx.slice_of(x)]) for x in idx.part),
             frob(wj @ lin.wmap[label] - g),

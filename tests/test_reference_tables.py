@@ -23,8 +23,8 @@ from kgl import generators, hilbert_lin, sgpd
 from kgl import krein_lin as kl
 from kgl.bundle import HilbertBundle
 from kgl.errors import InvalidSemigroupoid, PairingViolated
-from kgl.kernel import (OpKernel, _shift_coordinates, bounded_shift_constants, is_invariant,
-                        partition_from_action)
+from kgl.kernel import (OpKernel, _shift_coordinates, bounded_shift_constants,
+                        invariance_record, is_invariant, partition_from_action)
 from kgl.numlin import DEFAULT_TOL, Tolerances
 from kgl.sgpd import LeftAction, StarSemigroupoid
 
@@ -318,6 +318,25 @@ def test_invariance_matches_reference(name, act, k):
         table[(g, x)] = same_part[rng.integers(len(same_part))]
         assert_same(is_invariant, ref.is_invariant, k,
                     LeftAction(act.sg, act.base, act.anchor, table))
+
+
+@pytest.mark.parametrize("name,act,k", INVARIANCE, ids=[c[0] for c in INVARIANCE])
+def test_a_failing_invariance_record_carries_the_residual_the_check_compared(name, act, k):
+    # the perturbed kernels of test_invariance_matches_reference: a failing record
+    # names is_invariant's witness, with a residual above its bound
+    rng = np.random.default_rng(sum(map(ord, name)))
+    p = partition_from_action(k.bundle, act)
+    failing = 0
+    for bad in perturbed(k, p, rng, (1e-13, 1e-7, 1e-3, 1.0, 1.0)):
+        for tol in (DEFAULT_TOL, LOOSE):
+            record = invariance_record(bad, act, tol)
+            ok, witness = is_invariant(bad, act, tol)
+            assert record.passed == ok
+            if not ok:
+                failing += 1
+                assert record.witness == dict(zip(("element", "x", "y"), witness))
+                assert record.residual > record.tolerance
+    assert failing
 
 
 def test_invariance_raises_where_the_loop_order_first_meets_a_missing_value():

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from kgl import cli, formats, generators, krein_lin, numlin, pipelines
+from kgl import cli, formats, generators, numlin, pipelines
 from kgl.errors import NotHermitian
 from kgl.kernel import conv_blocks, kernel_from_part_grams, part_spectra, psd_records
 from kgl.numlin import DEFAULT_TOL as TOL
@@ -191,7 +191,8 @@ def count_calls(monkeypatch, names):
     return counts
 
 
-PREMISES = ("kernel.is_invariant", "krein_lin.krein_linearisation", "kernel.psd_records",
+# invariance is counted at the comparison behind is_invariant and invariance_record
+PREMISES = ("kernel._invariance_check", "krein_lin.krein_linearisation", "kernel.psd_records",
             "kernel.hermitian_records")
 
 
@@ -276,22 +277,75 @@ def symmetrized_part_grams(*kernels_and_partitions) -> set:
 ])
 def test_each_command_decomposes_each_distinct_part_gram_once(tmp_path, capsys, monkeypatch,
                                                               family, argv, mode):
-    # pair_groupoid's four part Grams are equal, so they share one eigh;
-    # split also decomposes the part Grams of both sides, to decide that they are PSD
+    # pair_groupoid's four part Grams are equal, so they share one eigh; split
+    # reads that both sides are PSD from the same spectra, with no side formed
     path = write_instance(tmp_path, family, mode)
     inst = formats.load(path)
-    k, p = inst.kernel, inst.partition
-    expected = symmetrized_part_grams((k, p))
-    if argv == ["split"]:
-        k_plus, k_minus, _ = krein_lin.jordan_split(k, p, TOL)
-        expected |= symmetrized_part_grams((k_plus, p), (k_minus, p))
-    if family == "pair_groupoid":  # four equal part Grams per kernel
-        assert len(expected) == (3 if argv == ["split"] else 1)
+    expected = symmetrized_part_grams((inst.kernel, inst.partition))
+    assert len(expected) == (1 if family == "pair_groupoid" else 2)
     inputs, herm, _ = count_decompositions(monkeypatch)
     code, _, _ = run(capsys, argv + [path])
     assert code == 0
     assert sorted(inputs) == sorted(expected)
     assert len(herm) == len(inputs)
+
+
+def dominant_pair_instances(tmp_path, seed=1):
+    """Per family that has one, the files of the seed's generated invariant
+    dominant pair: (family, instance, dominant)."""
+    from kgl.errors import UnsupportedFamily
+    found = []
+    for family in sorted(FAMILIES):
+        sg, act, bundle, _ = generators.generate_instance(
+            family, seed=seed, mode="hermitian_invariant")
+        try:
+            k, l = generators.invariant_dominant_pair(act, bundle, seed)
+        except UnsupportedFamily:
+            continue
+        inst, dom = tmp_path / f"pair-{family}.json", tmp_path / f"dominant-{family}.json"
+        formats.save_instance(formats.instance_to_doc(sg, act, bundle, k), inst)
+        formats.save_instance({"kernel": formats.kernel_to_doc(l)}, dom)
+        found.append((family, str(inst), str(dom)))
+    return found
+
+
+def test_dominant_route_decomposes_each_gram_operator_once(tmp_path, capsys, monkeypatch):
+    # one eigh per Gram operator, from which its norm, gaps and induced space are
+    # read (no eigvalsh), plus the dominant's distinct part Grams; one pinv and one
+    # values-only SVD of each part's W, shared by the law pass, the represented
+    # shifts and the norms of W, and one batched values-only SVD per batch of shifts
+    pairs = dominant_pair_instances(tmp_path)
+    assert [family for family, _, _ in pairs] == sorted(FAMILIES)
+    counts = count_linalg(monkeypatch)
+    for family, inst, dom in pairs:
+        counts.clear()
+        loaded = formats.load(inst)
+        n_parts = len(loaded.partition.parts)
+        code, out, _ = run(capsys, ["represent", "--krein", "--dominant", dom, "--reducibility",
+                                    inst])
+        assert code == 0, family
+        assert {r["tag"] for r in json.loads(out)["records"]} >= {"krein/reducibility"}
+        assert counts["eigvalsh"] == 0, family
+        assert counts["pinv"] == counts["svd with vectors"] == n_parts, family
+        if family == "pair_groupoid":  # three parts, with equal dominant part Grams
+            assert dict(counts) == {"eigh": 4, "pinv": 3, "svd with vectors": 3, "svd": 12}
+
+
+def test_lift_reads_its_pseudo_inverses_and_norms_from_the_spectra(tmp_path, capsys,
+                                                                   monkeypatch):
+    # one eigh each for A and B, and the operator norms of A, B, T and S only:
+    # the canonical maps, their pseudo-inverses and their norms are spectral
+    a, b, t, s = generators.random_lift_quadruple(4, 3, 1)
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps({name: formats.matrix_to_doc(m)
+                                for name, m in zip("abts", (a, b, t, s))}))
+    counts = count_linalg(monkeypatch)
+    opnorms = count_calls(monkeypatch, ("numlin.opnorm",))
+    code, out, _ = run(capsys, ["lift", str(path)])
+    assert code == 0
+    assert len(json.loads(out)["records"]) == 3
+    assert dict(counts) == {"eigh": 2, "svd": 4}
+    assert opnorms["numlin.opnorm"] == 4
 
 
 def test_equal_part_grams_share_one_spectrum(monkeypatch):

@@ -7,7 +7,9 @@ in-process and with one BLAS thread:
     report, validate, classify, check hermitian|psd|invariant|bounded-shift,
     linearize --hilbert|--krein, split, represent --hilbert|--krein
 
-plus `generate` for every family and mode, `represent --krein --dominant`,
+plus `generate` for every family and mode, `split --rank-rel 1e-17` on
+each generated instance (a cutoff below rounding, where the split's
+verdicts are at their most fragile), `represent --krein --dominant`,
 with and without `--reducibility`, on generated invariant dominant pairs, and
 `lift` on generated quadruples, as generated and with S moved by 1e-3, each
 scaled by c in {1e-6, 1, 1e6}, and `report`, `represent --krein` and
@@ -88,6 +90,7 @@ LIFT_SCALES = (1e-6, 1.0, 1e6)
 GUARD_EPS = (3e-10, 5e-10, 1e-9)
 GUARD_COMMANDS = (("report",), ("represent", "--krein"), ("represent", "--hilbert"))
 MALFORMED_SEEDS = range(30)
+FRAGILE_SPLIT = ("split", "--rank-rel", "1e-17")
 
 
 def _short(value) -> str:
@@ -185,6 +188,11 @@ def generated_outputs(scratch, result):
             for mode in MODES:
                 argv = ("generate", "--family", family, "--seed", str(seed), "--mode", mode)
                 result["outputs"][" ".join(argv)] = run(argv, scratch)
+                path = os.path.join(scratch, f"generated-{family}-{seed}-{mode}.json")
+                formats.save_instance(formats.instance_to_doc(
+                    *generators.generate_instance(family, seed=seed, mode=mode)), path)
+                key = f"generated {family}/{seed}/{mode} {' '.join(FRAGILE_SPLIT)}"
+                result["outputs"][key] = run(FRAGILE_SPLIT + (path,), scratch)
         for seed in DOMINANT_SEEDS:
             sg, act, bundle, _ = generators.generate_instance(
                 family, seed=seed, mode="hermitian_invariant")
